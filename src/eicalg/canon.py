@@ -97,9 +97,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(exps.items(), key=lambda item: _atom_key(item[0])))
 
 
-def _p_zero() -> Poly:
-    return {}
-
 def _p_const(c: Fraction) -> Poly:
     return {(): c} if c != 0 else {}
 
@@ -135,13 +132,6 @@ def _p_mul(a: Poly, b: Poly) -> Poly:
                 out.pop(mono, None)
             else:
                 out[mono] = new
-    return out
-
-
-def _p_pow(a: Poly, n: int) -> Poly:
-    out = _p_const(Fraction(1))
-    for _ in range(n):
-        out = _p_mul(out, a)
     return out
 
 
@@ -308,53 +298,49 @@ def _poly_string(sorted_poly: tuple) -> str:
 # canonicalization
 
 
+def _canonicalize_shared(x, recurse) -> CanonForm:
+    """Constant, sum, product and power nodes, which both families have;
+    ``recurse`` is the entry point of the node's own family."""
+    if isinstance(x, (RvConst, FuncConst)):
+        return CanonForm.from_const(x.value)
+    if isinstance(x, (RvSum, FuncSum)):
+        out = CanonForm.zero()
+        for t in x.terms:
+            out = out + recurse(t)
+        return out
+    if isinstance(x, (RvProduct, FuncProduct)):
+        out = CanonForm.one()
+        for f in x.factors:
+            out = out * recurse(f)
+        return out
+    if isinstance(x, (IntPower, FuncPower)):
+        return recurse(x.base) ** x.exponent
+    raise TypeError(f"not an expression: {x!r}")
+
+
 def canonicalize_rv(e: RvExpr) -> CanonForm:
     """Fully expanded normal form of a random-variable expression."""
     if isinstance(e, BaseVar):
         return CanonForm.from_atom(("v", e.name))
-    if isinstance(e, RvConst):
-        return CanonForm.from_const(e.value)
-    if isinstance(e, RvSum):
-        out = CanonForm.zero()
-        for t in e.terms:
-            out = out + canonicalize_rv(t)
-        return out
-    if isinstance(e, RvProduct):
-        out = CanonForm.one()
-        for f in e.factors:
-            out = out * canonicalize_rv(f)
-        return out
-    if isinstance(e, IntPower):
-        return canonicalize_rv(e.base) ** e.exponent
     if isinstance(e, EmbedFunc):
         return canonicalize_func(e.func)
+    if isinstance(e, RvExpr):
+        return _canonicalize_shared(e, canonicalize_rv)
     raise TypeError(f"not a random-variable expression: {e!r}")
 
 
 def canonicalize_func(f: FuncExpr) -> CanonForm:
     """Normal form of a functional over primitive-moment atoms only."""
-    if isinstance(f, FuncConst):
-        return CanonForm.from_const(f.value)
     if isinstance(f, Moment):
         return _expectation_of_form(canonicalize_rv(f.arg))
-    if isinstance(f, FuncSum):
-        out = CanonForm.zero()
-        for t in f.terms:
-            out = out + canonicalize_func(t)
-        return out
-    if isinstance(f, FuncProduct):
-        out = CanonForm.one()
-        for x in f.factors:
-            out = out * canonicalize_func(x)
-        return out
-    if isinstance(f, FuncPower):
-        return canonicalize_func(f.base) ** f.exponent
     if isinstance(f, Reciprocal):
         return canonicalize_func(f.arg).reciprocal()
     if isinstance(f, Smooth):
         raise ExactModeError(
             f"smooth functional {f.tag!r} has no exact canonical form"
         )
+    if isinstance(f, FuncExpr):
+        return _canonicalize_shared(f, canonicalize_func)
     raise TypeError(f"not a functional expression: {f!r}")
 
 
@@ -412,29 +398,32 @@ def _moment_atom_func(atom: Atom) -> FuncExpr:
     return Moment(_base_mono_rv(atom[1]))
 
 
+def _poly_to_expr(sorted_poly: tuple, atom_power, product, total):
+    """Expression for a sorted polynomial, in the family whose atom-power,
+    product and sum constructors are passed (they coerce the coefficient)."""
+    terms = []
+    for mono, coeff in sorted_poly:
+        factors = [coeff]
+        for atom, exp in mono:
+            factors.append(atom_power(atom, exp))
+        terms.append(product(*factors))
+    return total(*terms)
+
+
+def _func_atom_power(atom: Atom, exp: int) -> FuncExpr:
+    if atom[0] == "v":
+        raise ValueError("base variable in a scalar-functional polynomial")
+    return f_pow(_moment_atom_func(atom), exp)
+
+
+def _rv_atom_power(atom: Atom, exp: int) -> RvExpr:
+    if atom[0] == "v":
+        return rv_pow(BaseVar(atom[1]), exp)
+    return rv_pow(rv_embed(_moment_atom_func(atom)), exp)
+
+
 def _poly_to_func(sorted_poly: tuple) -> FuncExpr:
-    terms = []
-    for mono, coeff in sorted_poly:
-        factors: list[FuncExpr] = [FuncConst(coeff)]
-        for atom, exp in mono:
-            if atom[0] == "v":
-                raise ValueError("base variable in a scalar-functional polynomial")
-            factors.append(f_pow(_moment_atom_func(atom), exp))
-        terms.append(f_product(*factors))
-    return f_sum(*terms)
-
-
-def _poly_to_rv(sorted_poly: tuple) -> RvExpr:
-    terms = []
-    for mono, coeff in sorted_poly:
-        factors: list[RvExpr] = [RvConst(coeff)]
-        for atom, exp in mono:
-            if atom[0] == "v":
-                factors.append(rv_pow(BaseVar(atom[1]), exp))
-            else:
-                factors.append(rv_pow(rv_embed(_moment_atom_func(atom)), exp))
-        terms.append(rv_product(*factors))
-    return rv_sum(*terms)
+    return _poly_to_expr(sorted_poly, _func_atom_power, f_product, f_sum)
 
 
 def func_from_form(form: CanonForm) -> FuncExpr:
@@ -447,7 +436,7 @@ def func_from_form(form: CanonForm) -> FuncExpr:
 
 def rv_from_form(form: CanonForm) -> RvExpr:
     """Random-variable expression denoting the canonical form."""
-    num = _poly_to_rv(form.num)
+    num = _poly_to_expr(form.num, _rv_atom_power, rv_product, rv_sum)
     if form.is_polynomial:
         return num
     return rv_product(num, rv_embed(f_recip(_poly_to_func(form.den))))

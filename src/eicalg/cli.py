@@ -21,13 +21,7 @@ from pathlib import Path
 from . import __version__
 from .canon import canonicalize_rv, rv_from_form
 from .eic import derive_eic, mean_zero_certificate
-from .errors import (
-    DataError,
-    EvaluationError,
-    ExactModeError,
-    NormalizationError,
-    ParseError,
-)
+from .errors import DataError, EvaluationError, ExactModeError, NormalizationError
 from .estimate import (
     eic_standard_error,
     onestep_estimate,
@@ -142,6 +136,11 @@ def cmd_derive(args) -> tuple[int, dict]:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    # with no trials no instance is checked, so a pass would be vacuous
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.max_outcomes < 2:
+        raise ValueError("--max-outcomes must be at least 2")
     records = run_suite(args.suite, args.trials, args.seed, args.max_outcomes)
     results = [
         {
@@ -203,6 +202,9 @@ def cmd_estimate(args) -> tuple[int, dict]:
 def _mc_config_from_args(args) -> McConfig:
     if args.config:
         raw = json.loads(Path(args.config).read_text())
+        for key in ("estimand", "family", "n", "replicates", "seed"):
+            if key not in raw:
+                raise ValueError(f"config file lacks the required key {key!r}")
         estimand = parse_expression(raw["estimand"])
         return McConfig(
             family=raw["family"],
@@ -339,12 +341,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, doc = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DataError, EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # ParseError is a ValueError: expression errors are usage errors
     except (NormalizationError, ExactModeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import canonicalize_rv, rv_from_form
 from .eic import derive_eic
 from .errors import DataError
 from .expr import (
@@ -101,14 +100,6 @@ def read_delimited(text: str) -> Dataset:
     return Dataset(columns, tuple(rows))
 
 
-def dataset_from_values(columns, rows) -> Dataset:
-    """Build a dataset from python numbers; floats convert exactly."""
-    frac_rows = tuple(
-        tuple(Fraction(v) for v in row) for row in rows
-    )
-    return Dataset(tuple(columns), frac_rows)
-
-
 def empirical_space(data: Dataset) -> tuple[FiniteProbSpace, dict[str, RandVar]]:
     """Empirical measure as a finite space; duplicate rows merge.
 
@@ -156,13 +147,17 @@ def bind_moments(e: RvExpr, space: FiniteProbSpace, binding) -> RvExpr:
     raise TypeError(f"not a random-variable expression: {e!r}")
 
 
-def eic_variance(eic: RvExpr, space: FiniteProbSpace, binding) -> Fraction:
+def eic_variance(
+    eic: RvExpr, space: FiniteProbSpace, binding, mode: str = "exact"
+) -> Fraction:
     """Variance of a gradient under the law its moments are plugged into.
 
-    The plug-in gradient is exactly mean-zero, so its variance is its
-    second moment.
+    Computed as the second moment minus the squared mean.  The plug-in
+    gradient is exactly mean-zero in exact mode, but in float mode every
+    embedded functional (moments included) is rounded to a float, so its
+    mean need not vanish and is subtracted.
     """
-    values = evaluate_rv(eic, space, binding)
+    values = evaluate_rv(eic, space, binding, mode)
     mean = expectation(space, values)
     return inner(space, values, values) - mean * mean
 
@@ -171,10 +166,7 @@ def eic_standard_error(psi: FuncExpr, data: Dataset, mode: str = "exact") -> flo
     """Standard error sqrt(Var_hat(gradient)/n) at the empirical measure."""
     space, binding = empirical_space(data)
     eic = derive_eic(psi, mode=mode).eic
-    values = evaluate_rv(eic, space, binding, mode)
-    mean = expectation(space, values)
-    variance = inner(space, values, values) - mean * mean
-    return math.sqrt(variance / data.n)
+    return math.sqrt(eic_variance(eic, space, binding, mode) / data.n)
 
 
 def onestep_estimate(
@@ -271,9 +263,3 @@ def wald_ci(estimate: float, se: float, level: float) -> tuple[float, float]:
         raise ValueError("standard error must be nonnegative")
     z = normal_quantile((1 + level) / 2)
     return (estimate - z * se, estimate + z * se)
-
-
-def _canonical_gradient_text(psi: FuncExpr) -> str:
-    """Deterministic rendering of a functional's gradient (for reports)."""
-    eic = derive_eic(psi).eic
-    return str(rv_from_form(canonicalize_rv(eic)))

@@ -13,7 +13,11 @@ coercion automatically, so code can be written the way the formulas read::
 
 Expressions are immutable trees.  Smart constructors flatten nested sums and
 products, fold constants, and drop neutral elements; they do not attempt any
-deeper simplification (that is the canonicalizer's job).
+deeper simplification (that is the canonicalizer's job).  The two families
+share one implementation per job: one builder each for sums, products and
+powers, parameterized by the family's node classes, one base-variable walker,
+and one renderer that dispatches on node type (no node type belongs to both
+families).
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ __all__ = [
     "var",
     "E",
     "inv",
-    "rv_const",
-    "func_const",
     "rv_sum",
     "rv_product",
     "rv_pow",
@@ -59,7 +61,6 @@ __all__ = [
     "SMOOTH_TABLE",
     "evaluate_rv",
     "evaluate_func",
-    "rv_base_vars",
     "func_base_vars",
     "render_rv",
     "render_func",
@@ -305,82 +306,78 @@ def _f_neg(f: FuncExpr) -> FuncExpr:
     return f_product(FuncConst(Fraction(-1)), f)
 
 
-def rv_const(x) -> RvConst:
-    return RvConst(_coerce_const(x))
+def _fold_sum(terms, coerce, sum_cls, const_cls):
+    """Sum builder shared by both families.
+
+    ``coerce`` brings each term into the family; ``sum_cls`` and
+    ``const_cls`` are the family's node classes.
+    """
+    merged = []
+    const = Fraction(0)
+    for t in terms:
+        t = coerce(t)
+        # nested sums are already flat, but may carry their own constant
+        for part in t.terms if isinstance(t, sum_cls) else (t,):
+            if isinstance(part, const_cls):
+                const += part.value
+            else:
+                merged.append(part)
+    if const != 0:
+        merged.append(const_cls(const))
+    if not merged:
+        return const_cls(Fraction(0))
+    if len(merged) == 1:
+        return merged[0]
+    return sum_cls(tuple(merged))
 
 
-def func_const(x) -> FuncConst:
-    return FuncConst(_coerce_const(x))
+def _fold_product(factors, coerce, product_cls, const_cls):
+    """Product builder shared by both families, as for :func:`_fold_sum`."""
+    merged = []
+    const = Fraction(1)
+    for f in factors:
+        f = coerce(f)
+        for part in f.factors if isinstance(f, product_cls) else (f,):
+            if isinstance(part, const_cls):
+                const *= part.value
+            else:
+                merged.append(part)
+    if const == 0:
+        return const_cls(Fraction(0))
+    if const != 1:
+        merged.insert(0, const_cls(const))
+    if not merged:
+        return const_cls(Fraction(1))
+    if len(merged) == 1:
+        return merged[0]
+    return product_cls(tuple(merged))
+
+
+def _fold_pow(base, n, coerce, power_cls, const_cls):
+    base = coerce(base)
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("integer power >= 0 required")
+    if n == 0:
+        return const_cls(Fraction(1))
+    if n == 1:
+        return base
+    if isinstance(base, const_cls):
+        return const_cls(base.value**n)
+    return power_cls(base, n)
 
 
 def rv_sum(*terms) -> RvExpr:
     """Flattened sum; constants fold and a zero constant is dropped."""
-    flat: list[RvExpr] = []
-    const = Fraction(0)
-    for t in terms:
-        t = _as_rv(t)
-        if isinstance(t, RvSum):
-            flat.extend(t.terms)
-        elif isinstance(t, RvConst):
-            const += t.value
-        else:
-            flat.append(t)
-    # nested sums were already flat and const-free, except for their own consts
-    merged: list[RvExpr] = []
-    for t in flat:
-        if isinstance(t, RvConst):
-            const += t.value
-        else:
-            merged.append(t)
-    if const != 0:
-        merged.append(RvConst(const))
-    if not merged:
-        return RvConst(Fraction(0))
-    if len(merged) == 1:
-        return merged[0]
-    return RvSum(tuple(merged))
+    return _fold_sum(terms, _as_rv, RvSum, RvConst)
 
 
 def rv_product(*factors) -> RvExpr:
     """Flattened product; constants fold in front, zero annihilates."""
-    flat: list[RvExpr] = []
-    const = Fraction(1)
-    for f in factors:
-        f = _as_rv(f)
-        if isinstance(f, RvProduct):
-            flat.extend(f.factors)
-        elif isinstance(f, RvConst):
-            const *= f.value
-        else:
-            flat.append(f)
-    merged: list[RvExpr] = []
-    for f in flat:
-        if isinstance(f, RvConst):
-            const *= f.value
-        else:
-            merged.append(f)
-    if const == 0:
-        return RvConst(Fraction(0))
-    if const != 1:
-        merged.insert(0, RvConst(const))
-    if not merged:
-        return RvConst(Fraction(1))
-    if len(merged) == 1:
-        return merged[0]
-    return RvProduct(tuple(merged))
+    return _fold_product(factors, _as_rv, RvProduct, RvConst)
 
 
 def rv_pow(base, n: int) -> RvExpr:
-    base = _as_rv(base)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("integer power >= 0 required")
-    if n == 0:
-        return RvConst(Fraction(1))
-    if n == 1:
-        return base
-    if isinstance(base, RvConst):
-        return RvConst(base.value**n)
-    return IntPower(base, n)
+    return _fold_pow(base, n, _as_rv, IntPower, RvConst)
 
 
 def rv_embed(f: FuncExpr) -> RvExpr:
@@ -390,70 +387,15 @@ def rv_embed(f: FuncExpr) -> RvExpr:
 
 
 def f_sum(*terms) -> FuncExpr:
-    flat: list[FuncExpr] = []
-    const = Fraction(0)
-    for t in terms:
-        t = _as_func(t)
-        if isinstance(t, FuncSum):
-            flat.extend(t.terms)
-        elif isinstance(t, FuncConst):
-            const += t.value
-        else:
-            flat.append(t)
-    merged: list[FuncExpr] = []
-    for t in flat:
-        if isinstance(t, FuncConst):
-            const += t.value
-        else:
-            merged.append(t)
-    if const != 0:
-        merged.append(FuncConst(const))
-    if not merged:
-        return FuncConst(Fraction(0))
-    if len(merged) == 1:
-        return merged[0]
-    return FuncSum(tuple(merged))
+    return _fold_sum(terms, _as_func, FuncSum, FuncConst)
 
 
 def f_product(*factors) -> FuncExpr:
-    flat: list[FuncExpr] = []
-    const = Fraction(1)
-    for f in factors:
-        f = _as_func(f)
-        if isinstance(f, FuncProduct):
-            flat.extend(f.factors)
-        elif isinstance(f, FuncConst):
-            const *= f.value
-        else:
-            flat.append(f)
-    merged: list[FuncExpr] = []
-    for f in flat:
-        if isinstance(f, FuncConst):
-            const *= f.value
-        else:
-            merged.append(f)
-    if const == 0:
-        return FuncConst(Fraction(0))
-    if const != 1:
-        merged.insert(0, FuncConst(const))
-    if not merged:
-        return FuncConst(Fraction(1))
-    if len(merged) == 1:
-        return merged[0]
-    return FuncProduct(tuple(merged))
+    return _fold_product(factors, _as_func, FuncProduct, FuncConst)
 
 
 def f_pow(base, n: int) -> FuncExpr:
-    base = _as_func(base)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("integer power >= 0 required")
-    if n == 0:
-        return FuncConst(Fraction(1))
-    if n == 1:
-        return base
-    if isinstance(base, FuncConst):
-        return FuncConst(base.value**n)
-    return FuncPower(base, n)
+    return _fold_pow(base, n, _as_func, FuncPower, FuncConst)
 
 
 def f_recip(arg) -> FuncExpr:
@@ -485,36 +427,23 @@ def inv(arg) -> FuncExpr:
 # free variables
 
 
-def rv_base_vars(e: RvExpr) -> set[str]:
-    if isinstance(e, BaseVar):
-        return {e.name}
-    if isinstance(e, RvConst):
+def func_base_vars(f) -> set[str]:
+    """Names of the base variables in an expression of either family."""
+    if isinstance(f, BaseVar):
+        return {f.name}
+    if isinstance(f, (RvConst, FuncConst)):
         return set()
-    if isinstance(e, RvSum):
-        return set().union(*(rv_base_vars(t) for t in e.terms))
-    if isinstance(e, RvProduct):
-        return set().union(*(rv_base_vars(f) for f in e.factors))
-    if isinstance(e, IntPower):
-        return rv_base_vars(e.base)
-    if isinstance(e, EmbedFunc):
-        return func_base_vars(e.func)
-    raise TypeError(f"not a random-variable expression: {e!r}")
-
-
-def func_base_vars(f: FuncExpr) -> set[str]:
-    if isinstance(f, FuncConst):
-        return set()
-    if isinstance(f, Moment):
-        return rv_base_vars(f.arg)
-    if isinstance(f, FuncSum):
+    if isinstance(f, (RvSum, FuncSum)):
         return set().union(*(func_base_vars(t) for t in f.terms))
-    if isinstance(f, FuncProduct):
+    if isinstance(f, (RvProduct, FuncProduct)):
         return set().union(*(func_base_vars(x) for x in f.factors))
-    if isinstance(f, (FuncPower,)):
+    if isinstance(f, (IntPower, FuncPower)):
         return func_base_vars(f.base)
-    if isinstance(f, (Reciprocal, Smooth)):
+    if isinstance(f, EmbedFunc):
+        return func_base_vars(f.func)
+    if isinstance(f, (Moment, Reciprocal, Smooth)):
         return func_base_vars(f.arg)
-    raise TypeError(f"not a functional expression: {f!r}")
+    raise TypeError(f"not an expression: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -633,37 +562,34 @@ def _const_string(q: Fraction) -> str:
     return f"{q.numerator}*inv({q.denominator})"
 
 
-def _split_sign_rv(e: RvExpr) -> tuple[bool, RvExpr]:
-    if isinstance(e, RvConst) and e.value < 0:
-        return True, RvConst(-e.value)
+def _split_sign(e) -> tuple[bool, object]:
+    """Split a leading negative constant off a constant or product node."""
+    if isinstance(e, (RvConst, FuncConst)) and e.value < 0:
+        return True, type(e)(-e.value)
     if (
-        isinstance(e, RvProduct)
-        and isinstance(e.factors[0], RvConst)
+        isinstance(e, (RvProduct, FuncProduct))
+        and isinstance(e.factors[0], (RvConst, FuncConst))
         and e.factors[0].value < 0
     ):
-        return True, rv_product(RvConst(-e.factors[0].value), *e.factors[1:])
+        product = rv_product if isinstance(e, RvProduct) else f_product
+        return True, product(-e.factors[0].value, *e.factors[1:])
     return False, e
 
 
-def _split_sign_func(f: FuncExpr) -> tuple[bool, FuncExpr]:
-    if isinstance(f, FuncConst) and f.value < 0:
-        return True, FuncConst(-f.value)
-    if (
-        isinstance(f, FuncProduct)
-        and isinstance(f.factors[0], FuncConst)
-        and f.factors[0].value < 0
-    ):
-        return True, f_product(FuncConst(-f.factors[0].value), *f.factors[1:])
-    return False, f
-
-
-def render_rv(e: RvExpr, prec: int = 0) -> str:
+def _render(e, prec: int) -> str:
+    """Render a node of either family; the two families share no node type."""
     if isinstance(e, EmbedFunc):
-        return render_func(e.func, prec)
+        return _render(e.func, prec)
     if isinstance(e, BaseVar):
         return e.name
-    if isinstance(e, RvConst):
-        neg, mag = _split_sign_rv(e)
+    if isinstance(e, Moment):
+        return f"E[{_render(e.arg, 0)}]"
+    if isinstance(e, Reciprocal):
+        return f"inv({_render(e.arg, 0)})"
+    if isinstance(e, Smooth):
+        return f"{e.tag}({_render(e.arg, 0)})"
+    if isinstance(e, (RvConst, FuncConst)):
+        neg, mag = _split_sign(e)
         if neg:
             s = f"0 - {_const_string(mag.value)}"
             return f"({s})" if prec >= 1 else s
@@ -671,63 +597,32 @@ def render_rv(e: RvExpr, prec: int = 0) -> str:
         if "*" in s and prec >= 3:
             return f"({s})"
         return s
-    if isinstance(e, RvSum):
+    if isinstance(e, (RvSum, FuncSum)):
         parts = []
         for i, t in enumerate(e.terms):
-            neg, mag = _split_sign_rv(t)
-            text = render_rv(mag, 2)
+            neg, mag = _split_sign(t)
+            text = _render(mag, 2)
             if i == 0:
                 parts.append(f"0 - {text}" if neg else text)
             else:
                 parts.append(f"- {text}" if neg else f"+ {text}")
         s = " ".join(parts)
         return f"({s})" if prec >= 2 else s
-    if isinstance(e, RvProduct):
-        neg, mag = _split_sign_rv(e)
+    if isinstance(e, (RvProduct, FuncProduct)):
+        neg, mag = _split_sign(e)
         if neg:
-            s = f"0 - {render_rv(mag, 2)}"
+            s = f"0 - {_render(mag, 2)}"
             return f"({s})" if prec >= 1 else s
-        s = "*".join(render_rv(f, 3) for f in e.factors)
+        s = "*".join(_render(f, 3) for f in e.factors)
         return f"({s})" if prec >= 3 else s
-    if isinstance(e, IntPower):
-        return f"{render_rv(e.base, 3)}^{e.exponent}"
-    raise TypeError(f"not a random-variable expression: {e!r}")
+    if isinstance(e, (IntPower, FuncPower)):
+        return f"{_render(e.base, 3)}^{e.exponent}"
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def render_rv(e: RvExpr, prec: int = 0) -> str:
+    return _render(e, prec)
 
 
 def render_func(f: FuncExpr, prec: int = 0) -> str:
-    if isinstance(f, Moment):
-        return f"E[{render_rv(f.arg, 0)}]"
-    if isinstance(f, Reciprocal):
-        return f"inv({render_func(f.arg, 0)})"
-    if isinstance(f, Smooth):
-        return f"{f.tag}({render_func(f.arg, 0)})"
-    if isinstance(f, FuncConst):
-        neg, mag = _split_sign_func(f)
-        if neg:
-            s = f"0 - {_const_string(mag.value)}"
-            return f"({s})" if prec >= 1 else s
-        s = _const_string(f.value)
-        if "*" in s and prec >= 3:
-            return f"({s})"
-        return s
-    if isinstance(f, FuncSum):
-        parts = []
-        for i, t in enumerate(f.terms):
-            neg, mag = _split_sign_func(t)
-            text = render_func(mag, 2)
-            if i == 0:
-                parts.append(f"0 - {text}" if neg else text)
-            else:
-                parts.append(f"- {text}" if neg else f"+ {text}")
-        s = " ".join(parts)
-        return f"({s})" if prec >= 2 else s
-    if isinstance(f, FuncProduct):
-        neg, mag = _split_sign_func(f)
-        if neg:
-            s = f"0 - {render_func(mag, 2)}"
-            return f"({s})" if prec >= 1 else s
-        s = "*".join(render_func(x, 3) for x in f.factors)
-        return f"({s})" if prec >= 3 else s
-    if isinstance(f, FuncPower):
-        return f"{render_func(f.base, 3)}^{f.exponent}"
-    raise TypeError(f"not a functional expression: {f!r}")
+    return _render(f, prec)

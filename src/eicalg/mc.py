@@ -20,8 +20,6 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .eic import derive_eic
 from .estimate import eic_variance, normal_quantile
 from .expr import FuncExpr, evaluate_func, func_base_vars
@@ -120,6 +118,8 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
 
 def run_mc(config: McConfig) -> McReport:
     """Run the study; identical configurations give bit-identical reports."""
+    import numpy as np  # imported here so that importing eicalg skips numpy
+
     support, weights = resolve_sampler(config.family, config.params)
     names = func_base_vars(config.estimand)
     if not names <= {config.column}:

@@ -69,12 +69,6 @@ class FiniteProbSpace:
     def size(self) -> int:
         return len(self.outcomes)
 
-    @classmethod
-    def uniform(cls, outcomes) -> "FiniteProbSpace":
-        outcomes = tuple(outcomes)
-        n = len(outcomes)
-        return cls(outcomes, tuple(Fraction(1, n) for _ in outcomes))
-
     def variable(self, values) -> "RandVar":
         return RandVar(self, tuple(_as_fraction(v) for v in values))
 

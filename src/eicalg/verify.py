@@ -45,19 +45,26 @@ def _describe(space, x, y=None) -> str:
     return " ".join(parts)
 
 
-def _fuzz_pair(name, statement, trials, seed, max_outcomes, check):
-    """Run a two-variable instance check over a seeded corpus."""
-    counterexample = None
-    for index in range(trials):
-        rng = trial_rng(seed, index)
-        space = random_space(rng, max_outcomes=max_outcomes)
-        x = random_intvec(rng, space)
-        y = random_intvec(rng, space)
-        failure = check(space, x, y)
-        if failure is not None:
-            counterexample = f"instance {index}: {_describe(space, x, y)}; {failure}"
-            break
-    return IdentityRecord(name, statement, "exact", counterexample is None, counterexample)
+def _fuzz(table, trials, seed, max_outcomes):
+    """Run each (name, statement, check) of a table over a seeded corpus of
+    two-variable instances; a check returns None or a failure message."""
+    records = []
+    for name, statement, check in table:
+        counterexample = None
+        for index in range(trials):
+            rng = trial_rng(seed, index)
+            space = random_space(rng, max_outcomes=max_outcomes)
+            x = random_intvec(rng, space)
+            y = random_intvec(rng, space)
+            failure = check(space, x, y)
+            if failure is not None:
+                counterexample = (
+                    f"instance {index}: {_describe(space, x, y)}; {failure}"
+                )
+                break
+        passed = counterexample is None
+        records.append(IdentityRecord(name, statement, "exact", passed, counterexample))
+    return records
 
 
 def _vec(space, values):
@@ -68,7 +75,7 @@ def _vec(space, values):
 # suite bodies
 
 
-def suite_decomposition(trials, seed, max_outcomes):
+def suite_decomposition(trials, seed, max_outcomes, symbolic):
     def check(space, x, y):
         parts = decompose(space, x)
         rebuilt = embed(parts.constant_part, space) + parts.centered_part
@@ -82,19 +89,17 @@ def suite_decomposition(trials, seed, max_outcomes):
             return "inner product against 1 is not the expectation"
         return None
 
-    return [
-        _fuzz_pair(
+    table = [
+        (
             "orthogonal-decomposition",
             "constant plus mean-zero parts are orthogonal and reconstruct exactly",
-            trials,
-            seed,
-            max_outcomes,
             check,
         )
     ]
+    return _fuzz(table, trials, seed, max_outcomes)
 
 
-def suite_brackets(trials, seed, max_outcomes):
+def suite_brackets(trials, seed, max_outcomes, symbolic):
     def check_cov(space, x, y):
         got = bracket_P_prod(space, x, y)
         want = covariance(space, x, y)
@@ -124,48 +129,33 @@ def suite_brackets(trials, seed, max_outcomes):
             return "components are not mean-zero"
         return None
 
-    records = [
-        _fuzz_pair(
+    table = [
+        (
             "covariance-bracket",
             "expectation-product bracket equals the covariance and is symmetric",
-            trials,
-            seed,
-            max_outcomes,
             check_cov,
         ),
-        _fuzz_pair(
+        (
             "product-centering-bracket",
             "(TX)(TY) - T(XY) matches its closed form; its mean is the covariance",
-            trials,
-            seed,
-            max_outcomes,
             check_prod_center,
         ),
-        _fuzz_pair(
+        (
             "centering-expectation-bracket",
             "the pair bracket returns the centered coordinates, both mean-zero",
-            trials,
-            seed,
-            max_outcomes,
             check_center_exp,
         ),
     ]
-    symbolic = [
-        r
-        for r in symbolic_identity_suite()
-        if r.name
-        in (
-            "covariance-bracket",
-            "covariance-centering-invariance",
-            "product-centering-bracket",
-            "centering-expectation-bracket-first",
-            "centering-expectation-bracket-second",
-        )
+    return _fuzz(table, trials, seed, max_outcomes) + [
+        symbolic["covariance-bracket"],
+        symbolic["covariance-centering-invariance"],
+        symbolic["product-centering-bracket"],
+        symbolic["centering-expectation-bracket-first"],
+        symbolic["centering-expectation-bracket-second"],
     ]
-    return records + symbolic
 
 
-def suite_corollaries(trials, seed, max_outcomes):
+def suite_corollaries(trials, seed, max_outcomes, symbolic):
     def check_leibniz(space, x, y):
         lhs, rhs = corollary_leibniz(space, x, y)
         if lhs != rhs:
@@ -186,33 +176,25 @@ def suite_corollaries(trials, seed, max_outcomes):
             return f"sides={_vec(space, lhs)} closed form={_vec(space, want)}"
         return None
 
-    records = [
-        _fuzz_pair(
+    table = [
+        (
             "corollary-product-of-gradients",
             "T(PX)T(PY) + T(PX*PY) equals T(P(XY)) + Cov, both equal XY - PX*PY",
-            trials,
-            seed,
-            max_outcomes,
             check_leibniz,
         ),
-        _fuzz_pair(
+        (
             "corollary-covariance-gradient",
             "T(PX)T(PY) equals T(Cov) + Cov, both equal (X-PX)(Y-PY)",
-            trials,
-            seed,
-            max_outcomes,
             check_cov_gradient,
         ),
     ]
-    symbolic = [
-        r
-        for r in symbolic_identity_suite()
-        if r.name.startswith("corollary-")
+    return _fuzz(table, trials, seed, max_outcomes) + [
+        symbolic["corollary-product-of-gradients"],
+        symbolic["corollary-covariance-gradient"],
     ]
-    return records + symbolic
 
 
-def suite_lemma(trials, seed, max_outcomes):
+def suite_lemma(trials, seed, max_outcomes, symbolic):
     def closed_forms(space, x, y):
         mx, my = expectation(space, x), expectation(space, y)
         tx, ty = x - mx, y - my
@@ -235,44 +217,38 @@ def suite_lemma(trials, seed, max_outcomes):
             return f"third piece got={_vec(space, got_third)} want={_vec(space, third)}"
         return None
 
-    records = [
-        _fuzz_pair(
+    table = [
+        (
             "lemma-pieces",
             "each composite bracket equals its closed form",
-            trials,
-            seed,
-            max_outcomes,
             check,
         )
     ]
-    symbolic = [
-        r for r in symbolic_identity_suite() if r.name.startswith("lemma-piece-")
+    return _fuzz(table, trials, seed, max_outcomes) + [
+        symbolic["lemma-piece-center-of-covariance"],
+        symbolic["lemma-piece-expectation-of-product-centering"],
+        symbolic["lemma-piece-product-of-centered-means"],
     ]
-    return records + symbolic
 
 
-def suite_jacobi(trials, seed, max_outcomes):
+def suite_jacobi(trials, seed, max_outcomes, symbolic):
     def check(space, x, y):
         total = jacobi_sum(space, x, y)
         if not total.is_zero():
             return f"sum={_vec(space, total)}"
         return None
 
-    records = [
-        _fuzz_pair(
+    table = [
+        (
             "jacobi-identity",
             "the cyclic sum of composite brackets is the zero vector",
-            trials,
-            seed,
-            max_outcomes,
             check,
         )
     ]
-    symbolic = [r for r in symbolic_identity_suite() if r.name == "jacobi-identity"]
-    return records + symbolic
+    return _fuzz(table, trials, seed, max_outcomes) + [symbolic["jacobi-identity"]]
 
 
-def suite_eic_certificates(trials, seed, max_outcomes):
+def suite_eic_certificates(trials, seed, max_outcomes, symbolic):
     x, y = var("X"), var("Y")
     catalog = [
         ("mean", E(x)),
@@ -311,11 +287,13 @@ def available_suites() -> list[str]:
 
 
 def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
-    if name == "all":
-        records = []
-        for suite in SUITES.values():
-            records.extend(suite(trials, seed, max_outcomes))
-        return records
-    if name not in SUITES:
+    """Records of one suite, or of all.  The symbolic identity suite runs once
+    per call; each suite takes its records from it by name."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](trials, seed, max_outcomes)
+    symbolic = {r.name: r for r in symbolic_identity_suite()}
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    records = []
+    for suite in suites:
+        records.extend(suite(trials, seed, max_outcomes, symbolic))
+    return records

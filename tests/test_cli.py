@@ -69,6 +69,28 @@ class TestDerive:
         assert code == 2
         assert "column" in err
 
+    def test_float_mode_smooth_estimand(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "--output",
+            "structured",
+            "derive",
+            "log(E[X])*Var(X)",
+            "--mode",
+            "float",
+        )
+        assert code == 0
+        doc = parse_structured(out)
+        assert doc["inputs"]["mode"] == "float"
+        assert doc["results"][0]["mean_zero"] is True
+        assert doc["verdicts"] == ["mean-zero: pass"]
+
+    def test_smooth_estimand_rejected_in_exact_mode(self, capsys):
+        code, out, err = run_cli(capsys, "derive", "exp(E[X])")
+        assert code == 2
+        assert out == ""
+        assert "float mode" in err
+
 
 def _reparse_rv(text):
     """Read a printed random-variable expression back through the grammar."""
@@ -133,6 +155,24 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             run_cli(capsys, "verify", "nonsense")
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "suite, trials", [("all", "0"), ("jacobi", "-3"), ("brackets", "-1")]
+    )
+    def test_fewer_than_one_trial_is_usage_error(self, capsys, suite, trials):
+        code, out, err = run_cli(capsys, "verify", suite, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
+    @pytest.mark.parametrize("max_outcomes", ["1", "0", "-4"])
+    def test_max_outcomes_below_two_is_usage_error(self, capsys, max_outcomes):
+        code, out, err = run_cli(
+            capsys, "verify", "brackets", "--max-outcomes", max_outcomes
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-outcomes" in err
 
 
 class TestEstimate:
@@ -270,6 +310,24 @@ class TestSimulate:
         assert result["empirical_variance"] == 0.0
         assert result["coverage"] == 1.0
 
+    @pytest.mark.parametrize("key", ["estimand", "family", "n", "replicates", "seed"])
+    def test_config_missing_key_is_usage_error(self, capsys, tmp_path, key):
+        fields = {
+            "family": "bernoulli",
+            "params": {"p": "0.5"},
+            "estimand": "E[X]",
+            "n": 20,
+            "replicates": 5,
+            "seed": 1,
+        }
+        del fields[key]
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps(fields))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_bytes(self):
@@ -317,6 +375,16 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True)
         assert first.stdout == second.stdout
         assert first.returncode == 0
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        probe = "import sys, eicalg.cli; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestDocumentSchema:
