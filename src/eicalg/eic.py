@@ -7,10 +7,11 @@ handled by linearity, the Leibniz rule, and the chain rule.  The result is
 always exactly mean-zero.
 
 ``pathwise_derivative_exact`` is the independent certificate: it tilts the
-weights along a mean-zero score direction, expands the functional as a
-polynomial in the tilt parameter with exact coefficients, and reads off the
-derivative at zero.  For a correct gradient this must equal the inner
-product of the gradient with the score, with no tolerance.
+weights along a mean-zero score direction and carries each subexpression of a
+rational functional of moments as an exact dual number (value, slope) over
+the rationals, so the derivative at zero comes out exactly.  For a correct
+gradient this must equal the inner product of the gradient with the score,
+with no tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canon import canonicalize_func, normalize_functional
-from .errors import ExactModeError
+from .errors import EvaluationError, ExactModeError
 from .expr import (
     FuncConst,
     FuncExpr,
@@ -178,85 +179,45 @@ def tilted_space(path: PathSpec, eps: Fraction) -> FiniteProbSpace:
     return FiniteProbSpace(path.space.outcomes, weights)
 
 
-# dense univariate polynomials over Q, little-endian coefficients
-def _upoly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _upoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _upoly_pow(a, n):
-    out = (Fraction(1),)
-    for _ in range(n):
-        out = _upoly_mul(out, a)
-    return out
-
-
-def _require_moment_polynomial(f: FuncExpr):
-    if isinstance(f, (FuncConst, Moment)):
-        return
-    if isinstance(f, FuncSum):
-        for t in f.terms:
-            _require_moment_polynomial(t)
-        return
-    if isinstance(f, FuncProduct):
-        for x in f.factors:
-            _require_moment_polynomial(x)
-        return
-    if isinstance(f, FuncPower):
-        _require_moment_polynomial(f.base)
-        return
-    raise ExactModeError(
-        f"exact pathwise derivative requires a polynomial in moments: {render_func(f)}"
-    )
-
-
 def pathwise_derivative_exact(
     psi: FuncExpr, path: PathSpec, binding: dict[str, RandVar]
 ) -> Fraction:
-    """d/deps of psi at the tilted law, evaluated exactly at eps = 0.
+    """d/deps of psi at the tilted law, evaluated exactly at eps = 0."""
+    return _tilt(normalize_functional(psi), path, binding)[1]
 
-    Along the linear tilt every moment is affine in eps with exact rational
-    coefficients, so the functional is a polynomial in eps; the derivative
-    is its degree-one coefficient.
+
+def _tilt(f: FuncExpr, path: PathSpec, binding: dict[str, RandVar]):
+    """(value, slope) at eps = 0 of a normalized functional along the tilt.
+
+    Forward-mode dual numbers over Q: along the linear tilt a moment E[v] is
+    affine in eps with slope <v, s>, and sums, products, powers and
+    reciprocals carry the slope by their first-order rules.
     """
-    normalized = normalize_functional(psi)
-    _require_moment_polynomial(normalized)
-    space, score = path.space, path.score
-
-    def eval_poly(f: FuncExpr) -> tuple:
-        if isinstance(f, FuncConst):
-            return (f.value,)
-        if isinstance(f, Moment):
-            values = evaluate_rv(f.arg, space, binding)
-            level = expectation(space, values)
-            slope = inner(space, values, score)
-            return (level, slope)
-        if isinstance(f, FuncSum):
-            out = (Fraction(0),)
-            for t in f.terms:
-                out = _upoly_add(out, eval_poly(t))
-            return out
-        if isinstance(f, FuncProduct):
-            out = (Fraction(1),)
-            for x in f.factors:
-                out = _upoly_mul(out, eval_poly(x))
-            return out
-        if isinstance(f, FuncPower):
-            return _upoly_pow(eval_poly(f.base), f.exponent)
-        raise ExactModeError("non-polynomial functional in exact path derivative")
-
-    coeffs = eval_poly(normalized)
-    return coeffs[1] if len(coeffs) > 1 else Fraction(0)
+    if isinstance(f, FuncConst):
+        return f.value, Fraction(0)
+    if isinstance(f, Moment):
+        values = evaluate_rv(f.arg, path.space, binding)
+        return expectation(path.space, values), inner(path.space, values, path.score)
+    if isinstance(f, FuncSum):
+        parts = [_tilt(t, path, binding) for t in f.terms]
+        return sum(v for v, _ in parts), sum(d for _, d in parts)
+    if isinstance(f, FuncProduct):
+        value, slope = Fraction(1), Fraction(0)
+        for x in f.factors:
+            v, d = _tilt(x, path, binding)
+            value, slope = value * v, slope * v + value * d
+        return value, slope
+    if isinstance(f, FuncPower):
+        v, d = _tilt(f.base, path, binding)
+        return v**f.exponent, f.exponent * v ** (f.exponent - 1) * d
+    if isinstance(f, Reciprocal):
+        v, d = _tilt(f.arg, path, binding)
+        if v == 0:
+            raise EvaluationError("reciprocal of a functional evaluating to zero")
+        return 1 / v, -d / v**2
+    if isinstance(f, Smooth):
+        raise ExactModeError(f"exact tilt derivative of {f.tag!r} requires float mode")
+    raise TypeError(f"not a functional expression: {f!r}")
 
 
 def pathwise_derivative_numeric(
@@ -286,8 +247,15 @@ class CertifyReport:
     estimand: str
     mode: str
     trials: int
+    checked: int
     passed: bool
     counterexample: str | None
+
+
+def enough_checked(checked: int, trials: int) -> bool:
+    """A seeded check passes only if it checked at least one instance and at
+    least half of its trials; the other trials were degenerate draws."""
+    return checked >= 1 and 2 * checked >= trials
 
 
 def certify_eic(
@@ -310,11 +278,19 @@ def certify_eic(
     scores are orthogonal to constants, so the derivative identity alone
     cannot see a missing centering.  Exact mode compares rationals with
     zero tolerance; float mode compares the central difference at relative
-    tolerance ``rel_tol``.  Failures are reported, not raised.
+    tolerance ``rel_tol``.  A degenerate draw (a zero denominator, a log or
+    sqrt outside its domain, an overflow) is skipped; ``checked`` counts the
+    trials actually checked, and the report fails unless
+    :func:`enough_checked` holds.
+    Failures are reported, not raised.
     """
-    eic = candidate if candidate is not None else derive_eic(psi, mode=mode).eic
+    if candidate is None:
+        derived = derive_eic(psi, mode=mode)
+        normalized, eic = derived.estimand, derived.eic
+    else:
+        normalized, eic = normalize_functional(psi), candidate
     names = sorted(func_base_vars(psi))
-    counterexample = None
+    checked, counterexample = 0, None
     for index in range(trials):
         rng = trial_rng(seed, index)
         space = random_space(rng, max_outcomes=max_outcomes)
@@ -322,7 +298,15 @@ def certify_eic(
         binding = random_binding(rng, space, names, low=low, high=5)
         score = random_score(rng, space)
         path = make_path(space, score)
-        eic_values = evaluate_rv(eic, space, binding, mode)
+        try:
+            eic_values = evaluate_rv(eic, space, binding, mode)
+            if mode == "exact":
+                path_side = _tilt(normalized, path, binding)[1]
+            else:
+                path_side = pathwise_derivative_numeric(psi, path, binding, h)
+        except EvaluationError:
+            continue  # degenerate draw
+        checked += 1
         eic_mean = expectation(space, eic_values)
         if mode == "exact":
             mean_ok = eic_mean == 0
@@ -337,10 +321,8 @@ def certify_eic(
             break
         gradient_side = inner(space, eic_values, score)
         if mode == "exact":
-            path_side = pathwise_derivative_exact(psi, path, binding)
             ok = path_side == gradient_side
         else:
-            path_side = pathwise_derivative_numeric(psi, path, binding, h)
             scale = max(abs(path_side), abs(float(gradient_side)), 1e-12)
             ok = abs(path_side - float(gradient_side)) <= rel_tol * scale
         if not ok:
@@ -351,10 +333,16 @@ def certify_eic(
                 f" path-derivative={path_side} inner-product={gradient_side}"
             )
             break
+    if counterexample is None and not enough_checked(checked, trials):
+        counterexample = (
+            f"only {checked} of {trials} trials were checked;"
+            " the other draws were degenerate"
+        )
     return CertifyReport(
         estimand=render_func(psi),
         mode=mode,
         trials=trials,
+        checked=checked,
         passed=counterexample is None,
         counterexample=counterexample,
     )

@@ -537,8 +537,8 @@ def _eval_func(f, space, binding, mode):
         x = float(_eval_func(f.arg, space, binding, mode))
         try:
             y = SMOOTH_TABLE[f.tag].evaluate(x)
-        except ValueError as exc:
-            raise EvaluationError(f"{f.tag}({x}) is undefined") from exc
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{f.tag}({x}) is undefined or overflows") from exc
         return Fraction(y)
     raise TypeError(f"not a functional expression: {f!r}")
 

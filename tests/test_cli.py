@@ -91,6 +91,23 @@ class TestDerive:
         assert out == ""
         assert "float mode" in err
 
+    @pytest.mark.parametrize("expression", ["sqrt(Var(X))", "sqrt(Var(X))*exp(E[X*Y])"])
+    def test_float_mode_skips_degenerate_draws(self, capsys, expression):
+        # some draws have Var(X) = 0, where the gradient divides by zero
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "derive", expression, "--mode", "float"
+        )
+        assert code == 0
+        assert parse_structured(out)["verdicts"] == ["mean-zero: pass"]
+
+    def test_float_mode_overflow_ends_with_a_verdict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "derive", "exp((Y*1 + E[X]*X)^3)", "--mode", "float"
+        )
+        assert code in (0, 1)
+        assert out.rstrip().splitlines()[-1].startswith("mean-zero: ")
+        assert err == ""
+
 
 def _reparse_rv(text):
     """Read a printed random-variable expression back through the grammar."""
@@ -264,6 +281,16 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_float_mode_overflow_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("X\n1000\n2000\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "exp(E[X])", "--data", str(path), "--mode", "float"
+        )
+        assert code == 3
+        assert out == ""
+        assert "exp(1500.0)" in err
+
 
 class TestSimulate:
     def test_bernoulli_bound(self, capsys):
@@ -327,6 +354,17 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "content", ["5", json.dumps(["estimand", "family", "n", "replicates", "seed"])]
+    )
+    def test_config_not_an_object_is_usage_error(self, capsys, tmp_path, content):
+        config = tmp_path / "mc.json"
+        config.write_text(content)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "JSON object" in err
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from eicalg.eic import (
     pathwise_derivative_exact,
     pathwise_derivative_numeric,
 )
-from eicalg.errors import ExactModeError
+from eicalg.errors import EvaluationError, ExactModeError
 from eicalg.expr import (
     E,
     FuncConst,
@@ -29,6 +29,13 @@ from eicalg.sampling import random_binding, random_score, random_space, trial_rn
 X, Y = var("X"), var("Y")
 VARIANCE = E(X**2) - E(X) ** 2
 COVARIANCE = E(X * Y) - E(X) * E(Y)
+VARIANCE_Y = E(Y**2) - E(Y) ** 2
+RATIONAL_ESTIMANDS = {
+    "ratio-of-means": E(X * Y) * inv(E(Y)),
+    "ols-slope": COVARIANCE * inv(VARIANCE),
+    "squared-correlation": COVARIANCE**2 * inv(VARIANCE * VARIANCE_Y),
+    "kurtosis": E((X - E(X)) ** 4) * inv(VARIANCE**2),
+}
 
 
 def halves():
@@ -161,13 +168,29 @@ class TestPathwiseDerivative:
         with pytest.raises(ValueError):
             make_path(space, score, epsilon_bound=Q(2))
 
-    def test_exact_path_rejects_non_polynomial(self):
+    def test_exact_path_quotient_rule(self):
         space = halves()
+        vx = space.variable((1, 2))
         score = space.variable((-1, 1))
         path = make_path(space, score)
+        got = pathwise_derivative_exact(inv(E(X)), path, {"X": vx})
+        mean = expectation(space, vx)
+        assert got == -inner(space, vx, score) / mean**2 == Q(-2, 9)
+
+    def test_exact_path_zero_denominator_raises(self):
+        space = halves()
+        path = make_path(space, space.variable((-1, 1)))
+        with pytest.raises(EvaluationError):
+            pathwise_derivative_exact(
+                inv(E(X)), path, {"X": space.variable((-1, 1))}
+            )
+
+    def test_exact_path_rejects_smooth(self):
+        space = halves()
+        path = make_path(space, space.variable((-1, 1)))
         with pytest.raises(ExactModeError):
             pathwise_derivative_exact(
-                inv(E(X)), path, {"X": space.variable((1, 2))}
+                Smooth("log", E(X)), path, {"X": space.variable((1, 2))}
             )
 
     def test_numeric_matches_exact_for_mean(self):
@@ -226,3 +249,28 @@ class TestCertify:
             inv(E(X)), trials=50, seed=7, mode="float", positive_vars=True
         )
         assert report.passed
+
+    @pytest.mark.parametrize("name", sorted(RATIONAL_ESTIMANDS))
+    def test_rational_estimand_certified_exactly(self, name):
+        report = certify_eic(RATIONAL_ESTIMANDS[name], trials=200, seed=3)
+        assert report.passed, report.counterexample
+        assert 100 <= report.checked <= 200
+
+    def test_wrong_rational_gradient_is_caught(self):
+        psi = RATIONAL_ESTIMANDS["ratio-of-means"]
+        report = certify_eic(psi, trials=50, seed=3, candidate=derive_eic(E(X * Y)).eic)
+        assert not report.passed
+
+    def test_float_mode_skips_degenerate_draws(self):
+        psi = RATIONAL_ESTIMANDS["squared-correlation"]
+        # draws with Var(X) = 0 or Var(Y) = 0 divide by zero; they are skipped
+        report = certify_eic(psi, trials=50, seed=7, mode="float", positive_vars=True)
+        assert 0 < report.checked < report.trials
+
+    def test_too_few_checked_trials_fail(self):
+        # log is undefined on every draw: E[X] <= 5 < 6
+        psi = Smooth("log", E(X) - 6)
+        report = certify_eic(psi, trials=20, seed=7, mode="float")
+        assert report.checked == 0
+        assert not report.passed
+        assert "0 of 20" in report.counterexample
