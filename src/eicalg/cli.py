@@ -29,7 +29,7 @@ from .estimate import (
     read_delimited,
     wald_ci,
 )
-from .expr import evaluate_rv, render_func
+from .expr import evaluate_rv, render_func, to_float
 from .measure import expectation
 from .mc import McConfig, run_mc
 from .parser import parse_expression
@@ -179,10 +179,11 @@ def cmd_estimate(args) -> tuple[int, dict]:
     data = read_delimited(Path(args.data).read_text())
     estimate = plugin_estimate(psi, data, mode=args.mode)
     se = eic_standard_error(psi, data, mode=args.mode)
-    low, high = wald_ci(float(estimate), se, args.level)
+    estimate_float = to_float(estimate)
+    low, high = wald_ci(estimate_float, se, args.level)
     result = {
         "estimate": str(estimate),
-        "estimate_float": float(estimate),
+        "estimate_float": estimate_float,
         "standard_error": se,
         "ci_low": low,
         "ci_high": high,
@@ -192,12 +193,12 @@ def cmd_estimate(args) -> tuple[int, dict]:
     if args.split is not None:
         onestep = onestep_estimate(psi, data, Fraction(str(args.split)))
         result["onestep"] = str(onestep)
-        result["onestep_float"] = float(onestep)
+        result["onestep_float"] = to_float(onestep)
     doc = _document(
         "estimate",
         {"expression": args.expression, "data": args.data, "level": args.level},
         [result],
-        [f"estimate: {float(estimate)}"],
+        [f"estimate: {estimate_float}"],
         None,
     )
     return 0, doc

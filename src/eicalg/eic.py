@@ -16,6 +16,7 @@ with no tolerance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,11 +278,16 @@ def certify_eic(
     equal its inner product with the score.  The mean-zero check matters:
     scores are orthogonal to constants, so the derivative identity alone
     cannot see a missing centering.  Exact mode compares rationals with
-    zero tolerance; float mode compares the central difference at relative
-    tolerance ``rel_tol``.  A degenerate draw (a zero denominator, a log or
-    sqrt outside its domain, an overflow) is skipped; ``checked`` counts the
-    trials actually checked, and the report fails unless
-    :func:`enough_checked` holds.
+    zero tolerance.  Float mode compares the central difference D(h) with
+    the inner product g within
+    ``rel_tol * max(|D(h)|, |g|) + 4 * eps * |psi| / h + |D(h) - D(2h)|``:
+    the second term bounds the rounding error of the difference quotient
+    (eps is the float epsilon, psi the value at the untilted law), and the
+    third estimates its truncation error.  A degenerate draw (a zero
+    denominator, a log or sqrt outside its domain, an overflow, a path too
+    short for the step 2h) is skipped; ``checked`` counts the trials
+    actually checked, and the report fails unless :func:`enough_checked`
+    holds.
     Failures are reported, not raised.
     """
     if candidate is None:
@@ -298,12 +304,16 @@ def certify_eic(
         binding = random_binding(rng, space, names, low=low, high=5)
         score = random_score(rng, space)
         path = make_path(space, score)
+        if mode == "float" and 2 * Fraction(h) > path.epsilon_bound:
+            continue  # degenerate draw: the step 2h leaves the path
         try:
             eic_values = evaluate_rv(eic, space, binding, mode)
             if mode == "exact":
                 path_side = _tilt(normalized, path, binding)[1]
             else:
                 path_side = pathwise_derivative_numeric(psi, path, binding, h)
+                path_2h = pathwise_derivative_numeric(psi, path, binding, 2 * h)
+                psi_value = evaluate_func(psi, space, binding, "float")
         except EvaluationError:
             continue  # degenerate draw
         checked += 1
@@ -323,8 +333,13 @@ def certify_eic(
         if mode == "exact":
             ok = path_side == gradient_side
         else:
-            scale = max(abs(path_side), abs(float(gradient_side)), 1e-12)
-            ok = abs(path_side - float(gradient_side)) <= rel_tol * scale
+            g = float(gradient_side)
+            tolerance = (
+                rel_tol * max(abs(path_side), abs(g))
+                + 4 * sys.float_info.epsilon * abs(psi_value) / h
+                + abs(path_side - path_2h)
+            )
+            ok = abs(path_side - g) <= tolerance
         if not ok:
             counterexample = (
                 f"trial {index}: weights={[str(w) for w in space.weights]}"

@@ -1,10 +1,16 @@
 """Estimation from data: empirical measures, plug-in and one-step estimators.
 
 Data cells are parsed exactly (a decimal literal is a ratio over a power of
-ten), duplicate rows merge into a single outcome with summed weight, and all
-plug-in evaluation happens on the resulting finite space with exact
-arithmetic.  In particular the empirical mean of a plug-in gradient is
-exactly zero, not zero up to rounding.
+ten).  A plug-in functional of moments and its gradient are rational in
+primitive moments E[X^a Y^b], so the estimators evaluate them on a
+:class:`MomentTable`: each column is scaled to integers once, and each
+primitive moment the expression needs is one integer sum over the rows,
+computed on first use.  The functional's value, the gradient's variance and
+the one-step correction come out exactly; in particular the empirical mean
+of a plug-in gradient is exactly zero, not zero up to rounding.  Float mode
+rounds every embedded functional to a float exactly as pointwise evaluation
+does, so both modes give the same numbers as evaluating row by row on
+:func:`empirical_space`, which stays as the independent route.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .canon import CanonForm, canonicalize_rv
 from .eic import derive_eic
-from .errors import DataError
+from .errors import DataError, EvaluationError
 from .expr import (
     BaseVar,
     EmbedFunc,
@@ -25,22 +32,27 @@ from .expr import (
     RvProduct,
     RvSum,
     evaluate_func,
+    evaluate_func_with,
     evaluate_rv,
+    func_base_vars,
     rv_pow,
     rv_product,
     rv_sum,
+    to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
 from .numerals import is_decimal_literal
 
 __all__ = [
     "Dataset",
+    "MomentTable",
     "read_delimited",
     "empirical_space",
     "plugin_estimate",
     "eic_standard_error",
     "onestep_estimate",
     "bind_moments",
+    "standard_error",
     "normal_quantile",
     "wald_ci",
 ]
@@ -77,7 +89,8 @@ def _parse_cell(text: str) -> Fraction:
     body = text[1:] if negative else text
     if not is_decimal_literal(body):
         raise DataError(f"non-numeric cell {text!r}")
-    value = Fraction(body)
+    whole, _, frac = body.partition(".")
+    value = Fraction(int(whole + frac), 10 ** len(frac))
     return -value if negative else value
 
 
@@ -122,10 +135,104 @@ def empirical_space(data: Dataset) -> tuple[FiniteProbSpace, dict[str, RandVar]]
     return space, binding
 
 
+class MomentTable:
+    """Exact primitive moments of a finite law given by columns and counts.
+
+    The law puts mass ``counts[i] / total`` on row ``i``.  Column ``j`` is
+    scaled once to Python ints ``x_ij = D_j * value_ij``, with ``D_j`` the
+    lcm of its denominators, so a primitive moment E[prod_j X_j^a_j] is the
+    single integer sum ``sum_i c_i prod_j x_ij^a_j`` divided by
+    ``total * prod_j D_j^a_j``.  Each moment is computed on first use and
+    cached.
+    """
+
+    def __init__(self, columns: dict, counts, total: int):
+        self._columns = {}
+        for name, values in columns.items():
+            scale = math.lcm(*{v.denominator for v in values})
+            ints = [v.numerator * (scale // v.denominator) for v in values]
+            self._columns[name] = (scale, ints)
+        self._counts = list(counts)
+        self._total = total
+        self._moments: dict = {}
+
+    def moment(self, mono) -> Fraction:
+        """E[prod X^a] of a canonical monomial in base-variable atoms."""
+        value = self._moments.get(mono)
+        if value is None:
+            terms, scale = self._counts, self._total
+            for (_, name), exponent in mono:
+                column_scale, column = self._columns[name]
+                terms = [t * x**exponent for t, x in zip(terms, column)]
+                scale *= column_scale**exponent
+            value = self._moments[mono] = Fraction(sum(terms), scale)
+        return value
+
+    def mean(self, form: CanonForm) -> Fraction:
+        """Expectation of a polynomial in base variables: sum of coeff * moment."""
+        return sum(
+            (coeff * self.moment(mono) for mono, coeff in form.num), Fraction(0)
+        )
+
+    def evaluate(self, f: FuncExpr, mode: str = "exact"):
+        """Value of a functional under the table's law, as :func:`evaluate_func`."""
+        return evaluate_func_with(f, lambda arg: self._expect(arg, mode), mode)
+
+    def bind(self, e: RvExpr, mode: str = "exact") -> RvExpr:
+        """Replace embedded functionals by their values under the table's law.
+
+        In float mode a value is rounded to a float, exactly as the
+        embedded-functional case of :func:`evaluate_rv` does.
+        """
+        return _bind_embedded(e, lambda f: Fraction(self.evaluate(f, mode)))
+
+    def variance(self, g: RvExpr, mode: str = "exact") -> Fraction:
+        """E[g^2] - E[g]^2, with g expanded once; as :func:`eic_variance`."""
+        form = canonicalize_rv(self.bind(g, mode))
+        mean = self.mean(form)
+        return self.mean(form * form) - mean * mean
+
+    def _expect(self, arg: RvExpr, mode: str) -> Fraction:
+        return self.mean(canonicalize_rv(self.bind(arg, mode)))
+
+
+def _data_table(psi: FuncExpr, data: Dataset) -> MomentTable:
+    """Moment table of the empirical law over the columns ``psi`` uses.
+
+    Every row counts one over n, so duplicate rows need no merging.  The
+    variables are checked before anything is expanded: expansion may cancel
+    a variable (``E[X + Z - Z]``) that the data still has to provide.
+    """
+    used = func_base_vars(psi)
+    missing = used - set(data.columns)
+    if missing:
+        raise EvaluationError(f"unbound variable {min(missing)!r}")
+    columns = {
+        name: values
+        for name, values in zip(data.columns, zip(*data.rows))
+        if name in used
+    }
+    return MomentTable(columns, [1] * data.n, data.n)
+
+
 def plugin_estimate(psi: FuncExpr, data: Dataset, mode: str = "exact"):
     """Functional evaluated at the empirical measure."""
-    space, binding = empirical_space(data)
-    return evaluate_func(psi, space, binding, mode)
+    return _data_table(psi, data).evaluate(psi, mode)
+
+
+def _bind_embedded(e: RvExpr, value_of) -> RvExpr:
+    """Replace each embedded functional ``f`` by the constant ``value_of(f)``."""
+    if isinstance(e, (BaseVar, RvConst)):
+        return e
+    if isinstance(e, RvSum):
+        return rv_sum(*(_bind_embedded(t, value_of) for t in e.terms))
+    if isinstance(e, RvProduct):
+        return rv_product(*(_bind_embedded(f, value_of) for f in e.factors))
+    if isinstance(e, IntPower):
+        return rv_pow(_bind_embedded(e.base, value_of), e.exponent)
+    if isinstance(e, EmbedFunc):
+        return RvConst(value_of(e.func))
+    raise TypeError(f"not a random-variable expression: {e!r}")
 
 
 def bind_moments(e: RvExpr, space: FiniteProbSpace, binding) -> RvExpr:
@@ -134,17 +241,7 @@ def bind_moments(e: RvExpr, space: FiniteProbSpace, binding) -> RvExpr:
     The result is free of embedded moments and can be evaluated pointwise
     under any other law, which is what the one-step correction needs.
     """
-    if isinstance(e, (BaseVar, RvConst)):
-        return e
-    if isinstance(e, RvSum):
-        return rv_sum(*(bind_moments(t, space, binding) for t in e.terms))
-    if isinstance(e, RvProduct):
-        return rv_product(*(bind_moments(f, space, binding) for f in e.factors))
-    if isinstance(e, IntPower):
-        return rv_pow(bind_moments(e.base, space, binding), e.exponent)
-    if isinstance(e, EmbedFunc):
-        return RvConst(evaluate_func(e.func, space, binding, "exact"))
-    raise TypeError(f"not a random-variable expression: {e!r}")
+    return _bind_embedded(e, lambda f: evaluate_func(f, space, binding, "exact"))
 
 
 def eic_variance(
@@ -162,11 +259,17 @@ def eic_variance(
     return inner(space, values, values) - mean * mean
 
 
+def standard_error(variance: Fraction, n: int) -> float:
+    """sqrt(variance / n) as a float; beyond the float range it raises
+    :class:`EvaluationError`."""
+    return math.sqrt(to_float(variance / n))
+
+
 def eic_standard_error(psi: FuncExpr, data: Dataset, mode: str = "exact") -> float:
     """Standard error sqrt(Var_hat(gradient)/n) at the empirical measure."""
-    space, binding = empirical_space(data)
+    table = _data_table(psi, data)
     eic = derive_eic(psi, mode=mode).eic
-    return math.sqrt(eic_variance(eic, space, binding, mode) / data.n)
+    return standard_error(table.variance(eic, mode), data.n)
 
 
 def onestep_estimate(
@@ -175,7 +278,8 @@ def onestep_estimate(
     """Sample-split one-step estimator.
 
     The functional and its gradient are fitted on the first fold; the
-    correction is the held-out average of the fitted gradient.  With
+    correction is the held-out average of the fitted gradient, a polynomial
+    in held-out moments whose coefficients are fitted moments.  With
     ``split_ratio`` equal to one there is no held-out fold and the plug-in
     estimate is returned unchanged (its own gradient mean is exactly zero).
     """
@@ -188,15 +292,11 @@ def onestep_estimate(
         return plugin_estimate(psi, data)
     if k < 1 or k >= n:
         raise ValueError("fold too small to evaluate the functional")
-    fit, held = data.subset(0, k), data.subset(k, n)
-    fit_space, fit_binding = empirical_space(fit)
-    estimate = evaluate_func(psi, fit_space, fit_binding, "exact")
-    fitted_eic = bind_moments(derive_eic(psi).eic, fit_space, fit_binding)
-    held_space, held_binding = empirical_space(held)
-    correction = expectation(
-        held_space, evaluate_rv(fitted_eic, held_space, held_binding)
-    )
-    return estimate + correction
+    fit = _data_table(psi, data.subset(0, k))
+    held = _data_table(psi, data.subset(k, n))
+    estimate = fit.evaluate(psi)
+    fitted_eic = fit.bind(derive_eic(psi).eic)
+    return estimate + held.mean(canonicalize_rv(fitted_eic))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,8 @@ __all__ = [
     "SMOOTH_TABLE",
     "evaluate_rv",
     "evaluate_func",
+    "evaluate_func_with",
+    "to_float",
     "func_base_vars",
     "render_rv",
     "render_func",
@@ -500,32 +502,54 @@ def evaluate_func(
     """Value of a functional at the law of the space.
 
     Returns an exact rational in exact mode, a float in float mode.  Smooth
-    nodes require float mode.
+    nodes require float mode.  Each moment is the expectation of its
+    argument evaluated pointwise on the space.
+    """
+    return evaluate_func_with(
+        f, lambda arg: expectation(space, evaluate_rv(arg, space, binding, mode)), mode
+    )
+
+
+def evaluate_func_with(f: FuncExpr, expect: Callable[[RvExpr], Fraction], mode: str):
+    """Value of a functional whose moments ``expect`` supplies.
+
+    ``expect`` maps the argument of a moment node to its exact expectation;
+    everything above the moments is evaluated here, so a law given pointwise
+    and a law given by a table of moments share one evaluator.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    value = _eval_func(f, space, binding, mode)
+    value = _eval_func(f, expect, mode)
     if mode == "float":
-        return float(value)
+        return to_float(value)
     return value
 
 
-def _eval_func(f, space, binding, mode):
+def to_float(value: Fraction) -> float:
+    """The float nearest an exact value; beyond the float range it raises
+    :class:`EvaluationError`, a data error, not an internal one."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise EvaluationError("value overflows a float") from exc
+
+
+def _eval_func(f, expect, mode):
     if isinstance(f, FuncConst):
         return f.value
     if isinstance(f, Moment):
-        return expectation(space, evaluate_rv(f.arg, space, binding, mode))
+        return expect(f.arg)
     if isinstance(f, FuncSum):
-        return sum((_eval_func(t, space, binding, mode) for t in f.terms), Fraction(0))
+        return sum((_eval_func(t, expect, mode) for t in f.terms), Fraction(0))
     if isinstance(f, FuncProduct):
         out = Fraction(1)
         for x in f.factors:
-            out = out * _eval_func(x, space, binding, mode)
+            out = out * _eval_func(x, expect, mode)
         return out
     if isinstance(f, FuncPower):
-        return _eval_func(f.base, space, binding, mode) ** f.exponent
+        return _eval_func(f.base, expect, mode) ** f.exponent
     if isinstance(f, Reciprocal):
-        v = _eval_func(f.arg, space, binding, mode)
+        v = _eval_func(f.arg, expect, mode)
         if v == 0:
             raise EvaluationError("reciprocal of a functional evaluating to zero")
         return 1 / v
@@ -534,7 +558,7 @@ def _eval_func(f, space, binding, mode):
             raise ExactModeError(
                 f"smooth functional {f.tag!r} cannot be evaluated exactly"
             )
-        x = float(_eval_func(f.arg, space, binding, mode))
+        x = float(_eval_func(f.arg, expect, mode))
         try:
             y = SMOOTH_TABLE[f.tag].evaluate(x)
         except (ValueError, OverflowError) as exc:

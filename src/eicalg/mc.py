@@ -1,10 +1,13 @@
 """Monte Carlo demonstration of the efficiency bound.
 
 A sampler draws i.i.d. samples from a finite law (a named family resolved to
-an exact finite space), the plug-in estimator is evaluated on each
-replicate's empirical measure, and the report compares the empirical
+exact support points and weights), the plug-in estimator is evaluated on
+each replicate's empirical measure, and the report compares the empirical
 variance of the root-n scaled error against the gradient's variance under
-the true law, together with Wald interval coverage.
+the true law, together with Wald interval coverage.  Both laws are exact
+moment tables (:class:`~eicalg.estimate.MomentTable`) over the support: the
+true law counts each point by its weight over the lcm of the weights'
+denominators, and a replicate by its multinomial count over n.
 
 Reproducibility contract: the replicate streams are counter-based.  The
 stream for replicate ``r`` is ``numpy``'s PCG64 generator seeded with
@@ -21,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .eic import derive_eic
-from .estimate import eic_variance, normal_quantile
-from .expr import FuncExpr, evaluate_func, func_base_vars
-from .measure import FiniteProbSpace, RandVar
+from .estimate import MomentTable, normal_quantile, standard_error
+from .expr import FuncExpr, func_base_vars
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
 
@@ -127,13 +129,15 @@ def run_mc(config: McConfig) -> McReport:
             f"estimand uses variables {sorted(names)} but the sampler provides"
             f" only {config.column!r}"
         )
-    truth_space = FiniteProbSpace(
-        tuple(f"s{i}" for i in range(len(support))), weights
+    scale = math.lcm(*(w.denominator for w in weights))
+    truth_table = MomentTable(
+        {config.column: support},
+        [w.numerator * (scale // w.denominator) for w in weights],
+        scale,
     )
-    truth_binding = {config.column: RandVar(truth_space, support)}
-    truth = evaluate_func(config.estimand, truth_space, truth_binding, "exact")
+    truth = truth_table.evaluate(config.estimand)
     eic = derive_eic(config.estimand).eic
-    bound = eic_variance(eic, truth_space, truth_binding)
+    bound = truth_table.variance(eic)
 
     probs = np.array([float(w) for w in weights], dtype=np.float64)
     probs = probs / probs.sum()
@@ -150,18 +154,15 @@ def run_mc(config: McConfig) -> McReport:
         )
         counts = rng.multinomial(config.n, probs)
         kept = [(i, int(c)) for i, c in enumerate(counts) if c > 0]
-        space = FiniteProbSpace(
-            tuple(f"s{i}" for i, _ in kept),
-            tuple(Fraction(c, config.n) for _, c in kept),
+        table = MomentTable(
+            {config.column: [support[i] for i, _ in kept]},
+            [c for _, c in kept],
+            config.n,
         )
-        binding = {
-            config.column: RandVar(space, tuple(support[i] for i, _ in kept))
-        }
-        estimate = evaluate_func(config.estimand, space, binding, "exact")
-        estimate_f = float(estimate)
+        estimate_f = float(table.evaluate(config.estimand))
         estimates.append(estimate_f)
         errors.append(sqrt_n * (estimate_f - truth_f))
-        se = math.sqrt(eic_variance(eic, space, binding) / config.n)
+        se = standard_error(table.variance(eic), config.n)
         if abs(estimate_f - truth_f) <= z * se:
             covered += 1
 

@@ -291,6 +291,36 @@ class TestEstimate:
         assert out == ""
         assert "exp(1500.0)" in err
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_standard_error_overflow_is_data_error(self, capsys, tmp_path, mode):
+        path = tmp_path / "data.csv"
+        path.write_text("X\n10\n20\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "E[X^400]", "--data", str(path), "--mode", mode
+        )
+        assert code == 3
+        assert out == ""
+        assert "overflows a float" in err
+
+    def test_estimate_overflow_is_data_error(self, capsys, tmp_path):
+        # constant data: the standard error is 0, the estimate 10^400
+        path = tmp_path / "data.csv"
+        path.write_text("X\n10\n10\n")
+        code, out, err = run_cli(capsys, "estimate", "E[X^400]", "--data", str(path))
+        assert code == 3
+        assert out == ""
+        assert "overflows a float" in err
+
+    def test_cancelled_variable_must_still_be_a_column(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("X\n1\n2\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "E[X + Z - Z]", "--data", str(path)
+        )
+        assert code == 3
+        assert out == ""
+        assert "unbound variable 'Z'" in err
+
 
 class TestSimulate:
     def test_bernoulli_bound(self, capsys):

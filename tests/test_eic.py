@@ -267,6 +267,27 @@ class TestCertify:
         report = certify_eic(psi, trials=50, seed=7, mode="float", positive_vars=True)
         assert 0 < report.checked < report.trials
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float_mode_certifies_squared_correlation(self, seed):
+        # draws where |corr| = 1 put a double zero of psi - 1 under the
+        # central difference; the tolerance's truncation term covers them
+        psi = RATIONAL_ESTIMANDS["squared-correlation"]
+        report = certify_eic(
+            psi, trials=50, seed=seed, mode="float", positive_vars=True
+        )
+        assert report.passed, report.counterexample
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float_mode_catches_scaled_gradient(self, seed):
+        psi = RATIONAL_ESTIMANDS["squared-correlation"]
+        scaled = Q(11, 10) * derive_eic(psi, mode="float").eic
+        report = certify_eic(
+            psi, trials=50, seed=seed, mode="float", positive_vars=True,
+            candidate=scaled,
+        )
+        assert not report.passed
+        assert "path-derivative" in report.counterexample
+
     def test_too_few_checked_trials_fail(self):
         # log is undefined on every draw: E[X] <= 5 < 6
         psi = Smooth("log", E(X) - 6)

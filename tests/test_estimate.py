@@ -10,6 +10,7 @@ from eicalg.estimate import (
     Dataset,
     bind_moments,
     eic_standard_error,
+    eic_variance,
     empirical_space,
     normal_quantile,
     onestep_estimate,
@@ -18,8 +19,9 @@ from eicalg.estimate import (
     wald_ci,
 )
 from eicalg.eic import derive_eic
-from eicalg.expr import E, FuncConst, evaluate_rv, var
+from eicalg.expr import E, FuncConst, evaluate_func, evaluate_rv, var
 from eicalg.measure import expectation
+from eicalg.parser import parse_expression
 from eicalg.sampling import trial_rng
 
 X, Y = var("X"), var("Y")
@@ -54,6 +56,11 @@ class TestIngestion:
     def test_negative_decimal(self):
         data = read_delimited("Y\n-2.5\n")
         assert data.rows[0][0] == Q(-5, 2)
+
+    def test_cells_parse_to_the_fraction_of_their_text(self):
+        cells = ("0", "007", "0.5", "-0.000", "12.3400", "-3.14159", "100", "-7")
+        data = read_delimited("Y\n" + "\n".join(cells) + "\n")
+        assert [row[0] for row in data.rows] == [Q(text) for text in cells]
 
 
 class TestEmpiricalSpace:
@@ -158,6 +165,115 @@ class TestOneStep:
         other_space, other_binding = empirical_space(rows(3, 5))
         values = evaluate_rv(frozen, other_space, other_binding)
         assert values.values == (Q(5, 2), Q(9, 2))  # y - 1/2 at the new rows
+
+
+# Estimands over the first one, two or three columns (X, Y, W).  Each list
+# holds exact estimands; SMOOTH holds float-only ones over X.
+ESTIMANDS = (
+    ("E[X]", "Var(X)", "E[(X - E[X])^3]", "E[X^2]*inv(1 + E[X]^2)",
+     "E[(X - E[X])^4]*inv(Var(X)^2)"),
+    ("Cov(X,Y)*inv(Var(X))", "E[X*Y]*inv(E[Y])", "Cov(X,Y)^2*inv(Var(X)*Var(Y))",
+     "E[(X - E[Y])^2*inv(E[X^2] + 1)]"),
+    ("E[X*Y*W] - E[X]*E[Y*W]", "Cov(X,W)*inv(E[Y^2] + 1)"),
+)
+SMOOTH = ("sqrt(Var(X))", "exp(E[X]*0.1)*log(E[X^2] + 1)", "sqrt(Var(X))*exp(E[X]*0.1)",
+          "log(E[X^2])*E[X]")
+
+
+def _random_decimal(rng) -> str:
+    sign = rng.choice(("", "-"))
+    fraction = rng.choice(("", f".{rng.randint(0, 9)}", f".{rng.randint(0, 999):03d}"))
+    return f"{sign}{rng.randint(0, 30)}{fraction}"
+
+
+def _random_data(rng) -> Dataset:
+    """A few distinct rows, repeated: 1-3 columns of signed decimals."""
+    columns = ("X", "Y", "W")[: rng.randint(1, 3)]
+    pool = [
+        ",".join(_random_decimal(rng) for _ in columns)
+        for _ in range(rng.randint(1, 5))
+    ]
+    lines = [rng.choice(pool) for _ in range(rng.randint(2, 12))]
+    return read_delimited(",".join(columns) + "\n" + "\n".join(lines) + "\n")
+
+
+def _outcome(compute):
+    """The value, or the type of the error: both routes must agree on either."""
+    try:
+        return compute()
+    except ValueError as exc:  # every package error is a ValueError
+        return type(exc)
+
+
+def _pointwise_onestep(psi, data):
+    k = data.n // 2
+    fit_space, fit_binding = empirical_space(data.subset(0, k))
+    held_space, held_binding = empirical_space(data.subset(k, data.n))
+    fitted = bind_moments(derive_eic(psi).eic, fit_space, fit_binding)
+    correction = expectation(
+        held_space, evaluate_rv(fitted, held_space, held_binding)
+    )
+    return evaluate_func(psi, fit_space, fit_binding) + correction
+
+
+class TestMomentTableAgainstPointwise:
+    """The estimators run on a moment table; the pointwise route on the
+    empirical space is the independent reference, equal to the bit."""
+
+    def _cases(self, seed):
+        for index in range(40):
+            data = _random_data(trial_rng(seed, index))
+            width = len(data.columns)
+            for group in ESTIMANDS[:width]:
+                for text in group:
+                    yield data, parse_expression(text), ("exact", "float")
+            for text in SMOOTH:
+                yield data, parse_expression(text), ("float",)
+
+    def test_plugin_and_standard_error(self):
+        for data, psi, modes in self._cases(11):
+            space, binding = empirical_space(data)
+            for mode in modes:
+                eic = derive_eic(psi, mode=mode).eic
+                assert _outcome(lambda: plugin_estimate(psi, data, mode)) == _outcome(
+                    lambda: evaluate_func(psi, space, binding, mode)
+                ), (str(psi), mode, data)
+                assert _outcome(
+                    lambda: eic_standard_error(psi, data, mode)
+                ) == _outcome(
+                    lambda: math.sqrt(eic_variance(eic, space, binding, mode) / data.n)
+                ), (str(psi), mode, data)
+
+    def test_onestep(self):
+        for data, psi, modes in self._cases(12):
+            if "exact" not in modes:
+                continue
+            assert _outcome(
+                lambda: onestep_estimate(psi, data, Q(1, 2))
+            ) == _outcome(lambda: _pointwise_onestep(psi, data)), (str(psi), data)
+
+    def test_cases_are_not_all_degenerate(self):
+        values = [
+            _outcome(lambda: plugin_estimate(psi, data, modes[0]))
+            for data, psi, modes in self._cases(11)
+        ]
+        evaluated = [v for v in values if not isinstance(v, type)]
+        assert len(evaluated) > len(values) // 2
+
+    def test_cancelled_variable_is_unbound(self):
+        psi = parse_expression("E[X + Z - Z]")
+        data = Dataset(("X",), ((Q(1),), (Q(2),)))
+        space, binding = empirical_space(data)
+        with pytest.raises(EvaluationError, match="unbound variable 'Z'"):
+            evaluate_func(psi, space, binding)
+        for estimator in (plugin_estimate, eic_standard_error, onestep_estimate):
+            with pytest.raises(EvaluationError, match="unbound variable 'Z'"):
+                estimator(psi, data)
+
+    def test_standard_error_overflow(self):
+        data = Dataset(("X",), ((Q(10),), (Q(20),)))
+        with pytest.raises(EvaluationError):
+            eic_standard_error(parse_expression("E[X^400]"), data)
 
 
 def _quantile_by_bisection(p: float) -> float:

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from eicalg.expr import E, var
+from eicalg.expr import E, inv, var
 from eicalg.mc import McConfig, resolve_sampler, run_mc
 
 X = var("X")
@@ -123,3 +123,74 @@ class TestRunMc:
             bernoulli_config(n=1)
         with pytest.raises(ValueError):
             bernoulli_config(level=1.2)
+
+
+def _pointwise_study(config: McConfig) -> dict:
+    """The study recomputed on one finite space per replicate, evaluated
+    pointwise: the independent reference for the moment-table route."""
+    import math
+    import statistics
+
+    import numpy as np
+
+    from eicalg.eic import derive_eic
+    from eicalg.estimate import eic_variance, normal_quantile
+    from eicalg.expr import evaluate_func
+    from eicalg.measure import FiniteProbSpace, RandVar
+
+    support, weights = resolve_sampler(config.family, config.params)
+    truth_space = FiniteProbSpace(tuple(f"s{i}" for i in range(len(support))), weights)
+    truth_binding = {config.column: RandVar(truth_space, support)}
+    truth = evaluate_func(config.estimand, truth_space, truth_binding)
+    eic = derive_eic(config.estimand).eic
+    probs = np.array([float(w) for w in weights])
+    probs = probs / probs.sum()
+    z = normal_quantile((1 + config.level) / 2)
+    estimates, covered = [], 0
+    for r in range(config.replicates):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((config.seed, r)))
+        )
+        counts = rng.multinomial(config.n, probs)
+        kept = [(i, int(c)) for i, c in enumerate(counts) if c > 0]
+        space = FiniteProbSpace(
+            tuple(f"s{i}" for i, _ in kept), tuple(Q(c, config.n) for _, c in kept)
+        )
+        binding = {config.column: RandVar(space, tuple(support[i] for i, _ in kept))}
+        estimate = float(evaluate_func(config.estimand, space, binding))
+        estimates.append(estimate)
+        se = math.sqrt(eic_variance(eic, space, binding) / config.n)
+        covered += abs(estimate - float(truth)) <= z * se
+    errors = [math.sqrt(config.n) * (e - float(truth)) for e in estimates]
+    return {
+        "truth_exact": str(truth),
+        "bound_exact": str(eic_variance(eic, truth_space, truth_binding)),
+        "empirical_variance": statistics.variance(errors),
+        "coverage": covered / config.replicates,
+        "estimates_digest": {
+            "mean": statistics.fmean(estimates),
+            "stdev": statistics.pstdev(estimates),
+            "min": min(estimates),
+            "max": max(estimates),
+        },
+    }
+
+
+class TestMomentTableAgainstPointwise:
+    @pytest.mark.parametrize(
+        "estimand",
+        [MEAN, VARIANCE, E((X - E(X)) ** 3) * inv(E(X**2))],
+    )
+    def test_report_equals_pointwise_recomputation(self, estimand):
+        config = McConfig(
+            family="discrete",
+            params={"support": ["-1", "0.5", "2.25"], "weights": ["0.2", "0.3", "0.5"]},
+            estimand=estimand,
+            n=25,
+            replicates=40,
+            seed=9,
+        )
+        report = run_mc(config)
+        expected = _pointwise_study(config)
+        got = {key: getattr(report, key) for key in expected}
+        assert got == expected
