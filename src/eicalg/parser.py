@@ -10,12 +10,20 @@ Grammar::
             | "exp(" expr ")" | "log(" expr ")" | "sqrt(" expr ")"
             | "(" expr ")"
 
-Numbers are unsigned decimal literals parsed exactly to rationals.  Bare
-identifiers are base random variables; ``E[...]`` takes the expectation of a
-random-variable expression, possibly with scalar subexpressions embedded.
-``Var``/``Cov`` are sugar for their moment expansions, ``inv`` is the
-reciprocal, and the three named smooth functions build float-mode
-functionals.
+Numbers are unsigned decimal literals of the ASCII digits ``0``-``9``,
+parsed exactly to rationals.  Bare identifiers are base random variables;
+``E[...]`` takes the expectation of a random-variable expression, possibly
+with scalar subexpressions embedded.  ``Var``/``Cov`` are sugar for their
+moment expansions, ``inv`` is the reciprocal, and the three named smooth
+functions build float-mode functionals.  Brackets (parentheses, ``E[`` and
+function calls) nest at most ``MAX_NESTING`` deep.
+
+The parser builds expression trees in one recursive pass.  Every rule
+returns a part ``(scalar, node)``: a part is scalar when its text has no bare
+variable outside any ``E[...]``, and its node is then a functional, else a
+random-variable expression.  All-scalar operands combine as functionals;
+otherwise scalar operands are embedded as constant functions, and a node
+whose operands all fold to scalars collapses into one embedded functional.
 
 A whole input containing a bare variable outside any ``E[...]`` denotes a
 random variable rather than a scalar; it is identified with the parameter it
@@ -26,7 +34,6 @@ represents (its expectation), so ``X*Y`` parses to the same functional as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError
 from .expr import (
@@ -57,6 +64,11 @@ __all__ = ["parse_expression", "tokenize"]
 
 _SMOOTH_NAMES = ("exp", "log", "sqrt")
 _RESERVED = ("E", "Var", "Cov", "inv") + _SMOOTH_NAMES
+_DIGITS = "0123456789"
+
+# Deepest bracket nesting accepted.  The parser and the later passes over the
+# tree recurse at every level; this keeps them inside the default stack.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +91,15 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j < len(text) and text[j] == ".":
                 j += 1
-                if j >= len(text) or not text[j].isdigit():
+                if j >= len(text) or text[j] not in _DIGITS:
                     raise ParseError("digits required after decimal point", col)
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
             tokens.append(Token("NUMBER", text[i:j], col))
             i = j
@@ -109,210 +121,19 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# surface tree (sort-agnostic)
+# sorts
 
 
-@dataclass(frozen=True)
-class SNum:
-    value: Fraction
+def _as_func(part) -> FuncExpr:
+    """The functional a part denotes: a random variable is its expectation."""
+    scalar, node = part
+    return node if scalar else Moment(node)
 
 
-@dataclass(frozen=True)
-class SIdent:
-    name: str
-
-
-@dataclass(frozen=True)
-class SSum:
-    # (sign, node) pairs; sign is +1 or -1
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class SProd:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class SPow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class SExpect:
-    arg: object
-
-
-@dataclass(frozen=True)
-class SCall:
-    name: str
-    args: tuple
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.column,
-            )
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.column)
-        return node
-
-    def expr(self):
-        terms = [(1, self.term())]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            terms.append((sign, self.term()))
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        return SSum(tuple(terms))
-
-    def term(self):
-        factors = [self.factor()]
-        while self.peek().kind == "*":
-            self.advance()
-            factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return SProd(tuple(factors))
-
-    def factor(self):
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("NUMBER")
-            if "." in tok.text:
-                raise ParseError("exponent must be a nonnegative integer", tok.column)
-            return SPow(base, int(tok.text))
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return SNum(parse_decimal(tok.text))
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok.kind == "IDENT":
-            self.advance()
-            name = tok.text
-            if name == "E":
-                self.expect("[")
-                node = self.expr()
-                self.expect("]")
-                return SExpect(node)
-            if name == "Var":
-                self.expect("(")
-                ident = self.expect("IDENT")
-                if ident.text in _RESERVED:
-                    raise ParseError("Var takes a base variable", ident.column)
-                self.expect(")")
-                return SCall("Var", (SIdent(ident.text),))
-            if name == "Cov":
-                self.expect("(")
-                first = self.expect("IDENT")
-                self.expect(",")
-                second = self.expect("IDENT")
-                if first.text in _RESERVED or second.text in _RESERVED:
-                    raise ParseError("Cov takes base variables", first.column)
-                self.expect(")")
-                return SCall("Cov", (SIdent(first.text), SIdent(second.text)))
-            if name in ("inv",) + _SMOOTH_NAMES:
-                self.expect("(")
-                node = self.expr()
-                self.expect(")")
-                return SCall(name, (node,))
-            if self.peek().kind == "(":
-                raise ParseError(f"unknown function name {name!r}", tok.column)
-            return SIdent(name)
-        raise ParseError(
-            f"expected an expression, found {tok.text or 'end of input'!r}",
-            tok.column,
-        )
-
-
-# ---------------------------------------------------------------------------
-# sort resolution
-
-
-def _scalar_sorted(node) -> bool:
-    """True when the node denotes a scalar (no bare variable outside E)."""
-    if isinstance(node, (SNum, SExpect, SCall)):
-        return True
-    if isinstance(node, SIdent):
-        return False
-    if isinstance(node, SSum):
-        return all(_scalar_sorted(t) for _, t in node.terms)
-    if isinstance(node, SProd):
-        return all(_scalar_sorted(f) for f in node.factors)
-    if isinstance(node, SPow):
-        return _scalar_sorted(node.base)
-    raise TypeError(f"not a surface node: {node!r}")
-
-
-def _var_sugar(name: str) -> FuncExpr:
-    x = BaseVar(name)
-    return f_sum(E(rv_pow(x, 2)), f_product(FuncConst(Fraction(-1)), f_pow(E(x), 2)))
-
-
-def _cov_sugar(first: str, second: str) -> FuncExpr:
-    x, y = BaseVar(first), BaseVar(second)
-    return f_sum(
-        E(rv_product(x, y)),
-        f_product(FuncConst(Fraction(-1)), E(x), E(y)),
-    )
-
-
-def _to_func(node) -> FuncExpr:
-    if not _scalar_sorted(node):
-        return Moment(_to_rv(node))
-    if isinstance(node, SNum):
-        return FuncConst(node.value)
-    if isinstance(node, SExpect):
-        return E(_to_rv(node.arg))
-    if isinstance(node, SCall):
-        if node.name == "inv":
-            return f_recip(_to_func(node.args[0]))
-        if node.name == "Var":
-            return _var_sugar(node.args[0].name)
-        if node.name == "Cov":
-            return _cov_sugar(node.args[0].name, node.args[1].name)
-        return Smooth(node.name, _to_func(node.args[0]))
-    if isinstance(node, SSum):
-        terms = []
-        for sign, t in node.terms:
-            f = _to_func(t)
-            terms.append(f if sign > 0 else f_product(FuncConst(Fraction(-1)), f))
-        return f_sum(*terms)
-    if isinstance(node, SProd):
-        return f_product(*(_to_func(f) for f in node.factors))
-    if isinstance(node, SPow):
-        return f_pow(_to_func(node.base), node.exponent)
-    raise TypeError(f"not a surface node: {node!r}")
+def _as_rv(part) -> RvExpr:
+    """The random variable a part denotes: a scalar is a constant function."""
+    scalar, node = part
+    return rv_embed(node) if scalar else node
 
 
 def _scalar_leaf(e: RvExpr) -> bool:
@@ -339,28 +160,134 @@ def _embed_if_scalar(e: RvExpr) -> RvExpr:
     return e
 
 
-def _to_rv(node) -> RvExpr:
-    # maximal scalar subtrees embed as single units, which keeps the
-    # embedding placement canonical under print/parse round trips
-    if not isinstance(node, (SNum, SIdent)) and _scalar_sorted(node):
-        return rv_embed(_to_func(node))
-    if isinstance(node, SNum):
-        return RvConst(node.value)
-    if isinstance(node, SIdent):
-        return BaseVar(node.name)
-    if isinstance(node, (SExpect, SCall)):
-        return rv_embed(_to_func(node))
-    if isinstance(node, SSum):
-        terms = []
-        for sign, t in node.terms:
-            e = _to_rv(t)
-            terms.append(e if sign > 0 else rv_product(RvConst(Fraction(-1)), e))
-        return _embed_if_scalar(rv_sum(*terms))
-    if isinstance(node, SProd):
-        return _embed_if_scalar(rv_product(*(_to_rv(f) for f in node.factors)))
-    if isinstance(node, SPow):
-        return _embed_if_scalar(rv_pow(_to_rv(node.base), node.exponent))
-    raise TypeError(f"not a surface node: {node!r}")
+# ---------------------------------------------------------------------------
+# parser
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                tok.column,
+            )
+        return self.advance()
+
+    def parse(self):
+        part = self.expr()
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.column)
+        return part
+
+    def expr(self):
+        signs, parts = [1], [self.term()]
+        while self.peek().kind in ("+", "-"):
+            signs.append(1 if self.advance().kind == "+" else -1)
+            parts.append(self.term())
+        if len(parts) == 1:
+            return parts[0]
+        if all(scalar for scalar, _ in parts):
+            funcs = (
+                f if s > 0 else f_product(-1, f) for s, (_, f) in zip(signs, parts)
+            )
+            return True, f_sum(*funcs)
+        rvs = (
+            e if s > 0 else rv_product(-1, e) for s, e in zip(signs, map(_as_rv, parts))
+        )
+        return False, _embed_if_scalar(rv_sum(*rvs))
+
+    def term(self):
+        parts = [self.factor()]
+        while self.peek().kind == "*":
+            self.advance()
+            parts.append(self.factor())
+        if len(parts) == 1:
+            return parts[0]
+        if all(scalar for scalar, _ in parts):
+            return True, f_product(*(f for _, f in parts))
+        return False, _embed_if_scalar(rv_product(*map(_as_rv, parts)))
+
+    def factor(self):
+        part = self.atom()
+        if self.peek().kind != "^":
+            return part
+        self.advance()
+        tok = self.expect("NUMBER")
+        if "." in tok.text:
+            raise ParseError("exponent must be a nonnegative integer", tok.column)
+        scalar, node = part
+        n = int(tok.text)
+        if scalar:
+            return True, f_pow(node, n)
+        return False, _embed_if_scalar(rv_pow(node, n))
+
+    def nested(self, opener: Token, close: str):
+        """Parse the expression after an opening bracket, up to ``close``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"brackets nested more than {MAX_NESTING} deep", opener.column
+            )
+        part = self.expr()
+        self.expect(close)
+        self.depth -= 1
+        return part
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "NUMBER":
+            self.advance()
+            return True, FuncConst(parse_decimal(tok.text))
+        if tok.kind == "(":
+            return self.nested(self.advance(), ")")
+        if tok.kind == "IDENT":
+            self.advance()
+            name = tok.text
+            if name == "E":
+                return True, E(_as_rv(self.nested(self.expect("["), "]")))
+            if name == "Var":
+                self.expect("(")
+                ident = self.expect("IDENT")
+                if ident.text in _RESERVED:
+                    raise ParseError("Var takes a base variable", ident.column)
+                self.expect(")")
+                x = BaseVar(ident.text)
+                return True, E(x**2) - E(x) ** 2
+            if name == "Cov":
+                self.expect("(")
+                first = self.expect("IDENT")
+                self.expect(",")
+                second = self.expect("IDENT")
+                if first.text in _RESERVED or second.text in _RESERVED:
+                    raise ParseError("Cov takes base variables", first.column)
+                self.expect(")")
+                x, y = BaseVar(first.text), BaseVar(second.text)
+                return True, E(x * y) - E(x) * E(y)
+            if name in ("inv",) + _SMOOTH_NAMES:
+                arg = _as_func(self.nested(self.expect("("), ")"))
+                return True, f_recip(arg) if name == "inv" else Smooth(name, arg)
+            if self.peek().kind == "(":
+                raise ParseError(f"unknown function name {name!r}", tok.column)
+            return False, BaseVar(name)
+        raise ParseError(
+            f"expected an expression, found {tok.text or 'end of input'!r}",
+            tok.column,
+        )
 
 
 def parse_expression(text: str) -> FuncExpr:
@@ -369,5 +296,4 @@ def parse_expression(text: str) -> FuncExpr:
     An input denoting a random variable is identified with the parameter it
     represents, i.e. wrapped in one expectation.
     """
-    tree = _Parser(text).parse()
-    return _to_func(tree)
+    return _as_func(_Parser(text).parse())

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import main
 from eicalg.expr import E, var
-from eicalg.parser import parse_expression
+from eicalg.parser import MAX_NESTING, parse_expression
 
 X, Y = var("X"), var("Y")
 
@@ -130,6 +131,56 @@ class TestParseCheck:
     def test_bad_expression(self, capsys):
         code, _, err = run_cli(capsys, "parse-check", "Var(3)")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["E[X]^\u0663", "E[X]^\u00b2"])
+    def test_non_ascii_digit_is_unexpected_character(self, capsys, text):
+        code, _, err = run_cli(capsys, "parse-check", text)
+        assert code == 2
+        assert f"unexpected character {text[-1]!r} (column 6)" in err
+
+
+# opener, closer: each repetition nests one bracket deeper
+NESTING_SHAPES = {
+    "parens": ("(", ")"),
+    "expectation": ("E[", "]"),
+    "product in expectation": ("E[X*", "]"),
+    "power of parens": ("(", ")^1"),
+    "inv": ("inv(", ")"),
+    "exp": ("exp(", ")"),
+}
+
+
+def nested_text(shape: str, depth: int) -> str:
+    opener, closer = NESTING_SHAPES[shape]
+    return opener * depth + "X" + closer * depth
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize(
+        "shape", ["parens", "expectation", "product in expectation", "power of parens"]
+    )
+    @pytest.mark.parametrize("command", [["parse-check"], ["derive"]])
+    def test_deepest_accepted_input_succeeds(self, capsys, shape, command):
+        text = nested_text(shape, MAX_NESTING)
+        code, _, err = run_cli(capsys, *command, text)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("shape", list(NESTING_SHAPES))
+    @pytest.mark.parametrize(
+        "command", [["parse-check"], ["derive"], ["derive", "--mode", "float"]]
+    )
+    def test_one_level_deeper_is_expression_error(self, capsys, shape, command):
+        code, _, err = run_cli(capsys, *command, nested_text(shape, MAX_NESTING + 1))
+        assert code == 2
+        assert f"nested more than {MAX_NESTING} deep" in err
+
+    @pytest.mark.parametrize("shape", list(NESTING_SHAPES))
+    def test_very_deep_input_fails_fast(self, capsys, shape):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "derive", nested_text(shape, 3000))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "nested more than" in err
 
 
 class TestVerify:

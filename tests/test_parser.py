@@ -6,7 +6,7 @@ import pytest
 
 from eicalg.canon import canonicalize_func
 from eicalg.errors import ParseError
-from eicalg.expr import E, Smooth, inv, render_func, var
+from eicalg.expr import E, Smooth, inv, render_func, rv_embed, var
 from eicalg.parser import parse_expression
 
 X, Y = var("X"), var("Y")
@@ -86,6 +86,21 @@ class TestErrors:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("E[X]^1.5")
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("exp(X)", Smooth("exp", E(X))),
+        ("inv(X)", inv(E(X))),
+        # the operands fold to scalars, so the sum collapses to one embedding
+        ("0*X + E[X] + E[Y]", E(rv_embed(E(X) + E(Y)))),
+        ("X - E[X]", E(X - E(X))),
+        ("E[X*(E[Y])^2]", E(X * rv_embed(E(Y) ** 2))),
+    ],
+)
+def test_tree_shapes(text, tree):
+    assert parse_expression(text) == tree
 
 
 # ---------------------------------------------------------------------------
