@@ -1,11 +1,14 @@
 """Canonical normal form for expressions and the functional normalizer.
 
-The normal form is a fully expanded rational function over two kinds of
-atoms: base-variable symbols and primitive-moment symbols keyed by a
-monomial in base variables.  Monomials are ordered graded-lexicographically
-with base variables (alphabetical) before moment atoms (by the canonical
-string of their inner monomial).  Two expressions denote the same object
-exactly when their canonical forms are equal.
+The normal form is a fully expanded rational function over three kinds of
+atoms: base-variable symbols, primitive-moment symbols keyed by a monomial
+in base variables, and smooth-functional symbols (``exp``, ``log``,
+``sqrt`` of a functional in normal form), kept opaque.  Moments and smooth
+functionals are scalars, so expectation factors both out alike.  Monomials
+are ordered graded-lexicographically with base variables (alphabetical)
+before moment atoms (by the canonical string of their inner monomial) and
+those before smooth atoms (by their rendering).  Two expressions denote the
+same object exactly when their canonical forms are equal.
 
 Equality of rational forms is decided by cross-multiplication
 (n1*d2 - n2*d1 == 0); no multivariate gcd machinery is needed.  The only
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExactModeError, NormalizationError
+from .errors import NormalizationError
 from .expr import (
     BaseVar,
     EmbedFunc,
@@ -40,6 +43,7 @@ from .expr import (
     f_product,
     f_recip,
     f_sum,
+    render_func,
     rv_embed,
     rv_pow,
     rv_product,
@@ -51,12 +55,15 @@ __all__ = [
     "canonicalize_rv",
     "canonicalize_func",
     "normalize_functional",
+    "expectation_of_form",
     "func_from_form",
     "rv_from_form",
 ]
 
 # A base monomial is a tuple of (variable name, exponent) sorted by name.
-# An atom is ("v", name) or ("m", base monomial).  A monomial is a tuple of
+# An atom is ("v", name), ("m", base monomial) or ("s", (key, node)), where
+# node is a Smooth over a canonical argument and key its rendering, computed
+# once because it sorts the atom.  A monomial is a tuple of
 # (atom, exponent) sorted by the atom sort key.  A polynomial is a dict from
 # monomial to nonzero Fraction; its frozen form is a sorted tuple of items.
 
@@ -79,7 +86,9 @@ def _atom_key(atom: Atom):
     kind, payload = atom
     if kind == "v":
         return (0, payload)
-    return (1, base_mono_string(payload))
+    if kind == "m":
+        return (1, base_mono_string(payload))
+    return (2, payload[0])
 
 
 def _mono_key(mono: Mono):
@@ -268,7 +277,9 @@ def _atom_string(atom: Atom) -> str:
     kind, payload = atom
     if kind == "v":
         return payload
-    return f"E[{base_mono_string(payload)}]"
+    if kind == "m":
+        return f"E[{base_mono_string(payload)}]"
+    return payload[0]
 
 
 def _poly_string(sorted_poly: tuple) -> str:
@@ -330,22 +341,21 @@ def canonicalize_rv(e: RvExpr) -> CanonForm:
 
 
 def canonicalize_func(f: FuncExpr) -> CanonForm:
-    """Normal form of a functional over primitive-moment atoms only."""
+    """Normal form of a functional over moment and smooth atoms."""
     if isinstance(f, Moment):
-        return _expectation_of_form(canonicalize_rv(f.arg))
+        return expectation_of_form(canonicalize_rv(f.arg))
     if isinstance(f, Reciprocal):
         return canonicalize_func(f.arg).reciprocal()
     if isinstance(f, Smooth):
-        raise ExactModeError(
-            f"smooth functional {f.tag!r} has no exact canonical form"
-        )
+        node = Smooth(f.tag, func_from_form(canonicalize_func(f.arg)))
+        return CanonForm.from_atom(("s", (render_func(node), node)))
     if isinstance(f, FuncExpr):
         return _canonicalize_shared(f, canonicalize_func)
     raise TypeError(f"not a functional expression: {f!r}")
 
 
 def _split_mono(mono: Mono) -> tuple[BaseMono, Mono]:
-    """Separate a mixed monomial into base-variable part and moment part."""
+    """Separate a mixed monomial into base-variable part and scalar part."""
     base = []
     moments = []
     for atom, exp in mono:
@@ -356,12 +366,13 @@ def _split_mono(mono: Mono) -> tuple[BaseMono, Mono]:
     return tuple(sorted(base)), tuple(moments)
 
 
-def _expectation_of_form(form: CanonForm) -> CanonForm:
+def expectation_of_form(form: CanonForm) -> CanonForm:
     """Apply linearity of expectation to a mixed-atom canonical form.
 
-    Moment atoms are scalars, so they factor out of the expectation; the
-    base-variable part of each term becomes a primitive-moment atom.  The
-    denominator is scalar (moment atoms only) and passes through.
+    Moment and smooth atoms are scalars, so they factor out of the
+    expectation; the base-variable part of each term becomes a
+    primitive-moment atom.  The denominator is scalar (no base variables)
+    and passes through.
     """
     for mono, _ in form.den:
         for atom, _ in mono:
@@ -393,11 +404,6 @@ def _base_mono_rv(mono: BaseMono) -> RvExpr:
     return rv_product(*(rv_pow(BaseVar(name), exp) for name, exp in mono))
 
 
-def _moment_atom_func(atom: Atom) -> FuncExpr:
-    assert atom[0] == "m"
-    return Moment(_base_mono_rv(atom[1]))
-
-
 def _poly_to_expr(sorted_poly: tuple, atom_power, product, total):
     """Expression for a sorted polynomial, in the family whose atom-power,
     product and sum constructors are passed (they coerce the coefficient)."""
@@ -411,15 +417,17 @@ def _poly_to_expr(sorted_poly: tuple, atom_power, product, total):
 
 
 def _func_atom_power(atom: Atom, exp: int) -> FuncExpr:
-    if atom[0] == "v":
+    kind, payload = atom
+    if kind == "v":
         raise ValueError("base variable in a scalar-functional polynomial")
-    return f_pow(_moment_atom_func(atom), exp)
+    node = Moment(_base_mono_rv(payload)) if kind == "m" else payload[1]
+    return f_pow(node, exp)
 
 
 def _rv_atom_power(atom: Atom, exp: int) -> RvExpr:
     if atom[0] == "v":
         return rv_pow(BaseVar(atom[1]), exp)
-    return rv_pow(rv_embed(_moment_atom_func(atom)), exp)
+    return rv_pow(rv_embed(_func_atom_power(atom, 1)), exp)
 
 
 def _poly_to_func(sorted_poly: tuple) -> FuncExpr:
@@ -457,7 +465,7 @@ def normalize_functional(f: FuncExpr) -> FuncExpr:
     if isinstance(f, FuncConst):
         return f
     if isinstance(f, Moment):
-        return func_from_form(_expectation_of_form(canonicalize_rv(f.arg)))
+        return func_from_form(expectation_of_form(canonicalize_rv(f.arg)))
     if isinstance(f, FuncSum):
         return f_sum(*(normalize_functional(t) for t in f.terms))
     if isinstance(f, FuncProduct):
@@ -466,13 +474,10 @@ def normalize_functional(f: FuncExpr) -> FuncExpr:
         return f_pow(normalize_functional(f.base), f.exponent)
     if isinstance(f, Reciprocal):
         arg = normalize_functional(f.arg)
-        try:
-            if canonicalize_func(arg).is_zero:
-                raise NormalizationError(
-                    f"reciprocal of a functional that normalizes to zero: {f.arg}"
-                )
-        except ExactModeError:
-            pass  # float-only subtree: zero test undecidable, leave as is
+        if canonicalize_func(arg).is_zero:
+            raise NormalizationError(
+                f"reciprocal of a functional that normalizes to zero: {f.arg}"
+            )
         return f_recip(arg)
     if isinstance(f, Smooth):
         return Smooth(f.tag, normalize_functional(f.arg))

@@ -19,8 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .canon import canonicalize_rv, rv_from_form
-from .eic import derive_eic, enough_checked, mean_zero_certificate
+from .canon import canonicalize_rv, expectation_of_form, rv_from_form
+from .eic import derive_eic
 from .errors import DataError, EvaluationError, ExactModeError, NormalizationError
 from .estimate import (
     eic_standard_error,
@@ -29,11 +29,9 @@ from .estimate import (
     read_delimited,
     wald_ci,
 )
-from .expr import evaluate_rv, render_func, to_float
-from .measure import expectation
+from .expr import render_func, to_float
 from .mc import McConfig, run_mc
 from .parser import parse_expression
-from .sampling import random_binding, random_space, trial_rng
 from .verify import available_suites, run_suite
 
 
@@ -63,35 +61,6 @@ def _emit(doc, output, stream=None):
         stream.write(f"{verdict}\n")
 
 
-def _canonical_eic_text(eic) -> str:
-    try:
-        return str(rv_from_form(canonicalize_rv(eic)))
-    except ExactModeError:
-        return str(eic)
-
-
-def _float_mode_mean_check(eic, names) -> bool:
-    """Numeric stand-in for the mean-zero certificate when smooth nodes block
-    exact canonicalization: positive bindings, 20 seeded instances.  A draw
-    on which the gradient cannot be evaluated is skipped, and the check
-    passes only if enough draws were checked, by the rule of ``certify_eic``."""
-    checked = 0
-    for index in range(20):
-        rng = trial_rng(20250801, index)
-        space = random_space(rng)
-        binding = random_binding(rng, space, names, low=1, high=5)
-        try:
-            values = evaluate_rv(eic, space, binding, mode="float")
-        except EvaluationError:
-            continue  # degenerate draw
-        mean = float(expectation(space, values))
-        scale = max(1.0, max(abs(float(v)) for v in values.values))
-        if abs(mean) > 1e-9 * scale:
-            return False
-        checked += 1
-    return enough_checked(checked, 20)
-
-
 def cmd_parse_check(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
     printed = render_func(psi)
@@ -112,18 +81,12 @@ def cmd_parse_check(args) -> tuple[int, dict]:
 def cmd_derive(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
     result = derive_eic(psi, mode=args.mode)
-    if args.mode == "exact":
-        mean_zero = mean_zero_certificate(result.eic)
-    else:
-        from .expr import func_base_vars
-
-        mean_zero = _float_mode_mean_check(
-            result.eic, sorted(func_base_vars(psi))
-        )
+    form = canonicalize_rv(result.eic)
+    mean_zero = expectation_of_form(form).is_zero
     results = [
         {
             "estimand": render_func(result.estimand),
-            "eic": _canonical_eic_text(result.eic),
+            "eic": str(rv_from_form(form)),
             "trace": [list(step) for step in result.trace],
             "mean_zero": mean_zero,
         }

@@ -365,7 +365,4 @@ def certify_eic(
 
 def mean_zero_certificate(eic: RvExpr) -> bool:
     """Symbolic check that a gradient expression has expectation zero."""
-    try:
-        return canonicalize_func(Moment(eic)).is_zero
-    except ExactModeError:
-        return False
+    return canonicalize_func(Moment(eic)).is_zero

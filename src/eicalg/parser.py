@@ -11,7 +11,8 @@ Grammar::
             | "(" expr ")"
 
 Numbers are unsigned decimal literals of the ASCII digits ``0``-``9``,
-parsed exactly to rationals.  Bare identifiers are base random variables;
+parsed exactly to rationals.  Identifiers are ASCII only,
+``[A-Za-z_][A-Za-z0-9_]*``, and bare ones are base random variables;
 ``E[...]`` takes the expectation of a random-variable expression, possibly
 with scalar subexpressions embedded.  ``Var``/``Cov`` are sugar for their
 moment expansions, ``inv`` is the reciprocal, and the three named smooth
@@ -65,6 +66,7 @@ __all__ = ["parse_expression", "tokenize"]
 _SMOOTH_NAMES = ("exp", "log", "sqrt")
 _RESERVED = ("E", "Var", "Cov", "inv") + _SMOOTH_NAMES
 _DIGITS = "0123456789"
+_IDENT_START = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 # Deepest bracket nesting accepted.  The parser and the later passes over the
 # tree recurse at every level; this keeps them inside the default stack.
@@ -104,9 +106,9 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("NUMBER", text[i:j], col))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _IDENT_START + _DIGITS:
                 j += 1
             tokens.append(Token("IDENT", text[i:j], col))
             i = j

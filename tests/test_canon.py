@@ -24,6 +24,7 @@ from eicalg.expr import (
     FuncConst,
     Moment,
     RvConst,
+    Smooth,
     evaluate_func,
     evaluate_rv,
     inv,
@@ -33,6 +34,7 @@ from eicalg.expr import (
     rv_sum,
     var,
 )
+from eicalg.parser import parse_expression
 from eicalg.sampling import random_binding, random_space, trial_rng
 
 X, Y = var("X"), var("Y")
@@ -196,3 +198,23 @@ def test_canonicalization_soundness_fuzz():
             disagreements += 1
     assert agreements >= 100
     assert disagreements >= 100
+
+
+class TestSmoothAtoms:
+    """A smooth functional is an opaque scalar atom of the normal form."""
+
+    def test_equal_arguments_give_one_atom(self):
+        for text in ("exp(E[X]) - exp(E[X*1])", "exp(E[X]) - exp(E[X + Y] - E[Y])"):
+            assert canonicalize_func(parse_expression(text)).is_zero, text
+
+    def test_different_arguments_differ(self):
+        form = canonicalize_func(parse_expression("exp(E[X]) - exp(E[Y])"))
+        assert not form.is_zero
+
+    def test_smooth_atoms_sort_after_variables_and_moments(self):
+        form = canonicalize_rv(EmbedFunc(Smooth("exp", E(X))) + E(X) + X)
+        assert str(form) == "X + E[X] + exp(E[X])"
+
+    def test_expectation_factors_a_smooth_atom_out(self):
+        psi = normalize_functional(parse_expression("E[X*exp(E[Y] + E[Y])]"))
+        assert render_func(psi) == "E[X]*exp(2*E[Y])"

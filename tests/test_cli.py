@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from eicalg.canon import canonicalize_rv
 from eicalg.cli import main
 from eicalg.expr import E, var
 from eicalg.parser import MAX_NESTING, parse_expression
+from tests_corpus_helper import random_expression_text
 
 X, Y = var("X"), var("Y")
 
@@ -181,6 +183,143 @@ class TestNestingBound:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert "nested more than" in err
+
+
+class TestAsciiIdentifiers:
+    @pytest.mark.parametrize("text", ["E[X\u00b2]", "E[X\u00e9]"])
+    @pytest.mark.parametrize("command", [["derive"], ["parse-check"]])
+    def test_non_ascii_letter_or_digit_is_unexpected_character(
+        self, capsys, command, text
+    ):
+        code, out, err = run_cli(capsys, *command, text)
+        assert code == 2
+        assert out == ""
+        assert f"unexpected character {text[3]!r} (column 4)" in err
+
+    def test_ascii_identifier_with_digits_and_underscores(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "derive", "E[_x1*Y_2]"
+        )
+        assert code == 0
+        assert parse_structured(out)["results"][0]["estimand"] == "E[Y_2*_x1]"
+
+
+class TestSmoothInsideMoments:
+    """A smooth functional is a scalar atom of the normal form, so float-mode
+    derive certifies every gradient symbolically, as exact mode does."""
+
+    def test_float_derive(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--output", "structured", "derive", "E[X*exp(E[Y])]",
+            "--mode", "float",
+        )
+        assert code == 0, err
+        result = parse_structured(out)["results"][0]
+        assert result["estimand"] == "E[X]*exp(E[Y])"
+        assert result["mean_zero"] is True
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["E[X*exp(E[Y])]", "sqrt(Var(X))*exp(E[X*Y])", "E[X*log(E[Y])]*inv(E[Y])",
+         "log(E[X])*Var(X)"],
+    )
+    def test_printed_float_gradient_parses_back(self, capsys, expression):
+        from eicalg.eic import derive_eic
+
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "derive", expression, "--mode", "float"
+        )
+        assert code == 0
+        eic = derive_eic(parse_expression(expression), mode="float").eic
+        printed = parse_structured(out)["results"][0]["eic"]
+        assert canonicalize_rv(_reparse_rv(printed)) == canonicalize_rv(eic)
+
+    def test_reciprocal_of_cancelling_smooth_terms_is_expression_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "derive", "inv(exp(E[X]) - exp(E[X]))", "--mode", "float"
+        )
+        assert code == 2
+        assert out == ""
+        assert "normalizes to zero" in err
+
+    def test_exact_mode_still_rejects_smooth_nodes(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "derive", "E[X*exp(E[Y])]")
+        assert code == 2
+        assert out == ""
+        assert "requires float mode" in err
+        path = tmp_path / "data.csv"
+        path.write_text("X,Y\n1,2\n3,5\n")
+        code, out, _ = run_cli(capsys, "estimate", "E[X*exp(E[Y])]", "--data", str(path))
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("expression", ["E[X*exp(E[Y])]", "E[X*log(E[Y])]*inv(E[Y])"])
+    def test_float_estimate(self, capsys, tmp_path, expression):
+        path = tmp_path / "data.csv"
+        path.write_text("X,Y\n1,2\n3,5\n4,2.5\n")
+        code, out, err = run_cli(
+            capsys, "estimate", expression, "--data", str(path), "--mode", "float"
+        )
+        assert code == 0, err
+
+
+def _smooth_expression_text(rng, depth):
+    """Grammar corpus with exp, log((.)^2 + 1) and sqrt nodes."""
+    if depth <= 0:
+        return random_expression_text(rng, 0)
+    a = _smooth_expression_text(rng, depth - 1)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return f"exp({a})"
+    if kind == 1:
+        return f"log(({a})^2 + 1)"
+    if kind == 2:
+        return f"sqrt({a})"
+    b = _smooth_expression_text(rng, depth - 1)
+    if kind == 3:
+        return f"{a}*{b}"
+    if kind == 4:
+        return f"E[{a}*{b}]"
+    if kind == 5:
+        return f"{a} - {b}"
+    return random_expression_text(rng, depth)
+
+
+def test_float_verdicts_against_numeric_means(capsys):
+    """Independent of the symbolic verdict: every float gradient, evaluated
+    pointwise on seeded positive draws, has mean zero up to the float
+    rounding of its embedded functionals, on every draw where it is defined."""
+    from eicalg.eic import derive_eic
+    from eicalg.expr import evaluate_rv, func_base_vars
+    from eicalg.errors import EvaluationError
+    from eicalg.measure import expectation
+    from eicalg.sampling import random_binding, random_space
+
+    rng = random.Random(20250801)
+    checked = draws = 0
+    for _ in range(150):
+        text = _smooth_expression_text(rng, rng.randint(1, 3))
+        code, out, err = run_cli(
+            capsys, "--output", "structured", "derive", text, "--mode", "float"
+        )
+        assert code == 0, (text, err)
+        assert parse_structured(out)["verdicts"] == ["mean-zero: pass"], text
+        psi = parse_expression(text)
+        eic = derive_eic(psi, mode="float").eic
+        names = sorted(func_base_vars(psi))
+        for _ in range(20):
+            space = random_space(rng)
+            binding = random_binding(rng, space, names, low=1, high=5)
+            draws += 1
+            try:
+                values = evaluate_rv(eic, space, binding, mode="float")
+            except EvaluationError:
+                continue  # undefined on this draw
+            mean = float(expectation(space, values))
+            scale = max(1.0, max(abs(float(v)) for v in values.values))
+            assert abs(mean) <= 1e-9 * scale, (text, mean)
+            checked += 1
+    assert 2 * checked >= draws
 
 
 class TestVerify:

@@ -24,6 +24,7 @@ from eicalg.expr import (
     var,
 )
 from eicalg.measure import FiniteProbSpace, expectation, inner
+from eicalg.parser import parse_expression
 from eicalg.sampling import random_binding, random_score, random_space, trial_rng
 
 X, Y = var("X"), var("Y")
@@ -295,3 +296,15 @@ class TestCertify:
         assert report.checked == 0
         assert not report.passed
         assert "0 of 20" in report.counterexample
+
+
+class TestSmoothInsideMoments:
+    def test_exact_mode_still_rejects_smooth_nodes(self):
+        psi = parse_expression("E[X*exp(E[Y])]")
+        with pytest.raises(ExactModeError):
+            derive_eic(psi)
+        with pytest.raises(ExactModeError):
+            certify_eic(psi, trials=5, seed=0)
+        candidate = derive_eic(psi, mode="float").eic
+        with pytest.raises(ExactModeError):
+            certify_eic(psi, trials=5, seed=0, candidate=candidate)

@@ -276,6 +276,35 @@ class TestMomentTableAgainstPointwise:
             eic_standard_error(parse_expression("E[X^400]"), data)
 
 
+class TestSmoothInsideMoments:
+    """A smooth functional inside ``E[...]`` is a scalar of the normal form,
+    so float-mode estimates of such estimands run, and the table route
+    still equals the pointwise route to the bit."""
+
+    ESTIMANDS = ("E[X*exp(E[Y])]", "E[X*log(E[Y])]*inv(E[Y])")
+
+    def test_plugin_and_standard_error(self):
+        evaluated = 0
+        for index in range(30):
+            rng = trial_rng(14, index)
+            lines = [
+                f"{_random_decimal(rng)},{rng.randint(1, 9)}.{rng.randint(0, 9)}"
+                for _ in range(rng.randint(2, 8))
+            ]
+            data = read_delimited("X,Y\n" + "\n".join(lines) + "\n")
+            space, binding = empirical_space(data)
+            for text in self.ESTIMANDS:
+                psi = parse_expression(text)
+                eic = derive_eic(psi, mode="float").eic
+                estimate = plugin_estimate(psi, data, "float")
+                assert estimate == evaluate_func(psi, space, binding, "float")
+                se = eic_standard_error(psi, data, "float")
+                variance = eic_variance(eic, space, binding, "float")
+                assert se == math.sqrt(variance / data.n), (text, data)
+                evaluated += 1
+        assert evaluated == 60
+
+
 def _quantile_by_bisection(p: float) -> float:
     """Independent oracle: bisection on the error-function integral."""
 
