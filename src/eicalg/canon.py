@@ -10,6 +10,11 @@ before moment atoms (by the canonical string of their inner monomial) and
 those before smooth atoms (by their rendering).  Two expressions denote the
 same object exactly when their canonical forms are equal.
 
+Polynomials are plain dicts from monomial to coefficient, so arithmetic
+never re-sorts; term order is imposed only when a form is rebuilt as an
+expression.  The graded key (degree, ((atom key, -exponent), ...)) has one
+entry per atom, not one per unit of degree.
+
 Equality of rational forms is decided by cross-multiplication
 (n1*d2 - n2*d1 == 0); no multivariate gcd machinery is needed.  The only
 reduction applied is cancellation of a monomial factor common to every term
@@ -64,8 +69,9 @@ __all__ = [
 # An atom is ("v", name), ("m", base monomial) or ("s", (key, node)), where
 # node is a Smooth over a canonical argument and key its rendering, computed
 # once because it sorts the atom.  A monomial is a tuple of
-# (atom, exponent) sorted by the atom sort key.  A polynomial is a dict from
-# monomial to nonzero Fraction; its frozen form is a sorted tuple of items.
+# (atom, exponent) sorted by the atom sort key, sorted only in ``_mono``.  A
+# polynomial is a dict from monomial to nonzero Fraction.  Forms share these
+# dicts, so no code may mutate a form's ``num`` or ``den``.
 
 BaseMono = tuple[tuple[str, int], ...]
 Atom = tuple
@@ -91,19 +97,20 @@ def _atom_key(atom: Atom):
     return (2, payload[0])
 
 
+def _mono(exps: dict) -> Mono:
+    return tuple(sorted(exps.items(), key=lambda item: _atom_key(item[0])))
+
+
 def _mono_key(mono: Mono):
     degree = sum(exp for _, exp in mono)
-    flat = tuple(_atom_key(atom) for atom, exp in mono for _ in range(exp))
-    return (degree, flat)
+    return (degree, tuple((_atom_key(atom), -exp) for atom, exp in mono))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
-    exps = {}
-    for atom, exp in a:
-        exps[atom] = exps.get(atom, 0) + exp
+    exps = dict(a)
     for atom, exp in b:
         exps[atom] = exps.get(atom, 0) + exp
-    return tuple(sorted(exps.items(), key=lambda item: _atom_key(item[0])))
+    return _mono(exps)
 
 
 def _p_const(c: Fraction) -> Poly:
@@ -169,7 +176,7 @@ def _common_mono_factor(polys: list[Poly]) -> Mono:
                 }
             if not shared:
                 return ()
-    return tuple(sorted((shared or {}).items(), key=lambda item: _atom_key(item[0])))
+    return _mono(shared or {})
 
 
 def _mono_div(mono: Mono, divisor: Mono) -> Mono:
@@ -178,22 +185,22 @@ def _mono_div(mono: Mono, divisor: Mono) -> Mono:
         exps[atom] -= exp
         if exps[atom] == 0:
             del exps[atom]
-    return tuple(sorted(exps.items(), key=lambda item: _atom_key(item[0])))
+    return _mono(exps)
 
 
 @dataclass(frozen=True, eq=False)
 class CanonForm:
     """Rational-function normal form; equality via cross-multiplication."""
 
-    num: tuple
-    den: tuple
+    num: Poly
+    den: Poly
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "CanonForm":
         if not den:
             raise ZeroDivisionError("canonical form with zero denominator")
         if not num:
-            return CanonForm((), _p_sorted(_p_const(Fraction(1))))
+            return CanonForm({}, _p_const(Fraction(1)))
         factor = _common_mono_factor([num, den])
         if factor:
             num = {_mono_div(m, factor): c for m, c in num.items()}
@@ -202,7 +209,7 @@ class CanonForm:
         if lead != 1:
             num = _p_scale(num, 1 / lead)
             den = _p_scale(den, 1 / lead)
-        return CanonForm(_p_sorted(num), _p_sorted(den))
+        return CanonForm(num, den)
 
     @staticmethod
     def from_const(c) -> "CanonForm":
@@ -226,30 +233,25 @@ class CanonForm:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == _p_sorted(_p_const(Fraction(1)))
+        return self.den == _p_const(Fraction(1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CanonForm):
             return NotImplemented
-        left = _p_mul(dict(self.num), dict(other.den))
-        right = _p_mul(dict(other.num), dict(self.den))
-        return _p_sorted(left) == _p_sorted(right)
+        return _p_mul(self.num, other.den) == _p_mul(other.num, self.den)
 
     __hash__ = None  # equality is up to cross-multiplication
 
     def __add__(self, other: "CanonForm") -> "CanonForm":
-        n1, d1 = dict(self.num), dict(self.den)
-        n2, d2 = dict(other.num), dict(other.den)
-        num = _p_add(_p_mul(n1, d2), _p_mul(n2, d1))
-        return CanonForm.make(num, _p_mul(d1, d2))
+        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
+        return CanonForm.make(num, _p_mul(self.den, other.den))
 
     def __sub__(self, other: "CanonForm") -> "CanonForm":
         return self + other.scale(Fraction(-1))
 
     def __mul__(self, other: "CanonForm") -> "CanonForm":
         return CanonForm.make(
-            _p_mul(dict(self.num), dict(other.num)),
-            _p_mul(dict(self.den), dict(other.den)),
+            _p_mul(self.num, other.num), _p_mul(self.den, other.den)
         )
 
     def __pow__(self, n: int) -> "CanonForm":
@@ -259,50 +261,15 @@ class CanonForm:
         return out
 
     def scale(self, c: Fraction) -> "CanonForm":
-        return CanonForm.make(_p_scale(dict(self.num), c), dict(self.den))
+        return CanonForm.make(_p_scale(self.num, c), self.den)
 
     def reciprocal(self) -> "CanonForm":
         if self.is_zero:
             raise NormalizationError("reciprocal of a functional equal to zero")
-        return CanonForm.make(dict(self.den), dict(self.num))
+        return CanonForm.make(self.den, self.num)
 
     def __str__(self):
-        num = _poly_string(self.num)
-        if self.is_polynomial:
-            return num
-        return f"({num}) / ({_poly_string(self.den)})"
-
-
-def _atom_string(atom: Atom) -> str:
-    kind, payload = atom
-    if kind == "v":
-        return payload
-    if kind == "m":
-        return f"E[{base_mono_string(payload)}]"
-    return payload[0]
-
-
-def _poly_string(sorted_poly: tuple) -> str:
-    if not sorted_poly:
-        return "0"
-    parts = []
-    for mono, coeff in sorted_poly:
-        factors = []
-        for atom, exp in mono:
-            s = _atom_string(atom)
-            factors.append(s if exp == 1 else f"{s}^{exp}")
-        body = "*".join(factors)
-        if not body:
-            text = str(coeff)
-        elif coeff == 1:
-            text = body
-        elif coeff == -1:
-            text = f"-{body}"
-        else:
-            text = f"{coeff}*{body}"
-        parts.append(text)
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
+        return str(rv_from_form(self))
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +321,6 @@ def canonicalize_func(f: FuncExpr) -> CanonForm:
     raise TypeError(f"not a functional expression: {f!r}")
 
 
-def _split_mono(mono: Mono) -> tuple[BaseMono, Mono]:
-    """Separate a mixed monomial into base-variable part and scalar part."""
-    base = []
-    moments = []
-    for atom, exp in mono:
-        if atom[0] == "v":
-            base.append((atom[1], exp))
-        else:
-            moments.append((atom, exp))
-    return tuple(sorted(base)), tuple(moments)
-
-
 def expectation_of_form(form: CanonForm) -> CanonForm:
     """Apply linearity of expectation to a mixed-atom canonical form.
 
@@ -374,26 +329,25 @@ def expectation_of_form(form: CanonForm) -> CanonForm:
     primitive-moment atom.  The denominator is scalar (no base variables)
     and passes through.
     """
-    for mono, _ in form.den:
+    for mono in form.den:
         for atom, _ in mono:
             if atom[0] == "v":
                 raise NormalizationError(
                     "expectation of a form with base variables in a denominator"
                 )
     num: Poly = {}
-    for mono, coeff in form.num:
-        base, moments = _split_mono(mono)
-        new_mono = dict(moments)
+    for mono, coeff in form.num.items():
+        exps = {atom: exp for atom, exp in mono if atom[0] != "v"}
+        base = tuple((atom[1], exp) for atom, exp in mono if atom[0] == "v")
         if base:
-            atom = ("m", base)
-            new_mono[atom] = new_mono.get(atom, 0) + 1
-        new_mono = tuple(sorted(new_mono.items(), key=lambda it: _atom_key(it[0])))
+            exps[("m", base)] = exps.get(("m", base), 0) + 1
+        new_mono = _mono(exps)
         acc = num.get(new_mono, Fraction(0)) + coeff
         if acc == 0:
             num.pop(new_mono, None)
         else:
             num[new_mono] = acc
-    return CanonForm.make(num, dict(form.den))
+    return CanonForm.make(num, form.den)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +358,12 @@ def _base_mono_rv(mono: BaseMono) -> RvExpr:
     return rv_product(*(rv_pow(BaseVar(name), exp) for name, exp in mono))
 
 
-def _poly_to_expr(sorted_poly: tuple, atom_power, product, total):
-    """Expression for a sorted polynomial, in the family whose atom-power,
-    product and sum constructors are passed (they coerce the coefficient)."""
+def _poly_to_expr(poly: Poly, atom_power, product, total):
+    """Expression for a polynomial with its terms in canonical order, in the
+    family whose atom-power, product and sum constructors are passed (they
+    coerce the coefficient)."""
     terms = []
-    for mono, coeff in sorted_poly:
+    for mono, coeff in _p_sorted(poly):
         factors = [coeff]
         for atom, exp in mono:
             factors.append(atom_power(atom, exp))
@@ -430,8 +385,8 @@ def _rv_atom_power(atom: Atom, exp: int) -> RvExpr:
     return rv_pow(rv_embed(_func_atom_power(atom, 1)), exp)
 
 
-def _poly_to_func(sorted_poly: tuple) -> FuncExpr:
-    return _poly_to_expr(sorted_poly, _func_atom_power, f_product, f_sum)
+def _poly_to_func(poly: Poly) -> FuncExpr:
+    return _poly_to_expr(poly, _func_atom_power, f_product, f_sum)
 
 
 def func_from_form(form: CanonForm) -> FuncExpr:

@@ -167,47 +167,40 @@ def cmd_estimate(args) -> tuple[int, dict]:
     return 0, doc
 
 
+_SAMPLER_FLAGS = (
+    "p", "support", "weights", "low", "high", "points", "mean", "sd", "span"
+)
+
+
 def _mc_config_from_args(args) -> McConfig:
+    """Study from a JSON config file, or from flags that build the same dict."""
     if args.config:
         raw = json.loads(Path(args.config).read_text())
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        for key in ("estimand", "family", "n", "replicates", "seed"):
-            if key not in raw:
-                raise ValueError(f"config file lacks the required key {key!r}")
-        estimand = parse_expression(raw["estimand"])
-        return McConfig(
-            family=raw["family"],
-            params=raw.get("params", {}),
-            estimand=estimand,
-            n=int(raw["n"]),
-            replicates=int(raw["replicates"]),
-            seed=int(raw["seed"]),
-            level=float(raw.get("level", 0.95)),
-            column=raw.get("column", "X"),
-        )
-    if not args.family or not args.estimand:
+    elif not args.family or not args.estimand:
         raise ValueError("either --config or --family and --estimand are required")
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.support is not None:
-        params["support"] = [s for s in args.support.split(",") if s]
-    if args.weights is not None:
-        params["weights"] = [w for w in args.weights.split(",") if w]
-    for key in ("low", "high", "points", "mean", "sd", "span"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            params[key] = value
+    else:
+        keys = ("estimand", "family", "n", "replicates", "seed", "level", "column")
+        raw = {key: getattr(args, key) for key in keys}
+        flags = {key: getattr(args, key) for key in _SAMPLER_FLAGS}
+        params = {key: v for key, v in flags.items() if v is not None}
+        for key in ("support", "weights"):
+            if key in params:
+                params[key] = [v for v in params[key].split(",") if v]
+        raw["params"] = params
+    for key in ("estimand", "family", "n", "replicates", "seed"):
+        if key not in raw:
+            raise ValueError(f"config file lacks the required key {key!r}")
     return McConfig(
-        family=args.family,
-        params=params,
-        estimand=parse_expression(args.estimand),
-        n=args.n,
-        replicates=args.replicates,
-        seed=args.seed,
-        level=args.level,
-        column=args.column,
+        family=raw["family"],
+        params=raw.get("params", {}),
+        estimand=parse_expression(raw["estimand"]),
+        n=int(raw["n"]),
+        replicates=int(raw["replicates"]),
+        seed=int(raw["seed"]),
+        level=float(raw.get("level", 0.95)),
+        column=raw.get("column", "X"),
     )
 
 

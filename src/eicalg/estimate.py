@@ -171,7 +171,7 @@ class MomentTable:
     def mean(self, form: CanonForm) -> Fraction:
         """Expectation of a polynomial in base variables: sum of coeff * moment."""
         return sum(
-            (coeff * self.moment(mono) for mono, coeff in form.num), Fraction(0)
+            (c * self.moment(mono) for mono, c in form.num.items()), Fraction(0)
         )
 
     def evaluate(self, f: FuncExpr, mode: str = "exact"):

@@ -640,7 +640,8 @@ def _render(e, prec: int) -> str:
         s = "*".join(_render(f, 3) for f in e.factors)
         return f"({s})" if prec >= 3 else s
     if isinstance(e, (IntPower, FuncPower)):
-        return f"{_render(e.base, 3)}^{e.exponent}"
+        s = f"{_render(e.base, 4)}^{e.exponent}"
+        return f"({s})" if prec >= 4 else s
     raise TypeError(f"not an expression: {e!r}")
 
 

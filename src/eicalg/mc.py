@@ -73,16 +73,25 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     Families: ``bernoulli`` (p), ``discrete`` (support, weights),
     ``uniform-grid`` (low, high, points: equally weighted grid), and
     ``gaussian-grid`` (mean, sd, points, span: grid weighted by the normal
-    density, normalized exactly).
+    density, normalized exactly).  ``params`` is a dict (a JSON object); a
+    missing parameter raises ``ValueError`` naming it.
     """
+    if not isinstance(params, dict):
+        raise ValueError("sampler parameters must be a JSON object")
+
+    def param(key):
+        if key not in params:
+            raise ValueError(f"the {family} sampler needs the parameter {key!r}")
+        return params[key]
+
     if family == "bernoulli":
-        p = Fraction(str(params["p"]))
+        p = Fraction(str(param("p")))
         if not 0 < p < 1:
             raise ValueError("bernoulli parameter must lie in (0, 1)")
         return (Fraction(0), Fraction(1)), (1 - p, p)
     if family == "discrete":
-        support = tuple(Fraction(str(v)) for v in params["support"])
-        weights = tuple(Fraction(str(w)) for w in params["weights"])
+        support = tuple(Fraction(str(v)) for v in param("support"))
+        weights = tuple(Fraction(str(w)) for w in param("weights"))
         if len(support) != len(weights):
             raise ValueError("support and weights must have equal length")
         if len(set(support)) != len(support):
@@ -92,8 +101,8 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         kept = [(v, w) for v, w in zip(support, weights) if w > 0]
         return tuple(v for v, _ in kept), tuple(w for _, w in kept)
     if family == "uniform-grid":
-        low, high = Fraction(str(params["low"])), Fraction(str(params["high"]))
-        points = int(params["points"])
+        low, high = Fraction(str(param("low"))), Fraction(str(param("high")))
+        points = int(param("points"))
         if points < 1 or high <= low:
             raise ValueError("need high > low and at least one grid point")
         if points == 1:
@@ -102,8 +111,8 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         support = tuple(low + step * i for i in range(points))
         return support, tuple(Fraction(1, points) for _ in support)
     if family == "gaussian-grid":
-        mean = Fraction(str(params["mean"]))
-        sd = Fraction(str(params["sd"]))
+        mean = Fraction(str(param("mean")))
+        sd = Fraction(str(param("sd")))
         points = int(params.get("points", 41))
         span = Fraction(str(params.get("span", 4)))
         if sd <= 0 or points < 3:

@@ -10,9 +10,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eicalg.canon import (
     CanonForm,
+    _atom_key,
+    _mono,
+    _mono_key,
     canonicalize_func,
     canonicalize_rv,
     normalize_functional,
@@ -218,3 +223,42 @@ class TestSmoothAtoms:
     def test_expectation_factors_a_smooth_atom_out(self):
         psi = normalize_functional(parse_expression("E[X*exp(E[Y] + E[Y])]"))
         assert render_func(psi) == "E[X]*exp(2*E[Y])"
+
+
+def test_rational_form_string_parses_back_to_an_equal_form():
+    form = canonicalize_func(parse_expression("(E[X]^2 - 3*E[Y])*inv(2*E[X] + E[Y]^3)"))
+    assert not form.is_polynomial
+    assert canonicalize_func(parse_expression(str(form))) == form
+
+
+# ---------------------------------------------------------------------------
+# term order: the graded key against the monomial written out factor by factor
+
+
+def _flattened_key(mono):
+    """The key terms were once sorted by: each atom repeated by its exponent."""
+    degree = sum(exp for _, exp in mono)
+    return (degree, tuple(_atom_key(atom) for atom, exp in mono for _ in range(exp)))
+
+
+_SMOOTH_NODES = [Smooth("exp", E(X)), Smooth("log", E(Y)), Smooth("exp", E(X) + 1)]
+_ATOMS = [
+    ("v", "X"),
+    ("v", "Y"),
+    ("v", "Z2"),
+    ("m", (("X", 1),)),
+    ("m", (("X", 2),)),
+    ("m", (("X", 10),)),  # sorts before X^2 as a string
+    ("m", (("X", 1), ("Y", 1))),
+    ("m", (("Y", 3),)),
+    *(("s", (render_func(node), node)) for node in _SMOOTH_NODES),
+]
+monomials = st.dictionaries(
+    st.sampled_from(_ATOMS), st.integers(1, 12), max_size=4
+).map(_mono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(monomials, min_size=2, max_size=12))
+def test_graded_key_orders_as_the_flattened_key(monos):
+    assert sorted(monos, key=_mono_key) == sorted(monos, key=_flattened_key)

@@ -134,6 +134,13 @@ class TestParseCheck:
         code, _, err = run_cli(capsys, "parse-check", "Var(3)")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["(E[X]^2)^3", "E[(X^2)^3*Y]"])
+    def test_power_of_a_power_round_trips(self, capsys, text):
+        code, out, _ = run_cli(capsys, "--output", "structured", "parse-check", text)
+        assert code == 0
+        result = parse_structured(out)["results"][0]
+        assert result == {"parsed": text, "round_trip": True}
+
     @pytest.mark.parametrize("text", ["E[X]^\u0663", "E[X]^\u00b2"])
     def test_non_ascii_digit_is_unexpected_character(self, capsys, text):
         code, _, err = run_cli(capsys, "parse-check", text)
@@ -585,6 +592,45 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "family, flags, missing",
+        [
+            ("bernoulli", [], "p"),
+            ("discrete", ["--support", "0,1"], "weights"),
+            ("uniform-grid", ["--low", "0", "--high", "1"], "points"),
+            ("gaussian-grid", ["--mean", "0"], "sd"),
+        ],
+    )
+    def test_missing_sampler_parameter_is_usage_error(
+        self, capsys, family, flags, missing
+    ):
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", family, *flags, "--estimand", "E[X]",
+            "--n", "10", "--replicates", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"needs the parameter {missing!r}" in err
+
+    def test_config_params_not_an_object_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "mc.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "family": "bernoulli",
+                    "params": 5,
+                    "estimand": "E[X]",
+                    "n": 20,
+                    "replicates": 5,
+                    "seed": 1,
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "sampler parameters must be a JSON object" in err
 
 
 class TestDeterminism:
