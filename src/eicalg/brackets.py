@@ -16,7 +16,6 @@ through :func:`eicalg.eic.derive_eic`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,22 +45,6 @@ __all__ = [
     "IdentityRecord",
     "symbolic_identity_suite",
 ]
-
-# Test-only fault injection: when set, the centering applied to the FIRST
-# coordinate of the pair bracket is negated.  A sign slip at a single
-# centering site is the kind of bug the suites must catch: it flips the
-# covariance-of-centered-coordinates term, so the composite-bracket sum
-# becomes 2*Cov instead of zero and the jacobi suite fails with a concrete
-# counterexample.
-_BUG_ENV = "EICALG_NEGATE_CENTERING"
-
-
-def _center_first(space: FiniteProbSpace, f: RandVar) -> RandVar:
-    g = center(space, f)
-    if os.environ.get(_BUG_ENV):
-        return -g
-    return g
-
 
 # the two-variable functionals whose gradients the composite brackets need
 _X, _Y = var("X"), var("Y")
@@ -96,14 +79,14 @@ def bracket_T_P(
     space: FiniteProbSpace, x: RandVar, y: RandVar
 ) -> tuple[RandVar, RandVar]:
     """Centering-expectation bracket: the pair of centered coordinates."""
-    return (_center_first(space, x), center(space, y))
+    return (center(space, x), center(space, y))
 
 
 def nested_T_P_prod(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Centering applied to the covariance, minus the covariance of centerings."""
     gradient = evaluate_rv(_EIC_COV, space, _pair_binding(x, y))
     return gradient - embed(
-        covariance(space, _center_first(space, x), center(space, y)), space
+        covariance(space, center(space, x), center(space, y)), space
     )
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success or all identities pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .estimate import (
     wald_ci,
 )
 from .expr import render_func, to_float
-from .mc import McConfig, run_mc
+from .mc import McConfig, integer_setting, run_mc
 from .parser import parse_expression
 from .verify import available_suites, run_suite
 
@@ -46,19 +47,18 @@ def _document(command, inputs, results, verdicts, seed):
     }
 
 
-def _emit(doc, output, stream=None):
-    stream = stream or sys.stdout
+def _emit(doc, output):
     if output == "structured":
-        stream.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return
-    stream.write(f"command: {doc['command']}\n")
+    sys.stdout.write(f"command: {doc['command']}\n")
     for key, value in doc["inputs"].items():
-        stream.write(f"  {key}: {value}\n")
+        sys.stdout.write(f"  {key}: {value}\n")
     for result in doc["results"]:
         for key, value in result.items():
-            stream.write(f"{key}: {value}\n")
+            sys.stdout.write(f"{key}: {value}\n")
     for verdict in doc["verdicts"]:
-        stream.write(f"{verdict}\n")
+        sys.stdout.write(f"{verdict}\n")
 
 
 def cmd_parse_check(args) -> tuple[int, dict]:
@@ -192,13 +192,16 @@ def _mc_config_from_args(args) -> McConfig:
     for key in ("estimand", "family", "n", "replicates", "seed"):
         if key not in raw:
             raise ValueError(f"config file lacks the required key {key!r}")
+    for key in ("estimand", "family", "column"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ValueError(f"{key!r} must be a string")
     return McConfig(
         family=raw["family"],
         params=raw.get("params", {}),
         estimand=parse_expression(raw["estimand"]),
-        n=int(raw["n"]),
-        replicates=int(raw["replicates"]),
-        seed=int(raw["seed"]),
+        n=integer_setting("n", raw["n"]),
+        replicates=integer_setting("replicates", raw["replicates"]),
+        seed=integer_setting("seed", raw["seed"]),
         level=float(raw.get("level", 0.95)),
         column=raw.get("column", "X"),
     )
@@ -207,18 +210,8 @@ def _mc_config_from_args(args) -> McConfig:
 def cmd_simulate(args) -> tuple[int, dict]:
     config = _mc_config_from_args(args)
     report = run_mc(config)
-    result = {
-        "truth": report.truth,
-        "truth_exact": report.truth_exact,
-        "bound": report.bound,
-        "bound_exact": report.bound_exact,
-        "empirical_variance": report.empirical_variance,
-        "coverage": report.coverage,
-        "n": report.n,
-        "replicates": report.replicates,
-        "level": report.level,
-        "estimates_digest": report.estimates_digest,
-    }
+    result = dataclasses.asdict(report)
+    del result["seed"]
     doc = _document(
         "simulate",
         {
@@ -286,15 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--column", default="X")
-    p.add_argument("--p", default=None)
-    p.add_argument("--support", default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--low", default=None)
-    p.add_argument("--high", default=None)
-    p.add_argument("--points", default=None)
-    p.add_argument("--mean", default=None)
-    p.add_argument("--sd", default=None)
-    p.add_argument("--span", default=None)
+    for flag in _SAMPLER_FLAGS:
+        p.add_argument(f"--{flag}", default=None)
     p.set_defaults(handler=cmd_simulate)
     return parser
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 from .canon import CanonForm, canonicalize_rv
 from .eic import derive_eic
@@ -304,55 +305,11 @@ def onestep_estimate(
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile via Acklam's rational approximation.
-
-    Piecewise rational minimax approximation (relative error below 1.2e-9)
-    followed by one Halley refinement against the complementary error
-    function, giving accuracy near machine precision and comfortably within
-    1e-8.
-    """
+    """Standard normal quantile, by Wichura's AS241 algorithm in the
+    standard library (``statistics.NormalDist().inv_cdf``)."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile argument must lie in (0, 1)")
-    a = (
-        -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-        1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-    )
-    b = (
-        -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-        6.680131188771972e01, -1.328068155288572e01,
-    )
-    c = (
-        -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-        -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-    )
-    d = (
-        7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-        3.754408661907416e00,
-    )
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    elif p <= 1 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-        )
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -(
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    # Halley refinement on Phi(x) - p = 0
-    err = 0.5 * math.erfc(-x / math.sqrt(2)) - p
-    u = err * math.sqrt(2 * math.pi) * math.exp(x * x / 2)
-    x = x - u / (1 + x * u / 2)
-    return x
+    return NormalDist().inv_cdf(p)
 
 
 def wald_ci(estimate: float, se: float, level: float) -> tuple[float, float]:

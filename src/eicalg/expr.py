@@ -4,8 +4,11 @@ Two expression families share one module.  Random-variable expressions
 (``RvExpr``) denote elements of the function space over a finite probability
 space; functional expressions (``FuncExpr``) denote scalar parameters built
 from moments.  A functional appearing where a random variable is expected is
-embedded as a constant function, and the operator overloads apply that
-coercion automatically, so code can be written the way the formulas read::
+embedded as a constant function.  The operators ``+``, ``-``, ``*`` (with
+their reflected forms) and unary ``-`` follow one rule for both families:
+the result is a random variable when either operand is one, and a
+functional otherwise; ``**`` stays in its operand's family.  So code can be
+written the way the formulas read::
 
     x = var("X")
     variance = E(x**2) - E(x)**2
@@ -14,10 +17,10 @@ coercion automatically, so code can be written the way the formulas read::
 Expressions are immutable trees.  Smart constructors flatten nested sums and
 products, fold constants, and drop neutral elements; they do not attempt any
 deeper simplification (that is the canonicalizer's job).  The two families
-share one implementation per job: one builder each for sums, products and
-powers, parameterized by the family's node classes, one base-variable walker,
-and one renderer that dispatches on node type (no node type belongs to both
-families).
+share one implementation per job: one set of operators, one builder each for
+sums, products and powers, parameterized by the family's node classes, one
+base-variable walker, and one renderer that dispatches on node type (no node
+type belongs to both families).
 """
 
 from __future__ import annotations
@@ -81,30 +84,38 @@ def _coerce_const(x) -> Fraction:
 # node classes
 
 
-@dataclass(frozen=True)
-class RvExpr:
-    """Base class for random-variable expressions."""
+class _Operand:
+    """Arithmetic shared by both families, one rule for every operator.
+
+    The result is a random variable when either operand is one, and a
+    functional otherwise; the builders coerce the other operand.
+    """
 
     def __add__(self, other):
-        return rv_sum(self, _as_rv(other))
+        return _builders(self, other)[0](self, other)
 
     def __radd__(self, other):
-        return rv_sum(_as_rv(other), self)
+        return _builders(self, other)[0](other, self)
 
     def __sub__(self, other):
-        return rv_sum(self, _rv_neg(_as_rv(other)))
+        return _builders(self, other)[1](self, other)
 
     def __rsub__(self, other):
-        return rv_sum(_as_rv(other), _rv_neg(self))
-
-    def __neg__(self):
-        return _rv_neg(self)
+        return _builders(self, other)[1](other, self)
 
     def __mul__(self, other):
-        return rv_product(self, _as_rv(other))
+        return _builders(self, other)[2](self, other)
 
     def __rmul__(self, other):
-        return rv_product(_as_rv(other), self)
+        return _builders(self, other)[2](other, self)
+
+    def __neg__(self):
+        return _builders(self, self)[2](-1, self)
+
+
+@dataclass(frozen=True)
+class RvExpr(_Operand):
+    """Base class for random-variable expressions."""
 
     def __pow__(self, n: int):
         return rv_pow(self, n)
@@ -114,41 +125,8 @@ class RvExpr:
 
 
 @dataclass(frozen=True)
-class FuncExpr:
+class FuncExpr(_Operand):
     """Base class for scalar-functional expressions."""
-
-    def __add__(self, other):
-        if isinstance(other, RvExpr):
-            return rv_sum(rv_embed(self), other)
-        return f_sum(self, _as_func(other))
-
-    def __radd__(self, other):
-        if isinstance(other, RvExpr):
-            return rv_sum(other, rv_embed(self))
-        return f_sum(_as_func(other), self)
-
-    def __sub__(self, other):
-        if isinstance(other, RvExpr):
-            return rv_sum(rv_embed(self), _rv_neg(other))
-        return f_sum(self, _f_neg(_as_func(other)))
-
-    def __rsub__(self, other):
-        if isinstance(other, RvExpr):
-            return rv_sum(other, _rv_neg(rv_embed(self)))
-        return f_sum(_as_func(other), _f_neg(self))
-
-    def __neg__(self):
-        return _f_neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, RvExpr):
-            return rv_product(rv_embed(self), other)
-        return f_product(self, _as_func(other))
-
-    def __rmul__(self, other):
-        if isinstance(other, RvExpr):
-            return rv_product(other, rv_embed(self))
-        return f_product(_as_func(other), self)
 
     def __pow__(self, n: int):
         return f_pow(self, n)
@@ -300,12 +278,19 @@ def _as_func(x) -> FuncExpr:
     return FuncConst(_coerce_const(x))
 
 
-def _rv_neg(e: RvExpr) -> RvExpr:
-    return rv_product(RvConst(Fraction(-1)), e)
+def _rv_difference(a, b) -> RvExpr:
+    return rv_sum(a, rv_product(-1, b))
 
 
-def _f_neg(f: FuncExpr) -> FuncExpr:
-    return f_product(FuncConst(Fraction(-1)), f)
+def _f_difference(a, b) -> FuncExpr:
+    return f_sum(a, f_product(-1, b))
+
+
+def _builders(a, b):
+    """Sum, difference and product builders of the family of ``a op b``."""
+    if isinstance(a, RvExpr) or isinstance(b, RvExpr):
+        return rv_sum, _rv_difference, rv_product
+    return f_sum, _f_difference, f_product
 
 
 def _fold_sum(terms, coerce, sum_cls, const_cls):
@@ -645,9 +630,9 @@ def _render(e, prec: int) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def render_rv(e: RvExpr, prec: int = 0) -> str:
-    return _render(e, prec)
+def render_rv(e: RvExpr) -> str:
+    return _render(e, 0)
 
 
-def render_func(f: FuncExpr, prec: int = 0) -> str:
-    return _render(f, prec)
+def render_func(f: FuncExpr) -> str:
+    return _render(f, 0)

@@ -67,6 +67,15 @@ class McReport:
     estimates_digest: dict = field(default_factory=dict)
 
 
+def integer_setting(key: str, value) -> int:
+    """An int, or a digit string as the flags give it; not a bool or a float."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key!r} must be an integer")
+    return value
+
+
 def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Resolve a family name to (support, weights) with exact weights.
 
@@ -74,7 +83,7 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     ``uniform-grid`` (low, high, points: equally weighted grid), and
     ``gaussian-grid`` (mean, sd, points, span: grid weighted by the normal
     density, normalized exactly).  ``params`` is a dict (a JSON object); a
-    missing parameter raises ``ValueError`` naming it.
+    missing or mistyped parameter raises ``ValueError`` naming it.
     """
     if not isinstance(params, dict):
         raise ValueError("sampler parameters must be a JSON object")
@@ -90,6 +99,9 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
             raise ValueError("bernoulli parameter must lie in (0, 1)")
         return (Fraction(0), Fraction(1)), (1 - p, p)
     if family == "discrete":
+        for key in ("support", "weights"):
+            if not isinstance(param(key), list):
+                raise ValueError(f"the discrete sampler's {key!r} must be a list")
         support = tuple(Fraction(str(v)) for v in param("support"))
         weights = tuple(Fraction(str(w)) for w in param("weights"))
         if len(support) != len(weights):
@@ -102,7 +114,7 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         return tuple(v for v, _ in kept), tuple(w for _, w in kept)
     if family == "uniform-grid":
         low, high = Fraction(str(param("low"))), Fraction(str(param("high")))
-        points = int(param("points"))
+        points = integer_setting("points", param("points"))
         if points < 1 or high <= low:
             raise ValueError("need high > low and at least one grid point")
         if points == 1:
@@ -113,7 +125,7 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     if family == "gaussian-grid":
         mean = Fraction(str(param("mean")))
         sd = Fraction(str(param("sd")))
-        points = int(params.get("points", 41))
+        points = integer_setting("points", params.get("points", 41))
         span = Fraction(str(params.get("span", 4)))
         if sd <= 0 or points < 3:
             raise ValueError("need positive sd and at least three grid points")

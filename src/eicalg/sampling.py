@@ -27,11 +27,9 @@ def trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def random_space(
-    rng: random.Random, max_outcomes: int = 8, min_outcomes: int = 2
-) -> FiniteProbSpace:
+def random_space(rng: random.Random, max_outcomes: int = 8) -> FiniteProbSpace:
     """Space with 2..max outcomes and positive rational weights summing to 1."""
-    n = rng.randint(min_outcomes, max_outcomes)
+    n = rng.randint(2, max_outcomes)
     raw = [rng.randint(1, 9) for _ in range(n)]
     total = sum(raw)
     weights = tuple(Fraction(r, total) for r in raw)
@@ -46,11 +44,9 @@ def random_intvec(
     )
 
 
-def random_score(
-    rng: random.Random, space: FiniteProbSpace, low: int = -5, high: int = 5
-) -> RandVar:
+def random_score(rng: random.Random, space: FiniteProbSpace) -> RandVar:
     """Centered integer vector: an exact mean-zero direction."""
-    return center(space, random_intvec(rng, space, low, high))
+    return center(space, random_intvec(rng, space))
 
 
 def random_binding(

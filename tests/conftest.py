@@ -1,10 +1,12 @@
-"""Shared hypothesis strategies: small exact spaces and integer variables."""
+"""Shared hypothesis strategies (small exact spaces and integer variables)
+and the centering fault the negative-control tests inject."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from eicalg.measure import FiniteProbSpace, RandVar
+from eicalg import brackets
+from eicalg.measure import FiniteProbSpace, RandVar, covariance
 
 
 @st.composite
@@ -43,3 +45,11 @@ small_rationals = st.builds(
     st.integers(min_value=-12, max_value=12),
     st.integers(min_value=1, max_value=7),
 )
+
+
+def negate_first_centering(monkeypatch):
+    """Inject a sign slip at one centering site: the covariance of the
+    centered coordinates in nested_T_P_prod sees its first one negated."""
+    monkeypatch.setattr(
+        brackets, "covariance", lambda space, x, y: covariance(space, -x, y)
+    )

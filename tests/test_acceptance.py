@@ -6,12 +6,12 @@ deterministic, so this module is reproducible bit for bit.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as Q
 
+from conftest import negate_first_centering
 from eicalg.brackets import (
     jacobi_sum,
     nested_P_prod_T,
@@ -22,6 +22,7 @@ from eicalg.brackets import (
     symbolic_identity_suite,
 )
 from eicalg.canon import canonicalize_rv
+from eicalg.cli import main
 from eicalg.eic import certify_eic
 from eicalg.expr import E, inv, render_func, var
 from eicalg.measure import (
@@ -193,7 +194,7 @@ def test_criterion_7_decomposition():
     report(7, "decomposition orthogonal and exact on 500 instances")
 
 
-def test_criterion_8_determinism_and_cli_contracts():
+def test_criterion_8_determinism_and_cli_contracts(capsys, monkeypatch):
     # byte-identical structured reports under a fixed seed
     argv = [
         sys.executable,
@@ -208,9 +209,8 @@ def test_criterion_8_determinism_and_cli_contracts():
         "--seed",
         "8",
     ]
-    env = {k: v for k, v in os.environ.items() if k != "EICALG_NEGATE_CENTERING"}
-    first = subprocess.run(argv, capture_output=True, env=env)
-    second = subprocess.run(argv, capture_output=True, env=env)
+    first = subprocess.run(argv, capture_output=True)
+    second = subprocess.run(argv, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -228,27 +228,12 @@ def test_criterion_8_determinism_and_cli_contracts():
 
     # the injected centering fault makes the jacobi suite fail with a
     # concrete counterexample and a nonzero exit status
-    bugged_env = dict(env)
-    bugged_env["EICALG_NEGATE_CENTERING"] = "1"
-    bugged = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "eicalg.cli",
-            "--output",
-            "structured",
-            "verify",
-            "jacobi",
-            "--trials",
-            "50",
-            "--seed",
-            "8",
-        ],
-        capture_output=True,
-        env=bugged_env,
+    negate_first_centering(monkeypatch)
+    code = main(
+        ["--output", "structured", "verify", "jacobi", "--trials", "50", "--seed", "8"]
     )
-    assert bugged.returncode == 1
-    doc = json.loads(bugged.stdout)
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
     failing = [r for r in doc["results"] if r["verdict"] == "fail"]
     assert failing and "weights=" in failing[0]["counterexample"]
     report(8, "deterministic reports, round trips, and fault detection")

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 from hypothesis import given
 
-from conftest import small_rationals, space_and_vars
+from conftest import negate_first_centering, small_rationals, space_and_vars
 from eicalg.brackets import (
     bracket_P_prod,
     bracket_prod_T,
@@ -189,12 +189,11 @@ class TestSymbolicSuite:
 
 class TestFaultInjection:
     def test_negated_centering_breaks_jacobi(self, monkeypatch):
-        monkeypatch.setenv("EICALG_NEGATE_CENTERING", "1")
+        negate_first_centering(monkeypatch)
         total = jacobi_sum(SP, IND, FLIP)
         # under the fault, the sum collapses to twice the covariance
         assert total == embed(2 * covariance(SP, IND, FLIP), SP)
         assert not total.is_zero()
 
-    def test_clean_build_unaffected(self, monkeypatch):
-        monkeypatch.delenv("EICALG_NEGATE_CENTERING", raising=False)
+    def test_clean_build_unaffected(self):
         assert jacobi_sum(SP, IND, FLIP).is_zero()

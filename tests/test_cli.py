@@ -1,7 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, fault injection."""
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import negate_first_centering
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import main
 from eicalg.expr import E, var
@@ -347,7 +347,7 @@ class TestVerify:
         assert all(r["verdict"] == "pass" for r in doc["results"])
 
     def test_exit_one_on_failure(self, capsys, monkeypatch):
-        monkeypatch.setenv("EICALG_NEGATE_CENTERING", "1")
+        negate_first_centering(monkeypatch)
         code, out, _ = run_cli(
             capsys,
             "--output",
@@ -632,6 +632,37 @@ class TestSimulate:
         assert out == ""
         assert "sampler parameters must be a JSON object" in err
 
+    @pytest.mark.parametrize(
+        "family, params, changed, key",
+        [
+            ("discrete", {"support": 5, "weights": ["1"]}, {}, "support"),
+            ("discrete", {"support": "12", "weights": ["0.5", "0.5"]}, {}, "support"),
+            ("uniform-grid", {"low": "0", "high": "1", "points": [3]}, {}, "points"),
+            ("gaussian-grid", {"mean": "0", "sd": "1", "points": {"a": 1}}, {}, "points"),
+            ("uniform-grid", {"low": "0", "high": "1", "points": 2.7}, {}, "points"),
+            ("bernoulli", {"p": "0.5"}, {"n": [10]}, "n"),
+            ("bernoulli", {"p": "0.5"}, {"estimand": 5}, "estimand"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_usage_error(
+        self, capsys, tmp_path, family, params, changed, key
+    ):
+        fields = {
+            "family": family,
+            "params": params,
+            "estimand": "E[X]",
+            "n": 20,
+            "replicates": 5,
+            "seed": 1,
+            **changed,
+        }
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps(fields))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_bytes(self):
@@ -648,9 +679,8 @@ class TestDeterminism:
             "--seed",
             "11",
         ]
-        env = {k: v for k, v in os.environ.items() if k != "EICALG_NEGATE_CENTERING"}
-        first = subprocess.run(argv, capture_output=True, env=env)
-        second = subprocess.run(argv, capture_output=True, env=env)
+        first = subprocess.run(argv, capture_output=True)
+        second = subprocess.run(argv, capture_output=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 

@@ -331,6 +331,16 @@ class TestWald:
     def test_known_value(self):
         assert abs(normal_quantile(0.975) - 1.95996) < 1e-5
 
+    def test_quantile_against_mpmath_to_near_machine_precision(self):
+        # Wald intervals read the quantile in the upper tail, at 0.999 and
+        # 0.9995 among others; p = 0.5 is left out, its quantile being 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in [*range(1, 1000), *range(1001, 2000)]:
+                p = k / 2000
+                exact = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+                assert abs((normal_quantile(p) - exact) / exact) <= 1e-15, p
+
     def test_degenerate_interval(self):
         assert wald_ci(2.0, 0.0, 0.95) == (2.0, 2.0)
 

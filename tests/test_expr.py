@@ -1,24 +1,34 @@
 """Expression construction, evaluation, and rendering."""
 
+import operator
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eicalg.errors import EvaluationError, ExactModeError
 from eicalg.expr import (
     E,
     EmbedFunc,
     FuncConst,
+    FuncExpr,
     IntPower,
+    RvExpr,
     RvConst,
     RvProduct,
     RvSum,
     Smooth,
     evaluate_func,
     evaluate_rv,
+    f_pow,
+    f_product,
+    f_sum,
     inv,
     render_func,
+    rv_embed,
     rv_pow,
+    rv_product,
     rv_sum,
     var,
 )
@@ -167,3 +177,125 @@ class TestRendering:
     def test_non_decimal_constant_falls_back_to_inv(self):
         assert render_func(FuncConst(Q(1, 3))) == "inv(3)"
         assert render_func(FuncConst(Q(2, 3))) == "2*inv(3)"
+
+
+# The operators as each family defined them before the two families shared
+# one set: every formula coerces its operand by hand, and subtraction
+# negates in the result's family.
+
+
+def _old_as_rv(x):
+    if isinstance(x, RvExpr):
+        return x
+    if isinstance(x, FuncExpr):
+        return rv_embed(x)
+    return RvConst(x)
+
+
+def _old_as_func(x):
+    return x if isinstance(x, FuncExpr) else FuncConst(x)
+
+
+def _old_rv_neg(e):
+    return rv_product(RvConst(Q(-1)), e)
+
+
+def _old_f_neg(f):
+    return f_product(FuncConst(Q(-1)), f)
+
+
+_OLD_RV = {
+    "add": lambda s, o: rv_sum(s, _old_as_rv(o)),
+    "radd": lambda s, o: rv_sum(_old_as_rv(o), s),
+    "sub": lambda s, o: rv_sum(s, _old_rv_neg(_old_as_rv(o))),
+    "rsub": lambda s, o: rv_sum(_old_as_rv(o), _old_rv_neg(s)),
+    "mul": lambda s, o: rv_product(s, _old_as_rv(o)),
+    "rmul": lambda s, o: rv_product(_old_as_rv(o), s),
+    "neg": _old_rv_neg,
+}
+
+
+def _old_func_op(rv_formula, func_formula):
+    """A FuncExpr operator: the RvExpr formula once the other operand is one."""
+
+    def op(s, o):
+        if isinstance(o, RvExpr):
+            return rv_formula(rv_embed(s), o)
+        return func_formula(s, _old_as_func(o))
+
+    return op
+
+
+_OLD_FUNC = {
+    "add": _old_func_op(_OLD_RV["add"], lambda s, o: f_sum(s, o)),
+    "radd": _old_func_op(_OLD_RV["radd"], lambda s, o: f_sum(o, s)),
+    "sub": _old_func_op(_OLD_RV["sub"], lambda s, o: f_sum(s, _old_f_neg(o))),
+    "rsub": _old_func_op(_OLD_RV["rsub"], lambda s, o: f_sum(o, _old_f_neg(s))),
+    "mul": _old_func_op(_OLD_RV["mul"], lambda s, o: f_product(s, o)),
+    "rmul": _old_func_op(_OLD_RV["rmul"], lambda s, o: f_product(o, s)),
+    "neg": _old_f_neg,
+}
+
+
+def _old(name, e, *other):
+    return (_OLD_RV if isinstance(e, RvExpr) else _OLD_FUNC)[name](e, *other)
+
+
+def _as_func_tree(t):
+    return t if isinstance(t, FuncExpr) else E(t)
+
+
+_constants = st.sampled_from([Q(-1), Q(0), Q(1), Q(2), Q(1, 2), Q(-3, 4)])
+_leaves = st.one_of(
+    st.sampled_from([X, Y]), _constants.map(RvConst), _constants.map(FuncConst)
+)
+
+
+def _extend(children):
+    funcs = children.map(_as_func_tree)
+    return st.one_of(
+        st.builds(rv_sum, children, children),
+        st.builds(rv_product, children, children),
+        st.builds(rv_pow, children, st.integers(0, 2)),
+        st.builds(f_sum, funcs, funcs),
+        st.builds(f_product, funcs, funcs),
+        st.builds(f_pow, funcs, st.integers(0, 2)),
+        st.builds(lambda c: inv(E(c)), children),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=6)
+_operands = st.one_of(
+    _trees.map(lambda t: t if isinstance(t, RvExpr) else rv_embed(t)),
+    _trees.map(_as_func_tree),
+    st.integers(-3, 3),
+    _constants,
+)
+_EXPRS = (RvExpr, FuncExpr)
+
+
+class TestOperatorOracle:
+    """The shared operators build the same trees as the per-family ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_operands, _operands)
+    def test_binary_operators(self, a, b):
+        if not isinstance(a, _EXPRS) and not isinstance(b, _EXPRS):
+            return
+        for name in ("add", "sub", "mul"):
+            got = getattr(operator, name)(a, b)
+            # Python tries the left operand's forward method first; the old
+            # forward methods never returned NotImplemented
+            if isinstance(a, _EXPRS):
+                want = _old(name, a, b)
+            else:
+                want = _old("r" + name, b, a)
+            assert got == want, name
+            if isinstance(b, _EXPRS):
+                reflected = getattr(b, f"__r{name}__")(a)
+                assert reflected == _old("r" + name, b, a), "r" + name
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operands.filter(lambda e: isinstance(e, _EXPRS)))
+    def test_unary_minus(self, e):
+        assert -e == _old("neg", e)
