@@ -68,7 +68,8 @@ __all__ = [
 # A base monomial is a tuple of (variable name, exponent) sorted by name.
 # An atom is ("v", name), ("m", base monomial) or ("s", (key, node)), where
 # node is a Smooth over a canonical argument and key its rendering, computed
-# once because it sorts the atom.  A monomial is a tuple of
+# once because it sorts the atom; ("o", (key,)) is an opaque embedded
+# functional (see ``canonicalize_rv``).  A monomial is a tuple of
 # (atom, exponent) sorted by the atom sort key, sorted only in ``_mono``.  A
 # polynomial is a dict from monomial to nonzero Fraction.  Forms share these
 # dicts, so no code may mutate a form's ``num`` or ``den``.
@@ -296,14 +297,19 @@ def _canonicalize_shared(x, recurse) -> CanonForm:
     raise TypeError(f"not an expression: {x!r}")
 
 
-def canonicalize_rv(e: RvExpr) -> CanonForm:
-    """Fully expanded normal form of a random-variable expression."""
+def canonicalize_rv(e: RvExpr, atoms: dict | None = None) -> CanonForm:
+    """Fully expanded normal form of a random-variable expression.  Given
+    ``atoms``, each embedded functional stays an opaque atom, and ``atoms``
+    maps its rendering to it in walk order, cancelled ones included."""
     if isinstance(e, BaseVar):
         return CanonForm.from_atom(("v", e.name))
+    if isinstance(e, EmbedFunc) and atoms is not None:
+        atoms.setdefault(key := render_func(e.func), e.func)
+        return CanonForm.from_atom(("o", (key,)))
     if isinstance(e, EmbedFunc):
         return canonicalize_func(e.func)
     if isinstance(e, RvExpr):
-        return _canonicalize_shared(e, canonicalize_rv)
+        return _canonicalize_shared(e, lambda x: canonicalize_rv(x, atoms))
     raise TypeError(f"not a random-variable expression: {e!r}")
 
 

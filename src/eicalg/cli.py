@@ -195,6 +195,9 @@ def _mc_config_from_args(args) -> McConfig:
     for key in ("estimand", "family", "column"):
         if not isinstance(raw.get(key, ""), str):
             raise ValueError(f"{key!r} must be a string")
+    level = raw.get("level", 0.95)
+    if isinstance(level, bool) or not isinstance(level, (int, float, str)):
+        raise ValueError("'level' must be a real number or a numeric string")
     return McConfig(
         family=raw["family"],
         params=raw.get("params", {}),
@@ -202,7 +205,7 @@ def _mc_config_from_args(args) -> McConfig:
         n=integer_setting("n", raw["n"]),
         replicates=integer_setting("replicates", raw["replicates"]),
         seed=integer_setting("seed", raw["seed"]),
-        level=float(raw.get("level", 0.95)),
+        level=float(level),
         column=raw.get("column", "X"),
     )
 

@@ -2,25 +2,24 @@
 
 Data cells are parsed exactly (a decimal literal is a ratio over a power of
 ten).  A plug-in functional of moments and its gradient are rational in
-primitive moments E[X^a Y^b], so the estimators evaluate them on a
-:class:`MomentTable`: each column is scaled to integers once, and each
-primitive moment the expression needs is one integer sum over the rows,
-computed on first use.  The functional's value, the gradient's variance and
-the one-step correction come out exactly; in particular the empirical mean
-of a plug-in gradient is exactly zero, not zero up to rounding.  Float mode
-rounds every embedded functional to a float exactly as pointwise evaluation
-does, so both modes give the same numbers as evaluating row by row on
-:func:`empirical_space`, which stays as the independent route.
+primitive moments E[X^a Y^b], so each estimator compiles the functional
+once (:class:`CompiledEstimand`) and values it on a :class:`MomentTable`,
+whose primitive moments are integer sums over columns scaled to integers.
+Results are exact; the empirical mean of a plug-in gradient is exactly
+zero.  Float mode rounds every embedded functional to a float as pointwise
+evaluation does, so both modes give the same numbers as evaluating row by
+row on :func:`empirical_space`, which stays as the independent route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from statistics import NormalDist
 
-from .canon import CanonForm, canonicalize_rv
+from .canon import canonicalize_rv, expectation_of_form
 from .eic import derive_eic
 from .errors import DataError, EvaluationError
 from .expr import (
@@ -47,6 +46,7 @@ from .numerals import is_decimal_literal
 __all__ = [
     "Dataset",
     "MomentTable",
+    "CompiledEstimand",
     "read_delimited",
     "empirical_space",
     "plugin_estimate",
@@ -158,43 +158,68 @@ class MomentTable:
         self._moments: dict = {}
 
     def moment(self, mono) -> Fraction:
-        """E[prod X^a] of a canonical monomial in base-variable atoms."""
+        """E[prod X^a] of a base monomial ((name, exponent), ...)."""
         value = self._moments.get(mono)
         if value is None:
             terms, scale = self._counts, self._total
-            for (_, name), exponent in mono:
+            for name, exponent in mono:
                 column_scale, column = self._columns[name]
                 terms = [t * x**exponent for t, x in zip(terms, column)]
                 scale *= column_scale**exponent
             value = self._moments[mono] = Fraction(sum(terms), scale)
         return value
 
-    def mean(self, form: CanonForm) -> Fraction:
-        """Expectation of a polynomial in base variables: sum of coeff * moment."""
-        return sum(
-            (c * self.moment(mono) for mono, c in form.num.items()), Fraction(0)
-        )
+    def value(self, poly, scalars: dict) -> Fraction:
+        """A polynomial over moment and opaque atoms, as one integer sum."""
+        num, den = 0, 1
+        for mono, coeff in poly.items():
+            n, d = coeff.numerator, coeff.denominator
+            for (kind, key), exp in mono:
+                x = self.moment(key) if kind == "m" else scalars[key[0]]
+                n, d = n * x.numerator**exp, d * x.denominator**exp
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+        return Fraction(num, den)
 
-    def evaluate(self, f: FuncExpr, mode: str = "exact"):
-        """Value of a functional under the table's law, as :func:`evaluate_func`."""
-        return evaluate_func_with(f, lambda arg: self._expect(arg, mode), mode)
 
-    def bind(self, e: RvExpr, mode: str = "exact") -> RvExpr:
-        """Replace embedded functionals by their values under the table's law.
+class CompiledEstimand:
+    """An estimand compiled once and valued on many laws (moment tables).
 
-        In float mode a value is rounded to a float, exactly as the
-        embedded-functional case of :func:`evaluate_rv` does.
-        """
-        return _bind_embedded(e, lambda f: Fraction(self.evaluate(f, mode)))
+    Each moment argument, and the gradient, is canonicalized once to a form
+    P whose embedded functionals are opaque atoms, so E[P] (and E[P^2]) is
+    a fixed polynomial in primitive moments and those atoms.  A law values
+    every atom met, cancelled or not, by the tree walk, as pointwise
+    evaluation does, and substitutes: one rational function, same values.
+    """
 
-    def variance(self, g: RvExpr, mode: str = "exact") -> Fraction:
-        """E[g^2] - E[g]^2, with g expanded once; as :func:`eic_variance`."""
-        form = canonicalize_rv(self.bind(g, mode))
-        mean = self.mean(form)
-        return self.mean(form * form) - mean * mean
+    def __init__(self, psi: FuncExpr, mode: str = "exact"):
+        self.psi, self.mode, self._forms = psi, mode, {}
 
-    def _expect(self, arg: RvExpr, mode: str) -> Fraction:
-        return self.mean(canonicalize_rv(self.bind(arg, mode)))
+    @cached_property
+    def eic(self) -> RvExpr:
+        return derive_eic(self.psi, mode=self.mode).eic
+
+    def value(self, table: MomentTable, f: FuncExpr | None = None):
+        """The estimand, or ``f``, under the table's law; as evaluate_func."""
+        expect = lambda arg: self.means(arg, table)[0]  # noqa: E731
+        return evaluate_func_with(f or self.psi, expect, self.mode)
+
+    def variance(self, table: MomentTable) -> Fraction:
+        """E[g^2] - E[g]^2 of the gradient g; as :func:`eic_variance`."""
+        mean, square = self.means(self.eic, table, square=True)
+        return square - mean * mean
+
+    def means(self, e: RvExpr, table, fit=None, square=False) -> list:
+        """E[e], and E[e^2] if ``square``, with moments under ``table`` and
+        embedded functionals under ``fit`` (by default ``table``)."""
+        if (e, square) not in self._forms:
+            atoms: dict = {}
+            form = canonicalize_rv(e, atoms)
+            forms = [form, form * form] if square else [form]
+            self._forms[e, square] = atoms, [expectation_of_form(f).num for f in forms]
+        atoms, polys = self._forms[e, square]
+        scalars = {k: Fraction(self.value(fit or table, f)) for k, f in atoms.items()}
+        return [table.value(poly, scalars) for poly in polys]
 
 
 def _data_table(psi: FuncExpr, data: Dataset) -> MomentTable:
@@ -218,7 +243,7 @@ def _data_table(psi: FuncExpr, data: Dataset) -> MomentTable:
 
 def plugin_estimate(psi: FuncExpr, data: Dataset, mode: str = "exact"):
     """Functional evaluated at the empirical measure."""
-    return _data_table(psi, data).evaluate(psi, mode)
+    return CompiledEstimand(psi, mode).value(_data_table(psi, data))
 
 
 def _bind_embedded(e: RvExpr, value_of) -> RvExpr:
@@ -268,9 +293,8 @@ def standard_error(variance: Fraction, n: int) -> float:
 
 def eic_standard_error(psi: FuncExpr, data: Dataset, mode: str = "exact") -> float:
     """Standard error sqrt(Var_hat(gradient)/n) at the empirical measure."""
-    table = _data_table(psi, data)
-    eic = derive_eic(psi, mode=mode).eic
-    return standard_error(table.variance(eic, mode), data.n)
+    variance = CompiledEstimand(psi, mode).variance(_data_table(psi, data))
+    return standard_error(variance, data.n)
 
 
 def onestep_estimate(
@@ -295,9 +319,8 @@ def onestep_estimate(
         raise ValueError("fold too small to evaluate the functional")
     fit = _data_table(psi, data.subset(0, k))
     held = _data_table(psi, data.subset(k, n))
-    estimate = fit.evaluate(psi)
-    fitted_eic = fit.bind(derive_eic(psi).eic)
-    return estimate + held.mean(canonicalize_rv(fitted_eic))
+    compiled = CompiledEstimand(psi)
+    return compiled.value(fit) + compiled.means(compiled.eic, held, fit)[0]
 
 
 # ---------------------------------------------------------------------------

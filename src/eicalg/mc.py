@@ -4,16 +4,14 @@ A sampler draws i.i.d. samples from a finite law (a named family resolved to
 exact support points and weights), the plug-in estimator is evaluated on
 each replicate's empirical measure, and the report compares the empirical
 variance of the root-n scaled error against the gradient's variance under
-the true law, together with Wald interval coverage.  Both laws are exact
-moment tables (:class:`~eicalg.estimate.MomentTable`) over the support: the
-true law counts each point by its weight over the lcm of the weights'
-denominators, and a replicate by its multinomial count over n.
+the true law, together with Wald interval coverage.  The estimand is
+compiled once (:class:`~eicalg.estimate.CompiledEstimand`); each law is
+then one power-sum pass over the support, counted by weight over the lcm
+of the weights' denominators (true law) or by multinomial count over n.
 
-Reproducibility contract: the replicate streams are counter-based.  The
-stream for replicate ``r`` is ``numpy``'s PCG64 generator seeded with
-``SeedSequence((seed, r))``, so a report is a pure function of its
-configuration.  Sampling itself draws one multinomial count vector over the
-support per replicate.
+Reproducibility contract: replicate ``r`` draws one multinomial count
+vector from ``numpy``'s PCG64 generator seeded with ``SeedSequence((seed,
+r))``, so a report is a pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .eic import derive_eic
-from .estimate import MomentTable, normal_quantile, standard_error
+from .estimate import CompiledEstimand, MomentTable, normal_quantile, standard_error
 from .expr import FuncExpr, func_base_vars
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
@@ -48,6 +45,8 @@ class McConfig:
             raise ValueError("sample size must be at least 2")
         if self.replicates < 1:
             raise ValueError("at least one replicate required")
+        if self.seed < 0:
+            raise ValueError("'seed' must be nonnegative")
         if not 0.0 < self.level < 1.0:
             raise ValueError("confidence level must lie in (0, 1)")
 
@@ -129,6 +128,8 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         span = Fraction(str(params.get("span", 4)))
         if sd <= 0 or points < 3:
             raise ValueError("need positive sd and at least three grid points")
+        if span <= 0:
+            raise ValueError("need positive span")
         step = 2 * span * sd / (points - 1)
         support = tuple(mean - span * sd + step * i for i in range(points))
         raw = [
@@ -156,9 +157,9 @@ def run_mc(config: McConfig) -> McReport:
         [w.numerator * (scale // w.denominator) for w in weights],
         scale,
     )
-    truth = truth_table.evaluate(config.estimand)
-    eic = derive_eic(config.estimand).eic
-    bound = truth_table.variance(eic)
+    estimand = CompiledEstimand(config.estimand)
+    truth = estimand.value(truth_table)
+    bound = estimand.variance(truth_table)
 
     probs = np.array([float(w) for w in weights], dtype=np.float64)
     probs = probs / probs.sum()
@@ -173,24 +174,16 @@ def run_mc(config: McConfig) -> McReport:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((config.seed, r)))
         )
-        counts = rng.multinomial(config.n, probs)
-        kept = [(i, int(c)) for i, c in enumerate(counts) if c > 0]
-        table = MomentTable(
-            {config.column: [support[i] for i, _ in kept]},
-            [c for _, c in kept],
-            config.n,
-        )
-        estimate_f = float(table.evaluate(config.estimand))
+        counts = rng.multinomial(config.n, probs).tolist()
+        table = MomentTable({config.column: support}, counts, config.n)
+        estimate_f = float(estimand.value(table))
         estimates.append(estimate_f)
         errors.append(sqrt_n * (estimate_f - truth_f))
-        se = standard_error(table.variance(eic), config.n)
+        se = standard_error(estimand.variance(table), config.n)
         if abs(estimate_f - truth_f) <= z * se:
             covered += 1
 
-    if len(errors) > 1:
-        empirical_variance = statistics.variance(errors)
-    else:
-        empirical_variance = 0.0
+    empirical_variance = statistics.variance(errors) if len(errors) > 1 else 0.0
     digest = {
         "mean": statistics.fmean(estimates),
         "stdev": statistics.pstdev(estimates),

@@ -735,3 +735,85 @@ class TestDocumentSchema:
             "seed",
             "version",
         ]
+
+
+class TestSimulateSettings:
+    BASE = {
+        "family": "bernoulli",
+        "params": {"p": "0.5"},
+        "estimand": "E[X]",
+        "n": 20,
+        "replicates": 5,
+        "seed": 1,
+    }
+
+    @pytest.mark.parametrize(
+        "changed, key",
+        [
+            ({"level": None}, "level"),
+            ({"level": True}, "level"),
+            ({"level": [0.9]}, "level"),
+            ({"seed": -1}, "seed"),
+        ],
+    )
+    def test_config_setting_is_usage_error_naming_the_key(
+        self, capsys, tmp_path, changed, key
+    ):
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({**self.BASE, **changed}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
+    def test_numeric_string_level_is_accepted(self, capsys, tmp_path):
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({**self.BASE, "level": "0.9"}))
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "simulate", "--config", str(config)
+        )
+        assert code == 0
+        assert parse_structured(out)["inputs"]["level"] == 0.9
+
+    def test_negative_seed_flag_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "bernoulli", "--p", "0.5",
+            "--estimand", "E[X]", "--n", "10", "--replicates", "2", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "'seed'" in err
+
+    @pytest.mark.parametrize("span", ["0", "-1"])
+    def test_gaussian_grid_needs_positive_span(self, capsys, span):
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "gaussian-grid", "--mean", "0",
+            "--sd", "1", "--span", span, "--points", "3", "--estimand", "Var(X)",
+        )
+        assert code == 2
+        assert out == ""
+        assert "need positive span" in err
+
+
+class TestReciprocalOfZeroIsNotCancelled:
+    """E[X]*inv(E[X]) has the canonical form 1, but a law with E[X] = 0
+    must still fail at the reciprocal, as pointwise evaluation does."""
+
+    def test_estimate(self, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text("X\n1\n-1\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "E[X]*inv(E[X])", "--data", str(data)
+        )
+        assert code == 3
+        assert out == ""
+        assert "reciprocal of a functional evaluating to zero" in err
+
+    def test_simulate(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", "bernoulli", "--p", "0.05",
+            "--estimand", "E[X]*inv(E[X])", "--n", "2", "--replicates", "20",
+        )
+        assert code == 3
+        assert out == ""
+        assert "reciprocal of a functional evaluating to zero" in err

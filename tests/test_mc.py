@@ -194,3 +194,85 @@ class TestMomentTableAgainstPointwise:
         expected = _pointwise_study(config)
         got = {key: getattr(report, key) for key in expected}
         assert got == expected
+
+
+def _outcome(study):
+    """The study's fields, or the type of its error."""
+    try:
+        return study()
+    except ValueError as exc:  # every package error is a ValueError
+        return type(exc)
+
+
+class TestCompiledRouteOnDegenerateReplicates:
+    """Small samples from a lopsided law: some replicates have a single
+    distinct value, so Var(X) = 0 there and the reciprocal fails.  The
+    compiled route and the pointwise recomputation agree on each study,
+    on its report or on the error type."""
+
+    FIELDS = (
+        "truth_exact", "bound_exact", "empirical_variance", "coverage",
+        "estimates_digest",
+    )
+
+    @pytest.mark.parametrize(
+        "estimand", [E((X - E(X)) ** 4) * inv(VARIANCE**2), E(X) * inv(VARIANCE)]
+    )
+    def test_report_or_error_equals_pointwise(self, estimand):
+        outcomes = []
+        for seed in range(12):
+            config = McConfig(
+                family="discrete",
+                params={"support": ["-1", "0.5", "2.25"], "weights": ["0.1", "0.1", "0.8"]},
+                estimand=estimand,
+                n=6,
+                replicates=4,
+                seed=seed,
+            )
+            expected = _outcome(lambda: _pointwise_study(config))
+            got = _outcome(
+                lambda: {key: getattr(run_mc(config), key) for key in self.FIELDS}
+            )
+            assert got == expected, seed
+            outcomes.append(isinstance(expected, type))
+        assert any(outcomes) and not all(outcomes)
+
+
+class TestCompiledOnce:
+    def _canonicalizations(self, monkeypatch, config) -> dict:
+        """Calls of the canonicalizers during one study, recursive ones
+        included, counted wherever an eicalg module holds them."""
+        import sys
+
+        from eicalg import canon
+
+        counts = {}
+        for name in ("canonicalize_rv", "canonicalize_func"):
+            original = getattr(canon, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("eicalg") and getattr(
+                    module, name, None
+                ) is original:
+                    monkeypatch.setattr(module, name, counted)
+        run_mc(config)
+        monkeypatch.undo()
+        return counts
+
+    def test_canonicalizations_do_not_grow_with_replicates(self, monkeypatch):
+        config = McConfig(
+            family="discrete",
+            params={"support": ["-1", "0.5", "2.25"], "weights": ["0.2", "0.3", "0.5"]},
+            estimand=E((X - E(X)) ** 3) * inv(VARIANCE),
+            n=25,
+            replicates=5,
+            seed=9,
+        )
+        few = self._canonicalizations(monkeypatch, config)
+        many = self._canonicalizations(monkeypatch, replace(config, replicates=50))
+        assert few == many
+        assert few["canonicalize_rv"] > 0 and few["canonicalize_func"] > 0
