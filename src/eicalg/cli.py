@@ -154,7 +154,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
         "n": data.n,
     }
     if args.split is not None:
-        onestep = onestep_estimate(psi, data, Fraction(str(args.split)))
+        onestep = onestep_estimate(psi, data, Fraction(str(args.split)), args.mode)
         result["onestep"] = str(onestep)
         result["onestep_float"] = to_float(onestep)
     doc = _document(

@@ -1,10 +1,13 @@
-"""Estimation from data: empirical measures, plug-in and one-step estimators.
+"""Estimation from data: empirical laws, plug-in and one-step estimators.
 
-Data cells are parsed exactly (a decimal literal is a ratio over a power of
-ten).  A plug-in functional of moments and its gradient are rational in
-primitive moments E[X^a Y^b], so each estimator compiles the functional
-once (:class:`CompiledEstimand`) and values it on a :class:`MomentTable`,
-whose primitive moments are integer sums over columns scaled to integers.
+A law is a :class:`Dataset`: columns of Python ints over one scale each,
+with a count per row.  A data cell is parsed exactly, as an integer over a
+power of ten, and each column is kept over the largest power of ten of its
+cells, so no cell is ever a binary float or a ``Fraction``.  A plug-in
+functional of moments and its gradient are rational in primitive moments
+E[X^a Y^b], so each estimator compiles the functional once
+(:class:`CompiledEstimand`) and values it on a law, whose primitive
+moments are integer sums over the columns, each computed once per law.
 Results are exact; the empirical mean of a plug-in gradient is exactly
 zero.  Float mode rounds every embedded functional to a float as pointwise
 evaluation does, so both modes give the same numbers as evaluating row by
@@ -14,7 +17,6 @@ row on :func:`empirical_space`, which stays as the independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from statistics import NormalDist
@@ -23,21 +25,11 @@ from .canon import canonicalize_rv, expectation_of_form
 from .eic import derive_eic
 from .errors import DataError, EvaluationError
 from .expr import (
-    BaseVar,
-    EmbedFunc,
     FuncExpr,
-    IntPower,
-    RvConst,
     RvExpr,
-    RvProduct,
-    RvSum,
-    evaluate_func,
     evaluate_func_with,
     evaluate_rv,
     func_base_vars,
-    rv_pow,
-    rv_product,
-    rv_sum,
     to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
@@ -45,54 +37,98 @@ from .numerals import is_decimal_literal
 
 __all__ = [
     "Dataset",
-    "MomentTable",
     "CompiledEstimand",
     "read_delimited",
     "empirical_space",
     "plugin_estimate",
     "eic_standard_error",
     "onestep_estimate",
-    "bind_moments",
     "standard_error",
     "normal_quantile",
     "wald_ci",
 ]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Rectangular numeric data with named columns."""
+    """A finite law over named columns, with its primitive moments.
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    ``columns`` maps each name to ``(scale, ints)``: row ``i`` holds the
+    value ``ints[i] / scale``.  The law puts mass ``counts[i] / total`` on
+    row ``i`` (data rows count one each, a Monte Carlo replicate counts its
+    draws) and ``n`` is the total, so a primitive moment E[prod_j X_j^a_j]
+    is the single integer sum ``sum_i c_i prod_j x_ij^a_j`` divided by
+    ``total * prod_j scale_j^a_j``.  :meth:`value` computes each moment on
+    first use and caches it, so estimators valued on the same law share one
+    pass per moment.
+    """
 
-    def __post_init__(self):
-        if len(set(self.columns)) != len(self.columns):
-            raise DataError("column names must be distinct")
-        if not self.rows:
+    def __init__(self, columns: dict, counts, total: int):
+        self._columns, self._counts, self.n = columns, list(counts), total
+        self._moments: dict = {}
+        if not self._counts:
             raise DataError("at least one row required")
-        width = len(self.columns)
-        for row in self.rows:
-            if len(row) != width:
-                raise DataError("ragged row")
+        if any(len(ints) != len(self._counts) for _, ints in columns.values()):
+            raise DataError("each column needs one value per row")
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def columns(self) -> tuple[str, ...]:
+        return tuple(self._columns)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact rows, each repeated by its count."""
+        values = zip(*(
+            [Fraction(x, scale) for x in ints] for scale, ints in self._columns.values()
+        ))
+        return tuple(row for row, c in zip(values, self._counts) for _ in range(c))
 
     def subset(self, start: int, stop: int) -> "Dataset":
-        return Dataset(self.columns, self.rows[start:stop])
+        """The law of rows ``start`` to ``stop``, on the same scales."""
+        counts = self._counts[start:stop]
+        columns = {
+            name: (scale, ints[start:stop])
+            for name, (scale, ints) in self._columns.items()
+        }
+        return Dataset(columns, counts, sum(counts))
+
+    def moment(self, mono) -> Fraction:
+        """E[prod X^a] of a base monomial ((name, exponent), ...), by one
+        integer pass over the rows."""
+        terms, scale = self._counts, self.n
+        for name, exponent in mono:
+            column_scale, column = self._columns[name]
+            terms = [t * x**exponent for t, x in zip(terms, column)]
+            scale *= column_scale**exponent
+        return Fraction(sum(terms), scale)
+
+    def value(self, poly, scalars: dict) -> Fraction:
+        """A polynomial over moment and opaque atoms, as one integer sum."""
+        num, den = 0, 1
+        for mono, coeff in poly.items():
+            n, d = coeff.numerator, coeff.denominator
+            for (kind, key), exp in mono:
+                if kind != "m":
+                    x = scalars[key[0]]
+                elif key in self._moments:
+                    x = self._moments[key]
+                else:
+                    x = self._moments[key] = self.moment(key)
+                n, d = n * x.numerator**exp, d * x.denominator**exp
+            g = math.gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+        return Fraction(num, den)
 
 
-def _parse_cell(text: str) -> Fraction:
+def _parse_cell(text: str) -> tuple[int, int]:
+    """A decimal cell as (integer, digits after the point)."""
     text = text.strip()
     negative = text.startswith("-")
     body = text[1:] if negative else text
     if not is_decimal_literal(body):
         raise DataError(f"non-numeric cell {text!r}")
     whole, _, frac = body.partition(".")
-    value = Fraction(int(whole + frac), 10 ** len(frac))
-    return -value if negative else value
+    value = int(whole + frac)
+    return (-value if negative else value), len(frac)
 
 
 def read_delimited(text: str) -> Dataset:
@@ -102,16 +138,26 @@ def read_delimited(text: str) -> Dataset:
         raise DataError("need a header line and at least one data row")
     if any(ch in text for ch in ('"', "'", "\\")):
         raise DataError("quoting and escapes are not supported")
-    columns = tuple(name.strip() for name in lines[0].split(","))
-    if any(not name for name in columns):
+    names = [name.strip() for name in lines[0].split(",")]
+    if any(not name for name in names):
         raise DataError("empty column name")
-    rows = []
+    values, digits = [[] for _ in names], [[] for _ in names]
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != len(columns):
+        if len(cells) != len(names):
             raise DataError("ragged row")
-        rows.append(tuple(_parse_cell(cell) for cell in cells))
-    return Dataset(columns, tuple(rows))
+        for cell, column, places in zip(cells, values, digits):
+            value, d = _parse_cell(cell)
+            column.append(value)
+            places.append(d)
+    if len(set(names)) != len(names):
+        raise DataError("column names must be distinct")
+    columns = {}
+    for name, column, places in zip(names, values, digits):
+        top = max(places)
+        columns[name] = (10**top, [v * 10 ** (top - d) for v, d in zip(column, places)])
+    n = len(lines) - 1
+    return Dataset(columns, [1] * n, n)
 
 
 def empirical_space(data: Dataset) -> tuple[FiniteProbSpace, dict[str, RandVar]]:
@@ -136,54 +182,8 @@ def empirical_space(data: Dataset) -> tuple[FiniteProbSpace, dict[str, RandVar]]
     return space, binding
 
 
-class MomentTable:
-    """Exact primitive moments of a finite law given by columns and counts.
-
-    The law puts mass ``counts[i] / total`` on row ``i``.  Column ``j`` is
-    scaled once to Python ints ``x_ij = D_j * value_ij``, with ``D_j`` the
-    lcm of its denominators, so a primitive moment E[prod_j X_j^a_j] is the
-    single integer sum ``sum_i c_i prod_j x_ij^a_j`` divided by
-    ``total * prod_j D_j^a_j``.  Each moment is computed on first use and
-    cached.
-    """
-
-    def __init__(self, columns: dict, counts, total: int):
-        self._columns = {}
-        for name, values in columns.items():
-            scale = math.lcm(*{v.denominator for v in values})
-            ints = [v.numerator * (scale // v.denominator) for v in values]
-            self._columns[name] = (scale, ints)
-        self._counts = list(counts)
-        self._total = total
-        self._moments: dict = {}
-
-    def moment(self, mono) -> Fraction:
-        """E[prod X^a] of a base monomial ((name, exponent), ...)."""
-        value = self._moments.get(mono)
-        if value is None:
-            terms, scale = self._counts, self._total
-            for name, exponent in mono:
-                column_scale, column = self._columns[name]
-                terms = [t * x**exponent for t, x in zip(terms, column)]
-                scale *= column_scale**exponent
-            value = self._moments[mono] = Fraction(sum(terms), scale)
-        return value
-
-    def value(self, poly, scalars: dict) -> Fraction:
-        """A polynomial over moment and opaque atoms, as one integer sum."""
-        num, den = 0, 1
-        for mono, coeff in poly.items():
-            n, d = coeff.numerator, coeff.denominator
-            for (kind, key), exp in mono:
-                x = self.moment(key) if kind == "m" else scalars[key[0]]
-                n, d = n * x.numerator**exp, d * x.denominator**exp
-            g = math.gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den // g * d
-        return Fraction(num, den)
-
-
 class CompiledEstimand:
-    """An estimand compiled once and valued on many laws (moment tables).
+    """An estimand compiled once and valued on many laws.
 
     Each moment argument, and the gradient, is canonicalized once to a form
     P whose embedded functionals are opaque atoms, so E[P] (and E[P^2]) is
@@ -199,12 +199,12 @@ class CompiledEstimand:
     def eic(self) -> RvExpr:
         return derive_eic(self.psi, mode=self.mode).eic
 
-    def value(self, table: MomentTable, f: FuncExpr | None = None):
-        """The estimand, or ``f``, under the table's law; as evaluate_func."""
+    def value(self, table: Dataset, f: FuncExpr | None = None):
+        """The estimand, or ``f``, under the law ``table``; as evaluate_func."""
         expect = lambda arg: self.means(arg, table)[0]  # noqa: E731
         return evaluate_func_with(f or self.psi, expect, self.mode)
 
-    def variance(self, table: MomentTable) -> Fraction:
+    def variance(self, table: Dataset) -> Fraction:
         """E[g^2] - E[g]^2 of the gradient g; as :func:`eic_variance`."""
         mean, square = self.means(self.eic, table, square=True)
         return square - mean * mean
@@ -222,52 +222,21 @@ class CompiledEstimand:
         return [table.value(poly, scalars) for poly in polys]
 
 
-def _data_table(psi: FuncExpr, data: Dataset) -> MomentTable:
-    """Moment table of the empirical law over the columns ``psi`` uses.
+def _checked(psi: FuncExpr, data: Dataset) -> Dataset:
+    """``data``, once every variable of ``psi`` is one of its columns.
 
-    Every row counts one over n, so duplicate rows need no merging.  The
-    variables are checked before anything is expanded: expansion may cancel
-    a variable (``E[X + Z - Z]``) that the data still has to provide.
+    The check comes before anything is expanded: expansion may cancel a
+    variable (``E[X + Z - Z]``) that the data still has to provide.
     """
-    used = func_base_vars(psi)
-    missing = used - set(data.columns)
+    missing = func_base_vars(psi) - set(data.columns)
     if missing:
         raise EvaluationError(f"unbound variable {min(missing)!r}")
-    columns = {
-        name: values
-        for name, values in zip(data.columns, zip(*data.rows))
-        if name in used
-    }
-    return MomentTable(columns, [1] * data.n, data.n)
+    return data
 
 
 def plugin_estimate(psi: FuncExpr, data: Dataset, mode: str = "exact"):
     """Functional evaluated at the empirical measure."""
-    return CompiledEstimand(psi, mode).value(_data_table(psi, data))
-
-
-def _bind_embedded(e: RvExpr, value_of) -> RvExpr:
-    """Replace each embedded functional ``f`` by the constant ``value_of(f)``."""
-    if isinstance(e, (BaseVar, RvConst)):
-        return e
-    if isinstance(e, RvSum):
-        return rv_sum(*(_bind_embedded(t, value_of) for t in e.terms))
-    if isinstance(e, RvProduct):
-        return rv_product(*(_bind_embedded(f, value_of) for f in e.factors))
-    if isinstance(e, IntPower):
-        return rv_pow(_bind_embedded(e.base, value_of), e.exponent)
-    if isinstance(e, EmbedFunc):
-        return RvConst(value_of(e.func))
-    raise TypeError(f"not a random-variable expression: {e!r}")
-
-
-def bind_moments(e: RvExpr, space: FiniteProbSpace, binding) -> RvExpr:
-    """Replace embedded functionals by their values under the given law.
-
-    The result is free of embedded moments and can be evaluated pointwise
-    under any other law, which is what the one-step correction needs.
-    """
-    return _bind_embedded(e, lambda f: evaluate_func(f, space, binding, "exact"))
+    return CompiledEstimand(psi, mode).value(_checked(psi, data))
 
 
 def eic_variance(
@@ -293,20 +262,26 @@ def standard_error(variance: Fraction, n: int) -> float:
 
 def eic_standard_error(psi: FuncExpr, data: Dataset, mode: str = "exact") -> float:
     """Standard error sqrt(Var_hat(gradient)/n) at the empirical measure."""
-    variance = CompiledEstimand(psi, mode).variance(_data_table(psi, data))
+    variance = CompiledEstimand(psi, mode).variance(_checked(psi, data))
     return standard_error(variance, data.n)
 
 
 def onestep_estimate(
-    psi: FuncExpr, data: Dataset, split_ratio: Fraction = Fraction(1, 2)
-) -> Fraction:
+    psi: FuncExpr,
+    data: Dataset,
+    split_ratio: Fraction = Fraction(1, 2),
+    mode: str = "exact",
+):
     """Sample-split one-step estimator.
 
-    The functional and its gradient are fitted on the first fold; the
-    correction is the held-out average of the fitted gradient, a polynomial
-    in held-out moments whose coefficients are fitted moments.  With
-    ``split_ratio`` equal to one there is no held-out fold and the plug-in
-    estimate is returned unchanged (its own gradient mean is exactly zero).
+    The functional and its gradient are fitted on the first fold of rows;
+    the correction is the held-out average of the fitted gradient, a
+    polynomial in held-out moments whose coefficients are fitted moments.
+    With ``split_ratio`` equal to one there is no held-out fold and the
+    plug-in estimate is returned unchanged (its own gradient mean is exactly
+    zero).  Float mode rounds the fitted estimate and every fitted embedded
+    functional to a float, as :func:`plugin_estimate` does, and returns the
+    float nearest their exact combination.
     """
     ratio = Fraction(split_ratio)
     if not 0 < ratio <= 1:
@@ -314,13 +289,13 @@ def onestep_estimate(
     n = data.n
     k = int(ratio * n)
     if ratio == 1:
-        return plugin_estimate(psi, data)
+        return plugin_estimate(psi, data, mode)
     if k < 1 or k >= n:
         raise ValueError("fold too small to evaluate the functional")
-    fit = _data_table(psi, data.subset(0, k))
-    held = _data_table(psi, data.subset(k, n))
-    compiled = CompiledEstimand(psi)
-    return compiled.value(fit) + compiled.means(compiled.eic, held, fit)[0]
+    fit, held = _checked(psi, data).subset(0, k), data.subset(k, n)
+    compiled = CompiledEstimand(psi, mode)
+    value = Fraction(compiled.value(fit)) + compiled.means(compiled.eic, held, fit)[0]
+    return to_float(value) if mode == "float" else value
 
 
 # ---------------------------------------------------------------------------

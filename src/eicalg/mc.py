@@ -5,9 +5,11 @@ exact support points and weights), the plug-in estimator is evaluated on
 each replicate's empirical measure, and the report compares the empirical
 variance of the root-n scaled error against the gradient's variance under
 the true law, together with Wald interval coverage.  The estimand is
-compiled once (:class:`~eicalg.estimate.CompiledEstimand`); each law is
-then one power-sum pass over the support, counted by weight over the lcm
-of the weights' denominators (true law) or by multinomial count over n.
+compiled once (:class:`~eicalg.estimate.CompiledEstimand`) and the support
+scaled to integers once; the true law and every replicate are then one
+:class:`~eicalg.estimate.Dataset` over that column, counted by weight over
+the lcm of the weights' denominators (true law) or by multinomial count
+over n (replicate), and each moment is one power-sum pass over the support.
 
 Reproducibility contract: replicate ``r`` draws one multinomial count
 vector from ``numpy``'s PCG64 generator seeded with ``SeedSequence((seed,
@@ -21,7 +23,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .estimate import CompiledEstimand, MomentTable, normal_quantile, standard_error
+from .estimate import CompiledEstimand, Dataset, normal_quantile, standard_error
 from .expr import FuncExpr, func_base_vars
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
@@ -151,15 +153,13 @@ def run_mc(config: McConfig) -> McReport:
             f"estimand uses variables {sorted(names)} but the sampler provides"
             f" only {config.column!r}"
         )
-    scale = math.lcm(*(w.denominator for w in weights))
-    truth_table = MomentTable(
-        {config.column: support},
-        [w.numerator * (scale // w.denominator) for w in weights],
-        scale,
-    )
+    scale = math.lcm(*(v.denominator for v in support))
+    column = {config.column: (scale, [int(v * scale) for v in support])}
+    total = math.lcm(*(w.denominator for w in weights))
+    truth_law = Dataset(column, [int(w * total) for w in weights], total)
     estimand = CompiledEstimand(config.estimand)
-    truth = estimand.value(truth_table)
-    bound = estimand.variance(truth_table)
+    truth = estimand.value(truth_law)
+    bound = estimand.variance(truth_law)
 
     probs = np.array([float(w) for w in weights], dtype=np.float64)
     probs = probs / probs.sum()
@@ -175,11 +175,11 @@ def run_mc(config: McConfig) -> McReport:
             np.random.PCG64(np.random.SeedSequence((config.seed, r)))
         )
         counts = rng.multinomial(config.n, probs).tolist()
-        table = MomentTable({config.column: support}, counts, config.n)
-        estimate_f = float(estimand.value(table))
+        law = Dataset(column, counts, config.n)
+        estimate_f = float(estimand.value(law))
         estimates.append(estimate_f)
         errors.append(sqrt_n * (estimate_f - truth_f))
-        se = standard_error(estimand.variance(table), config.n)
+        se = standard_error(estimand.variance(law), config.n)
         if abs(estimate_f - truth_f) <= z * se:
             covered += 1
 

@@ -1,12 +1,19 @@
 """Shared hypothesis strategies (small exact spaces and integer variables)
-and the centering fault the negative-control tests inject."""
+and the centering fault the negative-control tests inject.
 
+The benchmark's ``perfbench/`` directory goes on the import path, so the
+tests draw grammar expressions from the generator of its derive corpus."""
+
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from eicalg import brackets
 from eicalg.measure import FiniteProbSpace, RandVar, covariance
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 
 @st.composite

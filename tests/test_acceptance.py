@@ -217,11 +217,11 @@ def test_criterion_8_determinism_and_cli_contracts(capsys, monkeypatch):
     # print/parse round trip over the 200-expression corpus
     import random
 
-    from tests_corpus_helper import random_expression_text
+    from workloads import grammar_expression
 
     for index in range(200):
         rng = random.Random(f"acceptance:{index}")
-        text = random_expression_text(rng, rng.randint(1, 3))
+        text = grammar_expression(rng, rng.randint(1, 3))
         parsed = parse_expression(text)
         printed = render_func(parsed)
         assert parse_expression(printed) == parsed

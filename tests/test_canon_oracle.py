@@ -43,7 +43,7 @@ from eicalg.expr import (
     var,
 )
 from eicalg.parser import parse_expression
-from tests_corpus_helper import random_expression_text
+from workloads import grammar_expression
 
 
 def _moment_symbol(base, exps):
@@ -102,8 +102,8 @@ def verdicts(first, second):
 
 def _corpus_pairs(rng):
     """Text pairs: rewrites that keep the value, a near miss, an unrelated pair."""
-    a = random_expression_text(rng, rng.randint(1, 3))
-    b = random_expression_text(rng, rng.randint(1, 3))
+    a = grammar_expression(rng, rng.randint(1, 3))
+    b = grammar_expression(rng, rng.randint(1, 3))
     return [
         (a, f"2*({a}) - ({a}) + 0"),
         (a, f"E[{a}]"),

@@ -13,7 +13,7 @@ from eicalg.canon import canonicalize_rv
 from eicalg.cli import main
 from eicalg.expr import E, var
 from eicalg.parser import MAX_NESTING, parse_expression
-from tests_corpus_helper import random_expression_text
+from workloads import grammar_expression
 
 X, Y = var("X"), var("Y")
 
@@ -273,7 +273,7 @@ class TestSmoothInsideMoments:
 def _smooth_expression_text(rng, depth):
     """Grammar corpus with exp, log((.)^2 + 1) and sqrt nodes."""
     if depth <= 0:
-        return random_expression_text(rng, 0)
+        return grammar_expression(rng, 0)
     a = _smooth_expression_text(rng, depth - 1)
     kind = rng.randrange(7)
     if kind == 0:
@@ -289,7 +289,7 @@ def _smooth_expression_text(rng, depth):
         return f"E[{a}*{b}]"
     if kind == 5:
         return f"{a} - {b}"
-    return random_expression_text(rng, depth)
+    return grammar_expression(rng, depth)
 
 
 def test_float_verdicts_against_numeric_means(capsys):

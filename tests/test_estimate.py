@@ -1,14 +1,15 @@
 """Empirical measures, plug-in and one-step estimation, Wald intervals."""
 
+import json
 import math
 from fractions import Fraction as Q
 
 import pytest
 
+from eicalg.cli import main
 from eicalg.errors import DataError, EvaluationError
 from eicalg.estimate import (
     Dataset,
-    bind_moments,
     eic_standard_error,
     eic_variance,
     empirical_space,
@@ -19,7 +20,22 @@ from eicalg.estimate import (
     wald_ci,
 )
 from eicalg.eic import derive_eic
-from eicalg.expr import E, FuncConst, evaluate_func, evaluate_rv, var
+from eicalg.expr import (
+    BaseVar,
+    E,
+    EmbedFunc,
+    FuncConst,
+    IntPower,
+    RvConst,
+    RvProduct,
+    RvSum,
+    evaluate_func,
+    evaluate_rv,
+    rv_pow,
+    rv_product,
+    rv_sum,
+    var,
+)
 from eicalg.measure import expectation
 from eicalg.parser import parse_expression
 from eicalg.sampling import trial_rng
@@ -27,8 +43,17 @@ from eicalg.sampling import trial_rng
 X, Y = var("X"), var("Y")
 
 
+def dataset(columns, exact_rows):
+    """The data set of exact rows, each counting once."""
+    scaled = {}
+    for name, values in zip(columns, zip(*exact_rows)):
+        scale = math.lcm(*(Q(v).denominator for v in values))
+        scaled[name] = (scale, [int(Q(v) * scale) for v in values])
+    return Dataset(scaled, [1] * len(exact_rows), len(exact_rows))
+
+
 def rows(*values):
-    return Dataset(("Y",), tuple((Q(v),) for v in values))
+    return dataset(("Y",), [(Q(v),) for v in values])
 
 
 class TestIngestion:
@@ -57,6 +82,17 @@ class TestIngestion:
         data = read_delimited("Y\n-2.5\n")
         assert data.rows[0][0] == Q(-5, 2)
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("X,X\n1,foo\n", "non-numeric cell 'foo'"),  # the cells are read first
+            ("X,X\n1,2\n", "column names must be distinct"),
+        ],
+    )
+    def test_duplicate_column_names(self, text, message):
+        with pytest.raises(DataError, match=message):
+            read_delimited(text)
+
     def test_cells_parse_to_the_fraction_of_their_text(self):
         cells = ("0", "007", "0.5", "-0.000", "12.3400", "-3.14159", "100", "-7")
         data = read_delimited("Y\n" + "\n".join(cells) + "\n")
@@ -65,7 +101,7 @@ class TestIngestion:
 
 class TestEmpiricalSpace:
     def test_duplicates_merge(self):
-        data = Dataset(("Y",), ((Q(1),), (Q(1),), (Q(3),)))
+        data = rows(1, 1, 3)
         space, binding = empirical_space(data)
         assert space.weights == (Q(2, 3), Q(1, 3))
         assert binding["Y"].values == (Q(1), Q(3))
@@ -94,7 +130,7 @@ class TestPluginEstimate:
         assert plugin_estimate(psi, rows(0, 1)) == Q(1, 4)
 
     def test_sample_covariance(self):
-        data = Dataset(("X", "Y"), ((Q(0), Q(0)), (Q(1), Q(1))))
+        data = dataset(("X", "Y"), [(0, 0), (1, 1)])
         psi = E(X * Y) - E(X) * E(Y)
         assert plugin_estimate(psi, data) == Q(1, 4)
 
@@ -128,11 +164,8 @@ class TestStandardError:
         for index in range(50):
             rng = trial_rng(3141, index)
             n = rng.randint(2, 10)
-            data = Dataset(
-                ("X", "Y"),
-                tuple(
-                    (Q(rng.randint(-5, 5)), Q(rng.randint(-5, 5))) for _ in range(n)
-                ),
+            data = dataset(
+                ("X", "Y"), [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(n)]
             )
             space, binding = empirical_space(data)
             for psi in two_column:
@@ -205,15 +238,42 @@ def _outcome(compute):
         return type(exc)
 
 
-def _pointwise_onestep(psi, data):
+def _bind_embedded(e, value_of):
+    """Replace each embedded functional ``f`` by the constant ``value_of(f)``."""
+    if isinstance(e, (BaseVar, RvConst)):
+        return e
+    if isinstance(e, RvSum):
+        return rv_sum(*(_bind_embedded(t, value_of) for t in e.terms))
+    if isinstance(e, RvProduct):
+        return rv_product(*(_bind_embedded(f, value_of) for f in e.factors))
+    if isinstance(e, IntPower):
+        return rv_pow(_bind_embedded(e.base, value_of), e.exponent)
+    if isinstance(e, EmbedFunc):
+        return RvConst(value_of(e.func))
+    raise TypeError(f"not a random-variable expression: {e!r}")
+
+
+def bind_moments(e, space, binding, mode="exact"):
+    """Replace embedded functionals by their values under the given law,
+    rounded to floats in float mode.
+
+    The result is free of embedded moments and can be evaluated pointwise
+    under any other law, which is what the one-step correction needs.
+    """
+    return _bind_embedded(e, lambda f: Q(evaluate_func(f, space, binding, mode)))
+
+
+def _pointwise_onestep(psi, data, mode="exact"):
+    """The half-split one-step estimate, row by row on empirical spaces."""
     k = data.n // 2
     fit_space, fit_binding = empirical_space(data.subset(0, k))
     held_space, held_binding = empirical_space(data.subset(k, data.n))
-    fitted = bind_moments(derive_eic(psi).eic, fit_space, fit_binding)
+    fitted = bind_moments(derive_eic(psi, mode=mode).eic, fit_space, fit_binding, mode)
     correction = expectation(
         held_space, evaluate_rv(fitted, held_space, held_binding)
     )
-    return evaluate_func(psi, fit_space, fit_binding) + correction
+    value = Q(evaluate_func(psi, fit_space, fit_binding, mode)) + correction
+    return float(value) if mode == "float" else value
 
 
 class TestMomentTableAgainstPointwise:
@@ -246,11 +306,12 @@ class TestMomentTableAgainstPointwise:
 
     def test_onestep(self):
         for data, psi, modes in self._cases(12):
-            if "exact" not in modes:
-                continue
-            assert _outcome(
-                lambda: onestep_estimate(psi, data, Q(1, 2))
-            ) == _outcome(lambda: _pointwise_onestep(psi, data)), (str(psi), data)
+            for mode in modes:
+                assert _outcome(
+                    lambda: onestep_estimate(psi, data, Q(1, 2), mode)
+                ) == _outcome(lambda: _pointwise_onestep(psi, data, mode)), (
+                    str(psi), mode, data
+                )
 
     def test_cases_are_not_all_degenerate(self):
         values = [
@@ -262,7 +323,7 @@ class TestMomentTableAgainstPointwise:
 
     def test_cancelled_variable_is_unbound(self):
         psi = parse_expression("E[X + Z - Z]")
-        data = Dataset(("X",), ((Q(1),), (Q(2),)))
+        data = dataset(("X",), [(1,), (2,)])
         space, binding = empirical_space(data)
         with pytest.raises(EvaluationError, match="unbound variable 'Z'"):
             evaluate_func(psi, space, binding)
@@ -271,9 +332,50 @@ class TestMomentTableAgainstPointwise:
                 estimator(psi, data)
 
     def test_standard_error_overflow(self):
-        data = Dataset(("X",), ((Q(10),), (Q(20),)))
+        data = dataset(("X",), [(10,), (20,)])
         with pytest.raises(EvaluationError):
             eic_standard_error(parse_expression("E[X^400]"), data)
+
+
+class TestOneLawPerCall:
+    """One ``estimate --split`` call builds the data set and its two folds,
+    and computes each primitive moment of the data once, although the
+    plug-in and the standard error both use it."""
+
+    def test_three_laws_and_no_moment_computed_twice(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("X,Y\n1,2\n3,5\n4,2.5\n2,1\n0.5,7\n6,3\n")
+        laws, computed = [], []
+        original_init, original_moment = Dataset.__init__, Dataset.moment
+
+        def init(self, *args):
+            laws.append(self)
+            original_init(self, *args)
+
+        def moment(self, mono):
+            computed.append((laws.index(self), mono))
+            return original_moment(self, mono)
+
+        monkeypatch.setattr(Dataset, "__init__", init)
+        monkeypatch.setattr(Dataset, "moment", moment)
+        argv = ["estimate", "Cov(X,Y)*inv(Var(X))", "--data", str(path), "--split", "0.5"]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert len(laws) == 3
+        data_moments = [mono for law, mono in computed if law == 0]
+        assert len(data_moments) == len(set(data_moments)) > 4
+        assert {law for law, _ in computed} == {0, 1, 2}
+
+    def test_float_onestep_of_a_smooth_estimand(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("X\n1\n3\n4\n2.5\n")
+        argv = ["--output", "structured", "estimate", "exp(E[X])", "--data", str(path),
+                "--mode", "float", "--split", "0.5"]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        data = read_delimited(path.read_text())
+        expected = _pointwise_onestep(parse_expression("exp(E[X])"), data, "float")
+        assert result["onestep_float"] == expected
+        assert result["onestep"] == str(expected)
 
 
 class TestSmoothInsideMoments:

@@ -108,12 +108,12 @@ def test_tree_shapes(text, tree):
 
 
 def test_round_trip_corpus():
-    from tests_corpus_helper import random_expression_text
+    from workloads import grammar_expression
 
     stable = 0
     for index in range(200):
         rng = random.Random(f"corpus:{index}")
-        text = random_expression_text(rng, rng.randint(1, 3))
+        text = grammar_expression(rng, rng.randint(1, 3))
         parsed = parse_expression(text)
         printed = render_func(parsed)
         reparsed = parse_expression(printed)
