@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -24,6 +23,8 @@ from .canon import canonicalize_rv, expectation_of_form, rv_from_form
 from .eic import derive_eic
 from .errors import DataError, EvaluationError, ExactModeError, NormalizationError
 from .estimate import (
+    check_level,
+    checked_split,
     eic_standard_error,
     onestep_estimate,
     plugin_estimate,
@@ -139,6 +140,8 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 def cmd_estimate(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
+    check_level(args.level)
+    split = None if args.split is None else checked_split(args.split)
     data = read_delimited(Path(args.data).read_text())
     estimate = plugin_estimate(psi, data, mode=args.mode)
     se = eic_standard_error(psi, data, mode=args.mode)
@@ -153,8 +156,8 @@ def cmd_estimate(args) -> tuple[int, dict]:
         "level": args.level,
         "n": data.n,
     }
-    if args.split is not None:
-        onestep = onestep_estimate(psi, data, Fraction(str(args.split)), args.mode)
+    if split is not None:
+        onestep = onestep_estimate(psi, data, split, args.mode)
         result["onestep"] = str(onestep)
         result["onestep_float"] = to_float(onestep)
     doc = _document(
@@ -170,6 +173,18 @@ def cmd_estimate(args) -> tuple[int, dict]:
 _SAMPLER_FLAGS = (
     "p", "support", "weights", "low", "high", "points", "mean", "sd", "span"
 )
+_LIST_OPTS, _DIGITS = ("--support", "--weights", "--points"), "0123456789."
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """``--support -1,0.5`` as ``--support=-1,0.5``, which argparse reads."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _LIST_OPTS and token[:1] == "-" and token[1:2] in _DIGITS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _mc_config_from_args(args) -> McConfig:
@@ -290,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     try:
         code, doc = args.handler(args)
     except (DataError, EvaluationError, OSError) as exc:

@@ -156,7 +156,7 @@ class PathSpec:
             raise ValueError("path score must have expectation exactly zero")
         if self.epsilon_bound <= 0:
             raise ValueError("epsilon bound must be positive")
-        worst = max(abs(s) for s in self.score.values)
+        worst = Fraction(max(map(abs, self.score.nums)), self.score.den)
         if worst * self.epsilon_bound >= 1:
             raise ValueError("tilted weights lose positivity within the bound")
 
@@ -165,19 +165,22 @@ def make_path(
     space: FiniteProbSpace, score: RandVar, epsilon_bound: Fraction | None = None
 ) -> PathSpec:
     """Path with the default bound 1 / (2 max|s|), keeping a positivity margin."""
-    worst = max(abs(s) for s in score.values)
+    worst = max(map(abs, score.nums))
     if epsilon_bound is None:
-        epsilon_bound = Fraction(1, 2 * worst) if worst > 0 else Fraction(1)
+        epsilon_bound = Fraction(score.den, 2 * worst) if worst > 0 else Fraction(1)
     return PathSpec(space=space, score=score, epsilon_bound=epsilon_bound)
 
 
 def tilted_space(path: PathSpec, eps: Fraction) -> FiniteProbSpace:
     if abs(eps) > path.epsilon_bound:
         raise ValueError("tilt parameter outside the path's bound")
+    # 1 + eps * s = (q + p * n) / q for each score value s = n / score.den
+    space, score = path.space, path.score
+    p, q = eps.numerator, eps.denominator * score.den
     weights = tuple(
-        w * (1 + eps * s) for w, s in zip(path.space.weights, path.score.values)
+        Fraction(w * (q + p * s), space.den * q) for w, s in zip(space.nums, score.nums)
     )
-    return FiniteProbSpace(path.space.outcomes, weights)
+    return FiniteProbSpace(space.outcomes, weights)
 
 
 def pathwise_derivative_exact(
@@ -231,9 +234,7 @@ def pathwise_derivative_numeric(
 
     def at(e: Fraction) -> float:
         space = tilted_space(path, e)
-        rebased = {
-            name: RandVar(space, v.values) for name, v in binding.items()
-        }
+        rebased = {name: RandVar(space, v.values) for name, v in binding.items()}
         return evaluate_func(psi, space, rebased, mode="float")
 
     return (at(eps) - at(-eps)) / (2 * float(eps))

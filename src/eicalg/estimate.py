@@ -266,6 +266,14 @@ def eic_standard_error(psi: FuncExpr, data: Dataset, mode: str = "exact") -> flo
     return standard_error(variance, data.n)
 
 
+def checked_split(ratio) -> Fraction:
+    """A one-step split ratio as an exact rational in (0, 1]."""
+    ratio = Fraction(ratio)
+    if not 0 < ratio <= 1:
+        raise ValueError("split ratio must lie in (0, 1]")
+    return ratio
+
+
 def onestep_estimate(
     psi: FuncExpr,
     data: Dataset,
@@ -283,9 +291,7 @@ def onestep_estimate(
     functional to a float, as :func:`plugin_estimate` does, and returns the
     float nearest their exact combination.
     """
-    ratio = Fraction(split_ratio)
-    if not 0 < ratio <= 1:
-        raise ValueError("split ratio must lie in (0, 1]")
+    ratio = checked_split(split_ratio)
     n = data.n
     k = int(ratio * n)
     if ratio == 1:
@@ -310,10 +316,15 @@ def normal_quantile(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
-def wald_ci(estimate: float, se: float, level: float) -> tuple[float, float]:
-    """estimate +/- z * se at the given two-sided confidence level."""
+def check_level(level: float):
+    """Reject a two-sided confidence level outside (0, 1)."""
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
+
+
+def wald_ci(estimate: float, se: float, level: float) -> tuple[float, float]:
+    """estimate +/- z * se at the given two-sided confidence level."""
+    check_level(level)
     if se < 0:
         raise ValueError("standard error must be nonnegative")
     z = normal_quantile((1 + level) / 2)

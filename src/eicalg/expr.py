@@ -459,15 +459,11 @@ def evaluate_rv(
     if isinstance(e, RvConst):
         return embed(e.value, space)
     if isinstance(e, RvSum):
-        out = embed(0, space)
-        for t in e.terms:
-            out = out + evaluate_rv(t, space, binding, mode)
-        return out
+        terms = (evaluate_rv(t, space, binding, mode) for t in e.terms)
+        return sum(terms, embed(0, space))
     if isinstance(e, RvProduct):
-        out = embed(1, space)
-        for f in e.factors:
-            out = out * evaluate_rv(f, space, binding, mode)
-        return out
+        factors = (evaluate_rv(f, space, binding, mode) for f in e.factors)
+        return math.prod(factors, start=embed(1, space))
     if isinstance(e, IntPower):
         return evaluate_rv(e.base, space, binding, mode) ** e.exponent
     if isinstance(e, EmbedFunc):

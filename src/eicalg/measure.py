@@ -5,12 +5,16 @@ fully supported model of the Hilbert space of square-integrable random
 variables: almost-everywhere equality is plain vector equality, the inner
 product is nondegenerate, and every identity can be checked with zero
 tolerance.  All arithmetic in this module is exact rational; no floats.
+Weights and values are integer numerators ``nums`` over one denominator
+``den``, so each operation is one integer loop; scalar results are Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import SpaceMismatchError
 
@@ -28,14 +32,20 @@ __all__ = [
 ]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> int | Fraction:
+    """An exact rational as an int or a Fraction; a float is refused."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
+
+
+def _ratios(values) -> tuple[tuple[int, ...], int]:
+    """Numerators over the least common denominator, in lowest terms."""
+    xs = [x if type(x) is int else _rational(x) for x in values]
+    den = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
 
 
 @dataclass(frozen=True)
@@ -48,21 +58,24 @@ class FiniteProbSpace:
 
     outcomes: tuple[str, ...]
     weights: tuple[Fraction, ...]
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(
-            self, "weights", tuple(_as_fraction(w) for w in self.weights)
+        weights = tuple(Fraction(_rational(w)) for w in self.weights)
+        nums, den = _ratios(weights)
+        self.__dict__.update(
+            outcomes=tuple(self.outcomes), weights=weights, nums=nums, den=den
         )
-        if len(self.outcomes) != len(self.weights):
+        if len(self.outcomes) != len(weights):
             raise ValueError("one weight per outcome required")
         if len(self.outcomes) == 0:
             raise ValueError("a space needs at least one outcome")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome labels must be distinct")
-        if any(w <= 0 for w in self.weights):
+        if any(n <= 0 for n in nums):
             raise ValueError("weights must be strictly positive")
-        if sum(self.weights) != 1:
+        if sum(nums) != den:
             raise ValueError("weights must sum exactly to 1")
 
     @property
@@ -70,68 +83,78 @@ class FiniteProbSpace:
         return len(self.outcomes)
 
     def variable(self, values) -> "RandVar":
-        return RandVar(self, tuple(_as_fraction(v) for v in values))
+        return RandVar(self, values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RandVar:
-    """Exact-rational value vector indexed by the outcomes of its space."""
+    """Exact-rational value vector indexed by the outcomes of its space, in
+    lowest terms (gcd(den, *nums) == 1), so equal vectors have equal fields."""
 
     space: FiniteProbSpace
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(_as_fraction(v) for v in self.values)
-        )
-        if len(self.values) != self.space.size:
+    def __init__(self, space: FiniteProbSpace, values):
+        nums, den = _ratios(values)
+        if len(nums) != space.size:
             raise SpaceMismatchError(
-                f"variable has {len(self.values)} values for a space of"
-                f" {self.space.size} outcomes"
+                f"variable has {len(nums)} values for a space of"
+                f" {space.size} outcomes"
             )
+        self.__dict__.update(space=space, nums=nums, den=den)
 
-    def _check_same_space(self, other: "RandVar"):
-        if self.space != other.space:
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def _operand(self, other) -> tuple:
+        """(nums, den) of a variable on this space, or of a scalar on each outcome."""
+        if not isinstance(other, RandVar):
+            c = _rational(other)
+            return [c.numerator] * len(self.nums), c.denominator
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError("random variables live on different spaces")
+        return other.nums, other.den
 
     def __add__(self, other):
-        if isinstance(other, RandVar):
-            self._check_same_space(other)
-            return RandVar(
-                self.space, tuple(a + b for a, b in zip(self.values, other.values))
-            )
-        c = _as_fraction(other)
-        return RandVar(self.space, tuple(a + c for a in self.values))
+        nums, e = self._operand(other)
+        sums = [a * e + b * self.den for a, b in zip(self.nums, nums)]
+        return _vector(self.space, sums, self.den * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RandVar(self.space, tuple(-a for a in self.values))
+        return _vector(self.space, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RandVar) else -_as_fraction(other))
+        return self + (-other if isinstance(other, RandVar) else -_rational(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, RandVar):
-            self._check_same_space(other)
-            return RandVar(
-                self.space, tuple(a * b for a, b in zip(self.values, other.values))
-            )
-        c = _as_fraction(other)
-        return RandVar(self.space, tuple(a * c for a in self.values))
+        nums, e = self._operand(other)
+        return _vector(self.space, list(map(mul, self.nums, nums)), self.den * e)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("integer power >= 0 required")
-        return RandVar(self.space, tuple(a**n for a in self.values))
+        return _vector(self.space, [a**n for a in self.nums], self.den**n)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
+
+
+def _vector(space: FiniteProbSpace, nums: list, den: int) -> RandVar:
+    """The variable nums / den on ``space`` (den > 0), in lowest terms."""
+    g = math.gcd(den, *nums)
+    nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+    v = object.__new__(RandVar)
+    v.__dict__.update(space=space, nums=nums, den=den // g)
+    return v
 
 
 @dataclass(frozen=True)
@@ -142,21 +165,17 @@ class Decomposition:
     centered_part: RandVar
 
 
-def _check_membership(space: FiniteProbSpace, f: RandVar):
-    if f.space != space:
-        raise SpaceMismatchError("variable does not belong to the given space")
-
-
 def expectation(space: FiniteProbSpace, f: RandVar) -> Fraction:
     """Weighted sum of values, exact."""
-    _check_membership(space, f)
-    return sum((w * v for w, v in zip(space.weights, f.values)), Fraction(0))
+    if f.space is not space and f.space != space:
+        raise SpaceMismatchError("variable does not belong to the given space")
+    return Fraction(sum(map(mul, space.nums, f.nums)), space.den * f.den)
 
 
 def embed(a, space: FiniteProbSpace) -> RandVar:
     """Constant function a on every outcome (the scalar embedding)."""
-    c = _as_fraction(a)
-    return RandVar(space, tuple(c for _ in space.outcomes))
+    c = _rational(a)
+    return _vector(space, [c.numerator] * space.size, c.denominator)
 
 
 def center(space: FiniteProbSpace, f: RandVar) -> RandVar:

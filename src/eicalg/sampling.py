@@ -39,9 +39,7 @@ def random_space(rng: random.Random, max_outcomes: int = 8) -> FiniteProbSpace:
 def random_intvec(
     rng: random.Random, space: FiniteProbSpace, low: int = -5, high: int = 5
 ) -> RandVar:
-    return RandVar(
-        space, tuple(Fraction(rng.randint(low, high)) for _ in space.outcomes)
-    )
+    return RandVar(space, [rng.randint(low, high) for _ in space.outcomes])
 
 
 def random_score(rng: random.Random, space: FiniteProbSpace) -> RandVar:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import negate_first_centering
+from eicalg import brackets, measure
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import main
 from eicalg.expr import E, var
@@ -365,6 +366,36 @@ class TestVerify:
         assert failing
         assert "weights=" in failing[0]["counterexample"]
 
+    def test_centering_fault_prints_the_recorded_counterexamples(
+        self, capsys, monkeypatch
+    ):
+        """The counterexample text, rational weights and values included, is
+        pinned byte for byte: it is recorded output, not just a verdict."""
+        monkeypatch.setattr(
+            brackets, "center", lambda space, f: f - measure.expectation(space, f) + 1
+        )
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "verify", "brackets", "--trials", "5"
+        )
+        assert code == 1
+        instance = (
+            "instance 0: weights=['2/27', '5/27', '4/27', '5/27', '1/3', '2/27']"
+            " X=['-2', '5', '2', '-3', '-3', '-5'] Y=['3', '1', '-4', '-5', '-5', '5']; "
+        )
+        assert [r["counterexample"] for r in parse_structured(out)["results"]] == [
+            None,
+            instance
+            + "got=['6760/729', '21448/729', '7246/729', '-6524/729', '-6524/729',"
+            " '2008/729'] want=['3655/729', '14698/729', '6328/729', '-3068/729',"
+            " '-3068/729', '-368/729']",
+            instance + "components differ from centered coordinates",
+            None,
+            None,
+            None,
+            None,
+            None,
+        ]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(capsys, "verify", "nonsense")
@@ -446,6 +477,21 @@ class TestEstimate:
         path.write_text("Y\nfoo\n")
         code, _, err = run_cli(capsys, "estimate", "E[Y]", "--data", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--split", "2"], "split ratio must lie in (0, 1]"),
+            (["--split", "0"], "split ratio must lie in (0, 1]"),
+            (["--level", "1.5"], "confidence level must lie in (0, 1)"),
+        ],
+    )
+    def test_usage_error_wins_over_a_bad_cell(self, capsys, tmp_path, flags, message):
+        """--split and --level are checked before the file is read."""
+        path = tmp_path / "data.csv"
+        path.write_text("Y\n1\nfoo\n")
+        code, out, err = run_cli(capsys, "estimate", "E[Y]", "--data", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_float_mode_smooth_estimand(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
@@ -542,6 +588,23 @@ class TestSimulate:
         assert code == 0
         result = parse_structured(out)["results"][0]
         assert result["bound_exact"] == "21/100"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--support", "-1,0.5,2.25", "--weights", "0.2,0.3,0.5"],
+            ["--support", "-.5,1", "--weights", "0.5,0.5"],
+        ],
+    )
+    def test_list_whose_first_value_is_negative(self, capsys, flags):
+        """A comma list after --support reads as with --support=..., even
+        when it starts with a minus sign."""
+        common = ["--output", "structured", "simulate", "--family", "discrete"]
+        tail = ["--estimand", "Var(X)", "--n", "50", "--replicates", "5", "--seed", "3"]
+        joined = [flags[0] + "=" + flags[1], *flags[2:]]
+        code, out, err = run_cli(capsys, *common, *flags, *tail)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, *common, *joined, *tail)
 
     def test_config_file(self, capsys, tmp_path):
         config = tmp_path / "mc.json"

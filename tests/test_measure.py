@@ -1,14 +1,17 @@
 """Exact operator arithmetic on finite spaces."""
 
+import math
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import small_rationals, space_and_vars
+from conftest import small_rationals, space_and_vars, spaces
 from eicalg.errors import SpaceMismatchError
 from eicalg.measure import (
     FiniteProbSpace,
+    RandVar,
     center,
     covariance,
     decompose,
@@ -181,3 +184,130 @@ class TestCovariance:
         assert expectation(space, a * f + b * g) == a * expectation(
             space, f
         ) + b * expectation(space, g)
+
+
+# ---------------------------------------------------------------------------
+# oracle: each operation elementwise on plain lists of Fractions, read from
+# the public weights and values only
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def space_and_rational_vars(draw):
+    space = draw(spaces())
+    vector = st.lists(rationals, min_size=space.size, max_size=space.size)
+    return space, draw(vector), draw(vector)
+
+
+def lowest_terms(f: RandVar) -> bool:
+    return f.den > 0 and math.gcd(f.den, *f.nums) == 1
+
+
+def mean(weights, values) -> Q:
+    return sum((w * v for w, v in zip(weights, values)), Q(0))
+
+
+class TestIntegerArithmeticOracle:
+    @given(space_and_rational_vars(), rationals, st.integers(0, 4))
+    def test_pointwise_operations(self, sv, c, n):
+        space, a, b = sv
+        f, g = RandVar(space, a), RandVar(space, b)
+        cases = [
+            (f + g, [x + y for x, y in zip(a, b)]),
+            (f - g, [x - y for x, y in zip(a, b)]),
+            (f * g, [x * y for x, y in zip(a, b)]),
+            (pointwise_product(f, g), [x * y for x, y in zip(a, b)]),
+            (f**n, [x**n for x in a]),
+            (-f, [-x for x in a]),
+            (f + c, [x + c for x in a]),
+            (c + f, [c + x for x in a]),
+            (f - c, [x - c for x in a]),
+            (c - f, [c - x for x in a]),
+            (f * c, [x * c for x in a]),
+            (c * f, [c * x for x in a]),
+            (embed(c, space), [c] * space.size),
+            (center(space, f), [x - mean(space.weights, a) for x in a]),
+        ]
+        for got, want in cases:
+            assert got.values == tuple(want)
+            assert all(type(v) is Q for v in got.values)
+            assert lowest_terms(got)
+            assert got == RandVar(space, want)
+            assert hash(got) == hash(RandVar(space, want))
+
+    @given(space_and_rational_vars())
+    def test_scalar_results(self, sv):
+        space, a, b = sv
+        f, g = RandVar(space, a), RandVar(space, b)
+        w = space.weights
+        product = [x * y for x, y in zip(a, b)]
+        assert expectation(space, f) == mean(w, a)
+        assert inner(space, f, g) == mean(w, product)
+        assert covariance(space, f, g) == mean(w, product) - mean(w, a) * mean(w, b)
+        parts = decompose(space, f)
+        assert parts.constant_part == mean(w, a)
+        assert parts.centered_part.values == tuple(x - mean(w, a) for x in a)
+
+    @given(space_and_rational_vars())
+    def test_weights_in_lowest_terms(self, sv):
+        space, _, _ = sv
+        assert math.gcd(space.den, *space.nums) == 1
+        assert tuple(Q(n, space.den) for n in space.nums) == space.weights
+
+
+class TestIntegerRepresentation:
+    def test_equal_values_built_differently_are_equal(self):
+        sp = halves()
+        routes = [
+            sp.variable((Q(2, 2), Q(1, 2))),
+            sp.variable((1, Q(1, 2))),
+            sp.variable(("2/2", "1/2")),
+            sp.variable((2, 1)) * Q(1, 2),
+            sp.variable((Q(3, 2), 1)) - Q(1, 2),
+        ]
+        for f in routes:
+            assert f == routes[1]
+            assert hash(f) == hash(routes[1])
+            assert (f.nums, f.den) == ((2, 1), 2)
+
+    def test_zero_vector_has_denominator_one(self):
+        sp = thirds()
+        f = sp.variable((Q(1, 3), Q(-5, 7)))
+        for zero in (f - f, f * 0, 0 * f, embed(0, sp), center(sp, embed(Q(2, 9), sp))):
+            assert zero.is_zero()
+            assert (zero.nums, zero.den) == ((0, 0), 1)
+            assert zero == sp.variable((0, 0))
+
+    def test_values_are_fractions(self):
+        sp = halves()
+        assert sp.variable((3, Q(1, 4))).values == (Q(3), Q(1, 4))
+        assert all(type(v) is Q for v in sp.variable((3, 4)).values)
+
+    def test_immutable(self):
+        f = halves().variable((1, 2))
+        with pytest.raises(AttributeError):
+            f.den = 3
+
+    def test_foreign_space_rejected(self):
+        f, g = halves().variable((1, 2)), thirds().variable((1, 2))
+        for op in (
+            lambda: f + g,
+            lambda: f - g,
+            lambda: f * g,
+            lambda: inner(halves(), f, g),
+            lambda: covariance(halves(), f, g),
+            lambda: center(halves(), g),
+        ):
+            with pytest.raises(SpaceMismatchError):
+                op()
+
+    @pytest.mark.parametrize("values", [(1,), (1, 2, 3), ()])
+    def test_wrong_length_rejected(self, values):
+        with pytest.raises(SpaceMismatchError):
+            RandVar(halves(), values)
+
+    def test_float_value_rejected(self):
+        with pytest.raises(TypeError):
+            halves().variable((0.5, 1))
