@@ -33,9 +33,7 @@ from .eic import (
     PathSpec,
     certify_eic,
     derive_eic,
-    make_path,
     pathwise_derivative_exact,
-    pathwise_derivative_numeric,
 )
 from .estimate import (
     Dataset,
@@ -87,9 +85,7 @@ __all__ = [
     "EicResult",
     "PathSpec",
     "derive_eic",
-    "make_path",
     "pathwise_derivative_exact",
-    "pathwise_derivative_numeric",
     "certify_eic",
     "bracket_P_prod",
     "bracket_prod_T",

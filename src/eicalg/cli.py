@@ -103,12 +103,19 @@ def cmd_derive(args) -> tuple[int, dict]:
     return (0 if mean_zero else 1), doc
 
 
+# each trial's work grows with the size of its random space, so an unbounded
+# --max-outcomes lets one small command run for minutes
+MAX_OUTCOMES = 1000
+
+
 def cmd_verify(args) -> tuple[int, dict]:
     # with no trials no instance is checked, so a pass would be vacuous
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     if args.max_outcomes < 2:
         raise ValueError("--max-outcomes must be at least 2")
+    if args.max_outcomes > MAX_OUTCOMES:
+        raise ValueError(f"--max-outcomes must be at most {MAX_OUTCOMES}")
     records = run_suite(args.suite, args.trials, args.seed, args.max_outcomes)
     results = [
         {
@@ -142,7 +149,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
     check_level(args.level)
     split = None if args.split is None else checked_split(args.split)
-    data = read_delimited(Path(args.data).read_text())
+    data = read_delimited(Path(args.data).read_text(encoding="utf-8-sig"))
     estimate = plugin_estimate(psi, data, mode=args.mode)
     se = eic_standard_error(psi, data, mode=args.mode)
     estimate_float = to_float(estimate)
@@ -190,7 +197,7 @@ def _join_list_values(argv: list[str]) -> list[str]:
 def _mc_config_from_args(args) -> McConfig:
     """Study from a JSON config file, or from flags that build the same dict."""
     if args.config:
-        raw = json.loads(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
     elif not args.family or not args.estimand:

@@ -16,7 +16,6 @@ with no tolerance.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ from .expr import (
     RvExpr,
     Smooth,
     SMOOTH_TABLE,
-    evaluate_func,
     evaluate_rv,
     f_pow,
     f_recip,
@@ -52,9 +50,7 @@ __all__ = [
     "EicResult",
     "PathSpec",
     "derive_eic",
-    "make_path",
     "pathwise_derivative_exact",
-    "pathwise_derivative_numeric",
     "certify_eic",
     "CertifyReport",
 ]
@@ -141,46 +137,17 @@ class PathSpec:
     """A one-dimensional tilt of a finite law along a mean-zero score.
 
     The tilted weights are w_i * (1 + eps * s_i), which stay exactly
-    normalized because the score has mean zero, and stay positive for
-    |eps| <= epsilon_bound.
+    normalized because the score has mean zero.
     """
 
     space: FiniteProbSpace
     score: RandVar
-    epsilon_bound: Fraction
 
     def __post_init__(self):
         if self.score.space != self.space:
             raise ValueError("score does not live on the path's space")
         if expectation(self.space, self.score) != 0:
             raise ValueError("path score must have expectation exactly zero")
-        if self.epsilon_bound <= 0:
-            raise ValueError("epsilon bound must be positive")
-        worst = Fraction(max(map(abs, self.score.nums)), self.score.den)
-        if worst * self.epsilon_bound >= 1:
-            raise ValueError("tilted weights lose positivity within the bound")
-
-
-def make_path(
-    space: FiniteProbSpace, score: RandVar, epsilon_bound: Fraction | None = None
-) -> PathSpec:
-    """Path with the default bound 1 / (2 max|s|), keeping a positivity margin."""
-    worst = max(map(abs, score.nums))
-    if epsilon_bound is None:
-        epsilon_bound = Fraction(score.den, 2 * worst) if worst > 0 else Fraction(1)
-    return PathSpec(space=space, score=score, epsilon_bound=epsilon_bound)
-
-
-def tilted_space(path: PathSpec, eps: Fraction) -> FiniteProbSpace:
-    if abs(eps) > path.epsilon_bound:
-        raise ValueError("tilt parameter outside the path's bound")
-    # 1 + eps * s = (q + p * n) / q for each score value s = n / score.den
-    space, score = path.space, path.score
-    p, q = eps.numerator, eps.denominator * score.den
-    weights = tuple(
-        Fraction(w * (q + p * s), space.den * q) for w, s in zip(space.nums, score.nums)
-    )
-    return FiniteProbSpace(space.outcomes, weights)
 
 
 def pathwise_derivative_exact(
@@ -220,24 +187,8 @@ def _tilt(f: FuncExpr, path: PathSpec, binding: dict[str, RandVar]):
             raise EvaluationError("reciprocal of a functional evaluating to zero")
         return 1 / v, -d / v**2
     if isinstance(f, Smooth):
-        raise ExactModeError(f"exact tilt derivative of {f.tag!r} requires float mode")
+        raise ExactModeError(f"no exact tilt slope for smooth functional {f.tag!r}")
     raise TypeError(f"not a functional expression: {f!r}")
-
-
-def pathwise_derivative_numeric(
-    psi: FuncExpr, path: PathSpec, binding: dict[str, RandVar], h: float
-) -> float:
-    """Central-difference derivative along the tilt, in float arithmetic."""
-    eps = Fraction(h)
-    if eps <= 0 or eps > path.epsilon_bound:
-        raise ValueError("step size must lie within the path's epsilon bound")
-
-    def at(e: Fraction) -> float:
-        space = tilted_space(path, e)
-        rebased = {name: RandVar(space, v.values) for name, v in binding.items()}
-        return evaluate_func(psi, space, rebased, mode="float")
-
-    return (at(eps) - at(-eps)) / (2 * float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +198,6 @@ def pathwise_derivative_numeric(
 @dataclass(frozen=True)
 class CertifyReport:
     estimand: str
-    mode: str
     trials: int
     checked: int
     passed: bool
@@ -264,35 +214,24 @@ def certify_eic(
     psi: FuncExpr,
     trials: int,
     seed: int,
-    mode: str = "exact",
     candidate: RvExpr | None = None,
     max_outcomes: int = 8,
-    rel_tol: float = 1e-6,
-    h: float = 1e-6,
-    positive_vars: bool = False,
 ) -> CertifyReport:
     """Check the pathwise-derivative identity on seeded random instances.
 
     For each trial a random space, integer binding, and centered integer
     score are drawn; the (derived or supplied) gradient must have mean
     exactly zero under the trial law, and the exact tilt derivative must
-    equal its inner product with the score.  The mean-zero check matters:
-    scores are orthogonal to constants, so the derivative identity alone
-    cannot see a missing centering.  Exact mode compares rationals with
-    zero tolerance.  Float mode compares the central difference D(h) with
-    the inner product g within
-    ``rel_tol * max(|D(h)|, |g|) + 4 * eps * |psi| / h + |D(h) - D(2h)|``:
-    the second term bounds the rounding error of the difference quotient
-    (eps is the float epsilon, psi the value at the untilted law), and the
-    third estimates its truncation error.  A degenerate draw (a zero
-    denominator, a log or sqrt outside its domain, an overflow, a path too
-    short for the step 2h) is skipped; ``checked`` counts the trials
+    equal its inner product with the score, with zero tolerance.  The
+    mean-zero check matters: scores are orthogonal to constants, so the
+    derivative identity alone cannot see a missing centering.  A degenerate
+    draw (a zero denominator) is skipped; ``checked`` counts the trials
     actually checked, and the report fails unless :func:`enough_checked`
     holds.
     Failures are reported, not raised.
     """
     if candidate is None:
-        derived = derive_eic(psi, mode=mode)
+        derived = derive_eic(psi)
         normalized, eic = derived.estimand, derived.eic
     else:
         normalized, eic = normalize_functional(psi), candidate
@@ -301,47 +240,24 @@ def certify_eic(
     for index in range(trials):
         rng = trial_rng(seed, index)
         space = random_space(rng, max_outcomes=max_outcomes)
-        low = 1 if positive_vars else -5
-        binding = random_binding(rng, space, names, low=low, high=5)
+        binding = random_binding(rng, space, names)
         score = random_score(rng, space)
-        path = make_path(space, score)
-        if mode == "float" and 2 * Fraction(h) > path.epsilon_bound:
-            continue  # degenerate draw: the step 2h leaves the path
+        path = PathSpec(space, score)
         try:
-            eic_values = evaluate_rv(eic, space, binding, mode)
-            if mode == "exact":
-                path_side = _tilt(normalized, path, binding)[1]
-            else:
-                path_side = pathwise_derivative_numeric(psi, path, binding, h)
-                path_2h = pathwise_derivative_numeric(psi, path, binding, 2 * h)
-                psi_value = evaluate_func(psi, space, binding, "float")
+            eic_values = evaluate_rv(eic, space, binding)
+            path_side = _tilt(normalized, path, binding)[1]
         except EvaluationError:
             continue  # degenerate draw
         checked += 1
         eic_mean = expectation(space, eic_values)
-        if mode == "exact":
-            mean_ok = eic_mean == 0
-        else:
-            scale = max(1.0, max(abs(float(v)) for v in eic_values.values))
-            mean_ok = abs(float(eic_mean)) <= rel_tol * scale
-        if not mean_ok:
+        if eic_mean != 0:
             counterexample = (
                 f"trial {index}: gradient mean {eic_mean} is not zero;"
                 f" weights={[str(w) for w in space.weights]}"
             )
             break
         gradient_side = inner(space, eic_values, score)
-        if mode == "exact":
-            ok = path_side == gradient_side
-        else:
-            g = float(gradient_side)
-            tolerance = (
-                rel_tol * max(abs(path_side), abs(g))
-                + 4 * sys.float_info.epsilon * abs(psi_value) / h
-                + abs(path_side - path_2h)
-            )
-            ok = abs(path_side - g) <= tolerance
-        if not ok:
+        if path_side != gradient_side:
             counterexample = (
                 f"trial {index}: weights={[str(w) for w in space.weights]}"
                 f" binding={{{', '.join(f'{n}={[str(v) for v in binding[n].values]}' for n in names)}}}"
@@ -356,7 +272,6 @@ def certify_eic(
         )
     return CertifyReport(
         estimand=render_func(psi),
-        mode=mode,
         trials=trials,
         checked=checked,
         passed=counterexample is None,

@@ -118,20 +118,11 @@ def test_criterion_5_pathwise_certificates():
         "variance": E(X**2) - E(X) ** 2,
         "covariance": E(X * Y) - E(X) * E(Y),
         "product-of-means": E(X) * E(Y),
+        "reciprocal": inv(E(X)),
     }
     for name, psi in catalog.items():
         result = certify_eic(psi, trials=100, seed=1005)
         assert result.passed, f"{name}: {result.counterexample}"
-    numeric = certify_eic(
-        inv(E(X)),
-        trials=100,
-        seed=1005,
-        mode="float",
-        positive_vars=True,
-        rel_tol=1e-6,
-        h=1e-6,
-    )
-    assert numeric.passed, numeric.counterexample
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(5, f"pathwise-derivative certificates pass ({elapsed:.1f}s)")

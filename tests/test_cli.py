@@ -11,7 +11,7 @@ import pytest
 from conftest import negate_first_centering
 from eicalg import brackets, measure
 from eicalg.canon import canonicalize_rv
-from eicalg.cli import main
+from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.expr import E, var
 from eicalg.parser import MAX_NESTING, parse_expression
 from workloads import grammar_expression
@@ -419,8 +419,34 @@ class TestVerify:
         assert out == ""
         assert "--max-outcomes" in err
 
+    def test_max_outcomes_above_the_bound_is_usage_error(self, capsys):
+        start = time.perf_counter()
+        code, _, _ = run_cli(
+            capsys, "verify", "jacobi", "--trials", "1",
+            "--max-outcomes", str(MAX_OUTCOMES),
+        )
+        assert code == 0
+        for value in (MAX_OUTCOMES + 1, 10**9):
+            code, out, err = run_cli(
+                capsys, "verify", "jacobi", "--trials", "3",
+                "--max-outcomes", str(value),
+            )
+            assert code == 2
+            assert out == ""
+            assert "--max-outcomes" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestEstimate:
+    def test_byte_order_mark_before_the_header(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfX\n1\n2\n")
+        code, out, err = run_cli(
+            capsys, "--output", "structured", "estimate", "E[X]", "--data", str(path)
+        )
+        assert code == 0, err
+        assert parse_structured(out)["results"][0]["estimate"] == "3/2"
+
     def test_mean_closed_form(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("Y\n0\n1\n")
@@ -626,6 +652,23 @@ class TestSimulate:
         result = parse_structured(out)["results"][0]
         assert result["empirical_variance"] == 0.0
         assert result["coverage"] == 1.0
+
+    def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
+        config = tmp_path / "mc.json"
+        fields = {
+            "family": "bernoulli",
+            "params": {"p": "0.5"},
+            "estimand": "E[X]",
+            "n": 10,
+            "replicates": 3,
+            "seed": 1,
+        }
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps(fields).encode())
+        code, out, err = run_cli(
+            capsys, "--output", "structured", "simulate", "--config", str(config)
+        )
+        assert code == 0, err
+        assert parse_structured(out)["inputs"]["estimand"] == "E[X]"
 
     @pytest.mark.parametrize("key", ["estimand", "family", "n", "replicates", "seed"])
     def test_config_missing_key_is_usage_error(self, capsys, tmp_path, key):

@@ -4,14 +4,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+from eicalg import eic
 from eicalg.canon import canonicalize_func, canonicalize_rv
 from eicalg.eic import (
+    PathSpec,
     certify_eic,
     derive_eic,
-    make_path,
     mean_zero_certificate,
     pathwise_derivative_exact,
-    pathwise_derivative_numeric,
 )
 from eicalg.errors import EvaluationError, ExactModeError
 from eicalg.expr import (
@@ -19,11 +19,12 @@ from eicalg.expr import (
     FuncConst,
     Moment,
     Smooth,
+    evaluate_func,
     evaluate_rv,
     inv,
     var,
 )
-from eicalg.measure import FiniteProbSpace, expectation, inner
+from eicalg.measure import FiniteProbSpace, RandVar, expectation, inner
 from eicalg.parser import parse_expression
 from eicalg.sampling import random_binding, random_score, random_space, trial_rng
 
@@ -45,6 +46,20 @@ def halves():
 
 def canon_equal(a, b):
     return canonicalize_rv(a) == canonicalize_rv(b)
+
+
+def central_difference(psi, path, binding, h):
+    """(psi(h) - psi(-h)) / 2h along the tilt w_i * (1 + eps * s_i), computed
+    exactly; it equals the derivative at 0 when psi is at most quadratic in eps."""
+
+    def at(eps):
+        space = path.space
+        weights = [w * (1 + eps * s) for w, s in zip(space.weights, path.score.values)]
+        tilted = FiniteProbSpace(space.outcomes, weights)
+        rebased = {name: RandVar(tilted, v.values) for name, v in binding.items()}
+        return evaluate_func(psi, tilted, rebased)
+
+    return (at(h) - at(-h)) / (2 * h)
 
 
 class TestDeriveRules:
@@ -82,8 +97,15 @@ class TestDeriveRules:
             derive_eic(Smooth("log", E(X)))
 
     def test_smooth_chain_rule_in_float_mode(self):
-        result = derive_eic(Smooth("log", E(X)), mode="float")
-        assert canon_equal(result.eic, (X - E(X)) * inv(E(X)))
+        # each registered derivative, pinned by a hand-written gradient
+        literals = {
+            "exp": Smooth("exp", E(X)) * (X - E(X)),
+            "log": (X - E(X)) * inv(E(X)),
+            "sqrt": Q(1, 2) * inv(Smooth("sqrt", E(X))) * (X - E(X)),
+        }
+        for tag, literal in literals.items():
+            result = derive_eic(Smooth(tag, E(X)), mode="float")
+            assert canon_equal(result.eic, literal), tag
 
     def test_reciprocal_rule(self):
         result = derive_eic(inv(E(X)))
@@ -139,21 +161,21 @@ class TestPathwiseDerivative:
             space = random_space(rng)
             binding = random_binding(rng, space, ("X",))
             score = random_score(rng, space)
-            path = make_path(space, score)
+            path = PathSpec(space, score)
             got = pathwise_derivative_exact(E(X), path, binding)
             assert got == inner(space, binding["X"], score)
 
     def test_constant_has_zero_derivative(self):
         rng = trial_rng(6, 0)
         space = random_space(rng)
-        path = make_path(space, random_score(rng, space))
+        path = PathSpec(space, random_score(rng, space))
         assert pathwise_derivative_exact(FuncConst(Q(4)), path, {}) == 0
 
     def test_variance_spec_instance(self):
         space = halves()
         vx = space.variable((0, 1))
         score = space.variable((-1, 1))
-        path = make_path(space, score)
+        path = PathSpec(space, score)
         lhs = pathwise_derivative_exact(VARIANCE, path, {"X": vx})
         eic_values = evaluate_rv(derive_eic(VARIANCE).eic, space, {"X": vx})
         assert lhs == inner(space, eic_values, score)
@@ -161,26 +183,20 @@ class TestPathwiseDerivative:
     def test_score_must_be_mean_zero(self):
         space = halves()
         with pytest.raises(ValueError):
-            make_path(space, space.variable((1, 2)))
-
-    def test_positivity_guard(self):
-        space = halves()
-        score = space.variable((-1, 1))
-        with pytest.raises(ValueError):
-            make_path(space, score, epsilon_bound=Q(2))
+            PathSpec(space, space.variable((1, 2)))
 
     def test_exact_path_quotient_rule(self):
         space = halves()
         vx = space.variable((1, 2))
         score = space.variable((-1, 1))
-        path = make_path(space, score)
+        path = PathSpec(space, score)
         got = pathwise_derivative_exact(inv(E(X)), path, {"X": vx})
         mean = expectation(space, vx)
         assert got == -inner(space, vx, score) / mean**2 == Q(-2, 9)
 
     def test_exact_path_zero_denominator_raises(self):
         space = halves()
-        path = make_path(space, space.variable((-1, 1)))
+        path = PathSpec(space, space.variable((-1, 1)))
         with pytest.raises(EvaluationError):
             pathwise_derivative_exact(
                 inv(E(X)), path, {"X": space.variable((-1, 1))}
@@ -188,32 +204,30 @@ class TestPathwiseDerivative:
 
     def test_exact_path_rejects_smooth(self):
         space = halves()
-        path = make_path(space, space.variable((-1, 1)))
+        path = PathSpec(space, space.variable((-1, 1)))
         with pytest.raises(ExactModeError):
             pathwise_derivative_exact(
                 Smooth("log", E(X)), path, {"X": space.variable((1, 2))}
             )
 
     def test_numeric_matches_exact_for_mean(self):
+        # E[X] is affine in eps, so the central difference is exact
         rng = trial_rng(8, 0)
         space = random_space(rng)
         binding = random_binding(rng, space, ("X",))
-        score = random_score(rng, space)
-        path = make_path(space, score)
-        exact = float(pathwise_derivative_exact(E(X), path, binding))
-        numeric = pathwise_derivative_numeric(E(X), path, binding, 1e-6)
-        assert numeric == pytest.approx(exact, rel=1e-8, abs=1e-10)
+        path = PathSpec(space, random_score(rng, space))
+        numeric = central_difference(E(X), path, binding, Q(1, 10**6))
+        assert numeric == pathwise_derivative_exact(E(X), path, binding)
 
     def test_numeric_matches_exact_for_variance(self):
+        # Var(X) is quadratic in eps, so the central difference is exact
         for index in range(10):
             rng = trial_rng(9, index)
             space = random_space(rng)
             binding = random_binding(rng, space, ("X",))
-            score = random_score(rng, space)
-            path = make_path(space, score)
-            exact = float(pathwise_derivative_exact(VARIANCE, path, binding))
-            numeric = pathwise_derivative_numeric(VARIANCE, path, binding, 1e-6)
-            assert numeric == pytest.approx(exact, rel=1e-6, abs=1e-9)
+            path = PathSpec(space, random_score(rng, space))
+            numeric = central_difference(VARIANCE, path, binding, Q(1, 10**6))
+            assert numeric == pathwise_derivative_exact(VARIANCE, path, binding)
 
     def test_numeric_reciprocal_against_gradient(self):
         psi = inv(E(X))
@@ -222,11 +236,11 @@ class TestPathwiseDerivative:
             space = random_space(rng)
             binding = random_binding(rng, space, ("X",), low=1, high=5)
             score = random_score(rng, space)
-            path = make_path(space, score)
-            numeric = pathwise_derivative_numeric(psi, path, binding, 1e-6)
+            path = PathSpec(space, score)
+            numeric = central_difference(psi, path, binding, Q(1, 10**6))
             eic_values = evaluate_rv(derive_eic(psi).eic, space, binding)
-            gradient_side = float(inner(space, eic_values, score))
-            assert numeric == pytest.approx(gradient_side, rel=1e-6, abs=1e-9)
+            gradient_side = inner(space, eic_values, score)
+            assert float(numeric) == pytest.approx(gradient_side, rel=1e-9, abs=1e-12)
 
 
 class TestCertify:
@@ -245,12 +259,6 @@ class TestCertify:
         assert report.counterexample is not None
         assert "trial" in report.counterexample
 
-    def test_float_mode_reciprocal(self):
-        report = certify_eic(
-            inv(E(X)), trials=50, seed=7, mode="float", positive_vars=True
-        )
-        assert report.passed
-
     @pytest.mark.parametrize("name", sorted(RATIONAL_ESTIMANDS))
     def test_rational_estimand_certified_exactly(self, name):
         report = certify_eic(RATIONAL_ESTIMANDS[name], trials=200, seed=3)
@@ -262,37 +270,36 @@ class TestCertify:
         report = certify_eic(psi, trials=50, seed=3, candidate=derive_eic(E(X * Y)).eic)
         assert not report.passed
 
-    def test_float_mode_skips_degenerate_draws(self):
+    def test_degenerate_draws_are_skipped(self):
         psi = RATIONAL_ESTIMANDS["squared-correlation"]
-        # draws with Var(X) = 0 or Var(Y) = 0 divide by zero; they are skipped
-        report = certify_eic(psi, trials=50, seed=7, mode="float", positive_vars=True)
+        # on two outcomes Var(X) = 0 or Var(Y) = 0 is a common draw; it
+        # divides by zero and is skipped
+        report = certify_eic(psi, trials=50, seed=7, max_outcomes=2)
         assert 0 < report.checked < report.trials
 
+    # the exact certificate judges a gradient derived in float mode: the
+    # unscaled one passes and the same one scaled by 1.1 fails
     @pytest.mark.parametrize("seed", range(5))
     def test_float_mode_certifies_squared_correlation(self, seed):
-        # draws where |corr| = 1 put a double zero of psi - 1 under the
-        # central difference; the tolerance's truncation term covers them
         psi = RATIONAL_ESTIMANDS["squared-correlation"]
-        report = certify_eic(
-            psi, trials=50, seed=seed, mode="float", positive_vars=True
-        )
+        candidate = derive_eic(psi, mode="float").eic
+        report = certify_eic(psi, trials=50, seed=seed, candidate=candidate)
         assert report.passed, report.counterexample
 
     @pytest.mark.parametrize("seed", range(5))
     def test_float_mode_catches_scaled_gradient(self, seed):
         psi = RATIONAL_ESTIMANDS["squared-correlation"]
         scaled = Q(11, 10) * derive_eic(psi, mode="float").eic
-        report = certify_eic(
-            psi, trials=50, seed=seed, mode="float", positive_vars=True,
-            candidate=scaled,
-        )
+        report = certify_eic(psi, trials=50, seed=seed, candidate=scaled)
         assert not report.passed
         assert "path-derivative" in report.counterexample
 
-    def test_too_few_checked_trials_fail(self):
-        # log is undefined on every draw: E[X] <= 5 < 6
-        psi = Smooth("log", E(X) - 6)
-        report = certify_eic(psi, trials=20, seed=7, mode="float")
+    def test_too_few_checked_trials_fail(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise EvaluationError("every draw is degenerate")
+
+        monkeypatch.setattr(eic, "evaluate_rv", degenerate)
+        report = certify_eic(E(X), trials=20, seed=7)
         assert report.checked == 0
         assert not report.passed
         assert "0 of 20" in report.counterexample
