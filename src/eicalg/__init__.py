@@ -36,6 +36,7 @@ from .eic import (
     pathwise_derivative_exact,
 )
 from .estimate import (
+    CompiledEstimand,
     Dataset,
     eic_standard_error,
     empirical_space,
@@ -98,6 +99,7 @@ __all__ = [
     "corollary_cov",
     "symbolic_identity_suite",
     "Dataset",
+    "CompiledEstimand",
     "read_delimited",
     "empirical_space",
     "plugin_estimate",

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .canon import CanonForm, canonicalize_rv
 from .eic import derive_eic
-from .expr import E, RvExpr, evaluate_rv, rv_embed, var
+from .expr import E, evaluate_rv, rv_embed, var
 from .measure import (
     FiniteProbSpace,
     RandVar,
@@ -57,10 +57,6 @@ _EIC_MEAN_PROD = derive_eic(_MEAN_PROD_FUNC).eic
 _EIC_PROD_MEANS = derive_eic(_PROD_MEANS_FUNC).eic
 
 
-def _pair_binding(x: RandVar, y: RandVar) -> dict[str, RandVar]:
-    return {"X": x, "Y": y}
-
-
 def bracket_P_prod(space: FiniteProbSpace, x: RandVar, y: RandVar) -> Fraction:
     """Expectation-product bracket: E[xy] - E[x]E[y], i.e. the covariance."""
     return expectation(space, pointwise_product(x, y)) - expectation(
@@ -84,7 +80,7 @@ def bracket_T_P(
 
 def nested_T_P_prod(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Centering applied to the covariance, minus the covariance of centerings."""
-    gradient = evaluate_rv(_EIC_COV, space, _pair_binding(x, y))
+    gradient = evaluate_rv(_EIC_COV, space, {"X": x, "Y": y})
     return gradient - embed(
         covariance(space, center(space, x), center(space, y)), space
     )
@@ -92,7 +88,7 @@ def nested_T_P_prod(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
 
 def nested_P_prod_T(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Covariance minus the centered product, plus the product-of-means gradient."""
-    prod_means_gradient = evaluate_rv(_EIC_PROD_MEANS, space, _pair_binding(x, y))
+    prod_means_gradient = evaluate_rv(_EIC_PROD_MEANS, space, {"X": x, "Y": y})
     return (
         embed(bracket_P_prod(space, x, y), space)
         - pointwise_product(center(space, x), center(space, y))
@@ -102,7 +98,7 @@ def nested_P_prod_T(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
 
 def nested_prod_T_P(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Product of centerings minus the gradient of the product's mean."""
-    mean_prod_gradient = evaluate_rv(_EIC_MEAN_PROD, space, _pair_binding(x, y))
+    mean_prod_gradient = evaluate_rv(_EIC_MEAN_PROD, space, {"X": x, "Y": y})
     return (
         pointwise_product(center(space, x), center(space, y))
         - mean_prod_gradient
@@ -122,7 +118,7 @@ def corollary_leibniz(
     space: FiniteProbSpace, x: RandVar, y: RandVar
 ) -> tuple[RandVar, RandVar]:
     """(Tx)(Ty) + gradient of E[x]E[y]  versus  gradient of E[xy] + Cov."""
-    binding = _pair_binding(x, y)
+    binding = {"X": x, "Y": y}
     lhs = pointwise_product(
         center(space, x), center(space, y)
     ) + evaluate_rv(_EIC_PROD_MEANS, space, binding)
@@ -136,7 +132,7 @@ def corollary_cov(
     space: FiniteProbSpace, x: RandVar, y: RandVar
 ) -> tuple[RandVar, RandVar]:
     """(Tx)(Ty)  versus  gradient of the covariance + Cov."""
-    binding = _pair_binding(x, y)
+    binding = {"X": x, "Y": y}
     lhs = pointwise_product(center(space, x), center(space, y))
     rhs = evaluate_rv(_EIC_COV, space, binding) + embed(
         bracket_P_prod(space, x, y), space
@@ -165,21 +161,6 @@ def _canon_equal_record(name: str, statement: str, lhs, rhs) -> IdentityRecord:
     return IdentityRecord(name, statement, "symbolic", passed, detail)
 
 
-def symbolic_pieces() -> dict[str, RvExpr]:
-    """The three composite brackets over abstract variables X, Y."""
-    x, y = _X, _Y
-    tx = x - E(x)
-    ty = y - E(y)
-    cov = rv_embed(_COV_FUNC)
-    return {
-        "nested-center-of-covariance": _EIC_COV - cov,
-        "nested-expectation-of-product-centering": (
-            cov - tx * ty + _EIC_PROD_MEANS
-        ),
-        "nested-product-of-centered-means": tx * ty - _EIC_MEAN_PROD,
-    }
-
-
 def symbolic_identity_suite() -> list[IdentityRecord]:
     """Prove every bracket identity at the canonical-form level."""
     x, y = _X, _Y
@@ -187,12 +168,10 @@ def symbolic_identity_suite() -> list[IdentityRecord]:
     ty = y - E(y)
     cov = rv_embed(_COV_FUNC)
     mean_xy = rv_embed(_MEAN_PROD_FUNC)
-    pieces = symbolic_pieces()
-    piece_sum = (
-        pieces["nested-center-of-covariance"]
-        + pieces["nested-expectation-of-product-centering"]
-        + pieces["nested-product-of-centered-means"]
-    )
+    # the three composite brackets, as nested_T_P_prod etc. compute them
+    t_p_prod = _EIC_COV - cov
+    p_prod_t = cov - tx * ty + _EIC_PROD_MEANS
+    prod_t_p = tx * ty - _EIC_MEAN_PROD
     # expected covariance polynomial built directly from moment atoms
     atom_xy = CanonForm.from_atom(("m", (("X", 1), ("Y", 1))))
     atom_x = CanonForm.from_atom(("m", (("X", 1),)))
@@ -244,25 +223,25 @@ def symbolic_identity_suite() -> list[IdentityRecord]:
         _canon_equal_record(
             "lemma-piece-center-of-covariance",
             "first composite bracket equals (TX)(TY) - 2 Cov",
-            pieces["nested-center-of-covariance"],
+            t_p_prod,
             tx * ty - rv_embed(_COV_FUNC) - rv_embed(_COV_FUNC),
         ),
         _canon_equal_record(
             "lemma-piece-expectation-of-product-centering",
             "second composite bracket equals Cov - (TX)(TY) + Leibniz expansion",
-            pieces["nested-expectation-of-product-centering"],
+            p_prod_t,
             cov - tx * ty + (tx * rv_embed(E(y)) + rv_embed(E(x)) * ty),
         ),
         _canon_equal_record(
             "lemma-piece-product-of-centered-means",
             "third composite bracket equals (TX)(TY) - (XY - E[XY])",
-            pieces["nested-product-of-centered-means"],
+            prod_t_p,
             tx * ty - (x * y - mean_xy),
         ),
         _canon_equal_record(
             "jacobi-identity",
             "the cyclic sum of the three composite brackets is zero",
-            piece_sum,
+            t_p_prod + p_prod_t + prod_t_p,
             CanonForm.zero(),
         ),
     ]

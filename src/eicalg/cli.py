@@ -19,10 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .canon import canonicalize_rv, expectation_of_form, rv_from_form
-from .eic import derive_eic
+from .canon import canonicalize_rv, rv_from_form
+from .eic import derive_eic, mean_zero_certificate
 from .errors import DataError, EvaluationError, ExactModeError, NormalizationError
 from .estimate import (
+    CompiledEstimand,
     check_level,
     checked_split,
     eic_standard_error,
@@ -83,7 +84,7 @@ def cmd_derive(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
     result = derive_eic(psi, mode=args.mode)
     form = canonicalize_rv(result.eic)
-    mean_zero = expectation_of_form(form).is_zero
+    mean_zero = mean_zero_certificate(form)
     results = [
         {
             "estimand": render_func(result.estimand),
@@ -149,9 +150,14 @@ def cmd_estimate(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
     check_level(args.level)
     split = None if args.split is None else checked_split(args.split)
-    data = read_delimited(Path(args.data).read_text(encoding="utf-8-sig"))
-    estimate = plugin_estimate(psi, data, mode=args.mode)
-    se = eic_standard_error(psi, data, mode=args.mode)
+    try:  # decoded whole, so that an offset counts from the file's first byte
+        text = Path(args.data).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.data}: byte {exc.start} is not UTF-8") from exc
+    data = read_delimited(text.removeprefix("\ufeff"))
+    estimand = CompiledEstimand(psi, args.mode)
+    estimate = plugin_estimate(estimand, data)
+    se = eic_standard_error(estimand, data)
     estimate_float = to_float(estimate)
     low, high = wald_ci(estimate_float, se, args.level)
     result = {
@@ -164,7 +170,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
         "n": data.n,
     }
     if split is not None:
-        onestep = onestep_estimate(psi, data, split, args.mode)
+        onestep = onestep_estimate(estimand, data, split)
         result["onestep"] = str(onestep)
         result["onestep_float"] = to_float(onestep)
     doc = _document(

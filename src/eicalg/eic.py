@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import canonicalize_func, normalize_functional
+from .canon import CanonForm, expectation_of_form, normalize_functional
 from .errors import EvaluationError, ExactModeError
 from .expr import (
     FuncConst,
@@ -279,6 +279,7 @@ def certify_eic(
     )
 
 
-def mean_zero_certificate(eic: RvExpr) -> bool:
-    """Symbolic check that a gradient expression has expectation zero."""
-    return canonicalize_func(Moment(eic)).is_zero
+def mean_zero_certificate(form: CanonForm) -> bool:
+    """Symbolic check that a gradient, given by its canonical form, has
+    expectation zero."""
+    return expectation_of_form(form).is_zero

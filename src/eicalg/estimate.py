@@ -5,13 +5,13 @@ with a count per row.  A data cell is parsed exactly, as an integer over a
 power of ten, and each column is kept over the largest power of ten of its
 cells, so no cell is ever a binary float or a ``Fraction``.  A plug-in
 functional of moments and its gradient are rational in primitive moments
-E[X^a Y^b], so each estimator compiles the functional once
-(:class:`CompiledEstimand`) and values it on a law, whose primitive
-moments are integer sums over the columns, each computed once per law.
-Results are exact; the empirical mean of a plug-in gradient is exactly
-zero.  Float mode rounds every embedded functional to a float as pointwise
-evaluation does, so both modes give the same numbers as evaluating row by
-row on :func:`empirical_space`, which stays as the independent route.
+E[X^a Y^b]: a call compiles the estimand once, in one mode, as a
+:class:`CompiledEstimand`, which every estimator then values on a law,
+whose primitive moments are integer sums over the columns, each computed
+once per law.  Results are exact; the empirical mean of a plug-in gradient
+is exactly zero.  Float mode rounds every embedded functional to a float as
+pointwise evaluation does, so both modes give the same numbers as
+evaluating row by row on :func:`empirical_space`, the independent route.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .expr import (
     to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .numerals import is_decimal_literal
+from .numerals import is_decimal_literal, rational_setting
 
 __all__ = [
     "Dataset",
@@ -234,9 +234,9 @@ def _checked(psi: FuncExpr, data: Dataset) -> Dataset:
     return data
 
 
-def plugin_estimate(psi: FuncExpr, data: Dataset, mode: str = "exact"):
-    """Functional evaluated at the empirical measure."""
-    return CompiledEstimand(psi, mode).value(_checked(psi, data))
+def plugin_estimate(estimand: CompiledEstimand, data: Dataset):
+    """The estimand evaluated at the empirical measure."""
+    return estimand.value(_checked(estimand.psi, data))
 
 
 def eic_variance(
@@ -260,25 +260,21 @@ def standard_error(variance: Fraction, n: int) -> float:
     return math.sqrt(to_float(variance / n))
 
 
-def eic_standard_error(psi: FuncExpr, data: Dataset, mode: str = "exact") -> float:
+def eic_standard_error(estimand: CompiledEstimand, data: Dataset) -> float:
     """Standard error sqrt(Var_hat(gradient)/n) at the empirical measure."""
-    variance = CompiledEstimand(psi, mode).variance(_checked(psi, data))
-    return standard_error(variance, data.n)
+    return standard_error(estimand.variance(_checked(estimand.psi, data)), data.n)
 
 
 def checked_split(ratio) -> Fraction:
     """A one-step split ratio as an exact rational in (0, 1]."""
-    ratio = Fraction(ratio)
+    ratio = rational_setting("--split", ratio)
     if not 0 < ratio <= 1:
         raise ValueError("split ratio must lie in (0, 1]")
     return ratio
 
 
 def onestep_estimate(
-    psi: FuncExpr,
-    data: Dataset,
-    split_ratio: Fraction = Fraction(1, 2),
-    mode: str = "exact",
+    estimand: CompiledEstimand, data: Dataset, split_ratio=Fraction(1, 2)
 ):
     """Sample-split one-step estimator.
 
@@ -295,13 +291,12 @@ def onestep_estimate(
     n = data.n
     k = int(ratio * n)
     if ratio == 1:
-        return plugin_estimate(psi, data, mode)
+        return plugin_estimate(estimand, data)
     if k < 1 or k >= n:
         raise ValueError("fold too small to evaluate the functional")
-    fit, held = _checked(psi, data).subset(0, k), data.subset(k, n)
-    compiled = CompiledEstimand(psi, mode)
-    value = Fraction(compiled.value(fit)) + compiled.means(compiled.eic, held, fit)[0]
-    return to_float(value) if mode == "float" else value
+    fit, held = _checked(estimand.psi, data).subset(0, k), data.subset(k, n)
+    value = Fraction(estimand.value(fit)) + estimand.means(estimand.eic, held, fit)[0]
+    return to_float(value) if estimand.mode == "float" else value
 
 
 # ---------------------------------------------------------------------------

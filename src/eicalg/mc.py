@@ -23,8 +23,11 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .estimate import CompiledEstimand, Dataset, normal_quantile, standard_error
-from .expr import FuncExpr, func_base_vars
+from .estimate import (
+    CompiledEstimand, Dataset, check_level, normal_quantile, standard_error
+)
+from .expr import FuncExpr, func_base_vars, to_float
+from .numerals import rational_setting
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
 
@@ -45,12 +48,13 @@ class McConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("sample size must be at least 2")
+        if self.n > 2**63 - 1:  # numpy's multinomial takes a 64-bit count
+            raise ValueError("sample size 'n' must be at most 2**63 - 1")
         if self.replicates < 1:
             raise ValueError("at least one replicate required")
         if self.seed < 0:
             raise ValueError("'seed' must be nonnegative")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("confidence level must lie in (0, 1)")
+        check_level(self.level)
 
 
 @dataclass(frozen=True)
@@ -89,13 +93,16 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     if not isinstance(params, dict):
         raise ValueError("sampler parameters must be a JSON object")
 
-    def param(key):
-        if key not in params:
+    def param(key, default=None):
+        if key not in params and default is None:
             raise ValueError(f"the {family} sampler needs the parameter {key!r}")
-        return params[key]
+        return params.get(key, default)
+
+    def rational(key, default=None):
+        return rational_setting(key, param(key, default))
 
     if family == "bernoulli":
-        p = Fraction(str(param("p")))
+        p = rational("p")
         if not 0 < p < 1:
             raise ValueError("bernoulli parameter must lie in (0, 1)")
         return (Fraction(0), Fraction(1)), (1 - p, p)
@@ -103,8 +110,8 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         for key in ("support", "weights"):
             if not isinstance(param(key), list):
                 raise ValueError(f"the discrete sampler's {key!r} must be a list")
-        support = tuple(Fraction(str(v)) for v in param("support"))
-        weights = tuple(Fraction(str(w)) for w in param("weights"))
+        support = tuple(rational_setting("support", v) for v in param("support"))
+        weights = tuple(rational_setting("weights", w) for w in param("weights"))
         if len(support) != len(weights):
             raise ValueError("support and weights must have equal length")
         if len(set(support)) != len(support):
@@ -114,7 +121,7 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         kept = [(v, w) for v, w in zip(support, weights) if w > 0]
         return tuple(v for v, _ in kept), tuple(w for _, w in kept)
     if family == "uniform-grid":
-        low, high = Fraction(str(param("low"))), Fraction(str(param("high")))
+        low, high = rational("low"), rational("high")
         points = integer_setting("points", param("points"))
         if points < 1 or high <= low:
             raise ValueError("need high > low and at least one grid point")
@@ -124,20 +131,21 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         support = tuple(low + step * i for i in range(points))
         return support, tuple(Fraction(1, points) for _ in support)
     if family == "gaussian-grid":
-        mean = Fraction(str(param("mean")))
-        sd = Fraction(str(param("sd")))
-        points = integer_setting("points", params.get("points", 41))
-        span = Fraction(str(params.get("span", 4)))
+        mean, sd = rational("mean"), rational("sd")
+        points = integer_setting("points", param("points", 41))
+        span = rational("span", 4)
         if sd <= 0 or points < 3:
             raise ValueError("need positive sd and at least three grid points")
         if span <= 0:
             raise ValueError("need positive span")
         step = 2 * span * sd / (points - 1)
         support = tuple(mean - span * sd + step * i for i in range(points))
-        raw = [
-            Fraction(math.exp(-float((v - mean) / sd) ** 2 / 2)) for v in support
-        ]
+        z = [to_float((v - mean) / sd) for v in support]
+        # the density underflows to 0.0 well before |z| = 40; z**2 could overflow
+        raw = [Fraction(math.exp(-x**2 / 2)) if abs(x) < 40 else Fraction(0) for x in z]
         total = sum(raw)
+        if total == 0:
+            raise ValueError("every gaussian-grid weight underflows to 0: lower 'span'")
         return support, tuple(w / total for w in raw)
     raise ValueError(f"unsupported sampler family {family!r}")
 
@@ -161,10 +169,10 @@ def run_mc(config: McConfig) -> McReport:
     truth = estimand.value(truth_law)
     bound = estimand.variance(truth_law)
 
-    probs = np.array([float(w) for w in weights], dtype=np.float64)
+    probs = np.array([to_float(w) for w in weights], dtype=np.float64)
     probs = probs / probs.sum()
     z = normal_quantile((1 + config.level) / 2)
-    truth_f = float(truth)
+    truth_f = to_float(truth)
     sqrt_n = math.sqrt(config.n)
 
     estimates: list[float] = []
@@ -176,7 +184,7 @@ def run_mc(config: McConfig) -> McReport:
         )
         counts = rng.multinomial(config.n, probs).tolist()
         law = Dataset(column, counts, config.n)
-        estimate_f = float(estimand.value(law))
+        estimate_f = to_float(estimand.value(law))
         estimates.append(estimate_f)
         errors.append(sqrt_n * (estimate_f - truth_f))
         se = standard_error(estimand.variance(law), config.n)
@@ -193,7 +201,7 @@ def run_mc(config: McConfig) -> McReport:
     return McReport(
         truth=truth_f,
         truth_exact=str(truth),
-        bound=float(bound),
+        bound=to_float(bound),
         bound_exact=str(bound),
         empirical_variance=empirical_variance,
         coverage=covered / config.replicates,

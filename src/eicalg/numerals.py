@@ -14,11 +14,14 @@ def is_decimal_literal(text: str) -> bool:
     return bool(_DECIMAL_RE.match(text))
 
 
-def parse_decimal(text: str) -> Fraction:
-    """Parse an unsigned decimal literal exactly into a rational."""
-    if not _DECIMAL_RE.match(text):
-        raise ValueError(f"not a decimal literal: {text!r}")
-    return Fraction(text)
+def rational_setting(key: str, value) -> Fraction:
+    """A setting read exactly as a rational (``0.1``, ``1/3``, ``2e-3``); a
+    value that is not one, or has a zero denominator, is a usage error
+    naming ``key``."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key!r} must be a rational number, not {value!r}") from None
 
 
 def format_decimal(q: Fraction) -> str | None:

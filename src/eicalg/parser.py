@@ -35,6 +35,7 @@ represents (its expectation), so ``X*Y`` parses to the same functional as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ParseError
 from .expr import (
@@ -59,7 +60,6 @@ from .expr import (
     rv_product,
     rv_sum,
 )
-from .numerals import parse_decimal
 
 __all__ = ["parse_expression", "tokenize"]
 
@@ -254,7 +254,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return True, FuncConst(parse_decimal(tok.text))
+            return True, FuncConst(Fraction(tok.text))
         if tok.kind == "(":
             return self.nested(self.advance(), ")")
         if tok.kind == "IDENT":

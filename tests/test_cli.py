@@ -923,3 +923,88 @@ class TestReciprocalOfZeroIsNotCancelled:
         assert code == 3
         assert out == ""
         assert "reciprocal of a functional evaluating to zero" in err
+
+
+SIMULATE = ["simulate", "--estimand", "E[X]", "--n", "20", "--replicates", "2"]
+
+
+class TestTypedExitForBadSettings:
+    """Each bad setting ends, within a second, in one ``error:`` line and
+    its documented exit code: 2 for a usage error naming the setting, 3 for
+    a data error."""
+
+    @pytest.mark.parametrize(
+        "argv, code, needle",
+        [
+            (["estimate", "E[X]", "--split", "1/0"], 2, "'--split'"),
+            ([*SIMULATE, "--family", "bernoulli", "--p", "1/0"], 2, "'p'"),
+            (
+                [*SIMULATE, "--family", "discrete", "--support", "1,1/0",
+                 "--weights", "0.5,0.5"],
+                2,
+                "'support'",
+            ),
+            (
+                [*SIMULATE, "--family", "gaussian-grid", "--mean", "0", "--sd", "1",
+                 "--points", "4", "--span", "1000"],
+                2,
+                "'span'",
+            ),
+            (
+                [*SIMULATE, "--family", "gaussian-grid", "--mean", "0", "--sd", "1",
+                 "--points", "4", "--span", "1e200"],
+                2,
+                "'span'",
+            ),
+            (
+                [*SIMULATE, "--family", "bernoulli", "--p", "0.5",
+                 "--n", "100000000000000000000"],
+                2,
+                "'n'",
+            ),
+            (
+                [*SIMULATE, "--family", "uniform-grid", "--low", "0",
+                 "--high", "1e400", "--points", "3"],
+                3,
+                "overflows a float",
+            ),
+            (
+                [*SIMULATE, "--family", "gaussian-grid", "--mean", "0", "--sd", "1",
+                 "--span", "1e400"],
+                3,
+                "overflows a float",
+            ),
+        ],
+        ids=[
+            "split-zero-denominator", "p-zero-denominator", "support-zero-denominator",
+            "gaussian-weights-underflow", "gaussian-square-overflow", "n-above-int64",
+            "uniform-grid-overflow", "gaussian-span-overflow",
+        ],
+    )
+    def test_exit_code_and_one_error_line(self, capsys, tmp_path, argv, code, needle):
+        path = tmp_path / "data.csv"
+        path.write_text("X\n1\n2\n3\n")
+        if argv[0] == "estimate":
+            argv = [*argv, "--data", str(path)]
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_zero_denominator_in_a_config_file(self, capsys, tmp_path):
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps({**TestSimulateSettings.BASE, "params": {"p": "1/0"}}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: 'p' must be a rational number, not '1/0'\n"
+
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+    def test_data_file_that_is_not_utf8(self, capsys, tmp_path, prefix):
+        """The offset counts from the file's first byte, byte-order mark included."""
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(prefix + b"X\n1\n\xff\n")
+        code, out, err = run_cli(capsys, "estimate", "E[X]", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: byte {len(prefix) + 4} is not UTF-8\n"

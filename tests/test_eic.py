@@ -118,7 +118,19 @@ class TestGradientAlgebraProperties:
         for psi in (E(X), E(X**2), VARIANCE, COVARIANCE, E(X) * E(Y)):
             result = derive_eic(psi)
             assert canonicalize_func(Moment(result.eic)).is_zero
-            assert mean_zero_certificate(result.eic)
+            assert mean_zero_certificate(canonicalize_rv(result.eic))
+
+    def test_mean_zero_certificate_on_canonical_forms(self):
+        """The verdict ``derive`` prints: derived gradients pass, and the
+        same gradients without their centering fail."""
+        cases = [(psi, "exact") for psi in (E(X), VARIANCE, COVARIANCE, E(X) * E(Y))]
+        cases.append((parse_expression("exp(E[X])*E[X*Y]"), "float"))
+        for psi, mode in cases:
+            gradient = derive_eic(psi, mode=mode).eic
+            assert mean_zero_certificate(canonicalize_rv(gradient))
+            assert not mean_zero_certificate(canonicalize_rv(gradient + X))
+        assert not mean_zero_certificate(canonicalize_rv(X * Y))  # E[X*Y], uncentered
+        assert mean_zero_certificate(canonicalize_rv(X * Y - E(X * Y)))
 
     def test_mean_zero_numerically(self):
         for index in range(25):

@@ -6,9 +6,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from eicalg import estimate as estimate_module
 from eicalg.cli import main
 from eicalg.errors import DataError, EvaluationError
 from eicalg.estimate import (
+    CompiledEstimand,
     Dataset,
     eic_standard_error,
     eic_variance,
@@ -118,36 +120,38 @@ class TestEmpiricalSpace:
         base = rows(0, 1, 1, 2)
         shuffled = rows(1, 2, 0, 1)
         psi = E(var("Y") ** 2) - E(var("Y")) ** 2
-        assert plugin_estimate(psi, base) == plugin_estimate(psi, shuffled)
+        assert plugin_estimate(CompiledEstimand(psi), base) == plugin_estimate(
+            CompiledEstimand(psi), shuffled
+        )
 
 
 class TestPluginEstimate:
     def test_sample_mean(self):
-        assert plugin_estimate(E(Y), rows(0, 1)) == Q(1, 2)
+        assert plugin_estimate(CompiledEstimand(E(Y)), rows(0, 1)) == Q(1, 2)
 
     def test_sample_variance(self):
         psi = E(Y**2) - E(Y) ** 2
-        assert plugin_estimate(psi, rows(0, 1)) == Q(1, 4)
+        assert plugin_estimate(CompiledEstimand(psi), rows(0, 1)) == Q(1, 4)
 
     def test_sample_covariance(self):
         data = dataset(("X", "Y"), [(0, 0), (1, 1)])
         psi = E(X * Y) - E(X) * E(Y)
-        assert plugin_estimate(psi, data) == Q(1, 4)
+        assert plugin_estimate(CompiledEstimand(psi), data) == Q(1, 4)
 
     def test_missing_column(self):
         with pytest.raises(EvaluationError):
-            plugin_estimate(E(var("Z")), rows(0, 1))
+            plugin_estimate(CompiledEstimand(E(var("Z"))), rows(0, 1))
 
 
 class TestStandardError:
     def test_mean_closed_form(self):
         # gradient of the mean is Y - 1/2 with variance 1/4 over two rows
-        assert eic_standard_error(E(Y), rows(0, 1)) == pytest.approx(
+        assert eic_standard_error(CompiledEstimand(E(Y)), rows(0, 1)) == pytest.approx(
             math.sqrt(Q(1, 8))
         )
 
     def test_constant_functional(self):
-        assert eic_standard_error(FuncConst(Q(3)), rows(0, 1)) == 0.0
+        assert eic_standard_error(CompiledEstimand(FuncConst(Q(3))), rows(0, 1)) == 0.0
 
     def test_plugin_gradient_mean_is_exactly_zero(self):
         one_column = (E(Y), E(Y**2), E(Y**2) - E(Y) ** 2)
@@ -175,21 +179,23 @@ class TestStandardError:
 
 class TestOneStep:
     def test_mean_half_split_equals_full_mean(self):
-        assert onestep_estimate(E(Y), rows(0, 1, 1, 0), Q(1, 2)) == Q(1, 2)
+        assert onestep_estimate(CompiledEstimand(E(Y)), rows(0, 1, 1, 0), Q(1, 2)) == Q(1, 2)
 
     def test_split_of_one_is_plugin(self):
         psi = E(Y**2) - E(Y) ** 2
         data = rows(0, 1, 2, 1)
-        assert onestep_estimate(psi, data, Q(1)) == plugin_estimate(psi, data)
+        assert onestep_estimate(CompiledEstimand(psi), data, Q(1)) == plugin_estimate(
+            CompiledEstimand(psi), data
+        )
 
     def test_two_term_formula(self):
         # fit fold {0,1}: mean 1/2; held fold {1,1}: correction 1/2
-        got = onestep_estimate(E(Y), rows(0, 1, 1, 1), Q(1, 2))
+        got = onestep_estimate(CompiledEstimand(E(Y)), rows(0, 1, 1, 1), Q(1, 2))
         assert got == Q(1, 2) + Q(1, 2)
 
     def test_fold_too_small(self):
         with pytest.raises(ValueError):
-            onestep_estimate(E(Y), rows(0, 1), Q(1, 10))
+            onestep_estimate(CompiledEstimand(E(Y)), rows(0, 1), Q(1, 10))
 
     def test_bind_moments_freezes_the_fitted_law(self):
         data = rows(0, 1)
@@ -295,11 +301,13 @@ class TestMomentTableAgainstPointwise:
             space, binding = empirical_space(data)
             for mode in modes:
                 eic = derive_eic(psi, mode=mode).eic
-                assert _outcome(lambda: plugin_estimate(psi, data, mode)) == _outcome(
+                assert _outcome(
+                    lambda: plugin_estimate(CompiledEstimand(psi, mode), data)
+                ) == _outcome(
                     lambda: evaluate_func(psi, space, binding, mode)
                 ), (str(psi), mode, data)
                 assert _outcome(
-                    lambda: eic_standard_error(psi, data, mode)
+                    lambda: eic_standard_error(CompiledEstimand(psi, mode), data)
                 ) == _outcome(
                     lambda: math.sqrt(eic_variance(eic, space, binding, mode) / data.n)
                 ), (str(psi), mode, data)
@@ -308,14 +316,14 @@ class TestMomentTableAgainstPointwise:
         for data, psi, modes in self._cases(12):
             for mode in modes:
                 assert _outcome(
-                    lambda: onestep_estimate(psi, data, Q(1, 2), mode)
+                    lambda: onestep_estimate(CompiledEstimand(psi, mode), data, Q(1, 2))
                 ) == _outcome(lambda: _pointwise_onestep(psi, data, mode)), (
                     str(psi), mode, data
                 )
 
     def test_cases_are_not_all_degenerate(self):
         values = [
-            _outcome(lambda: plugin_estimate(psi, data, modes[0]))
+            _outcome(lambda: plugin_estimate(CompiledEstimand(psi, modes[0]), data))
             for data, psi, modes in self._cases(11)
         ]
         evaluated = [v for v in values if not isinstance(v, type)]
@@ -329,12 +337,12 @@ class TestMomentTableAgainstPointwise:
             evaluate_func(psi, space, binding)
         for estimator in (plugin_estimate, eic_standard_error, onestep_estimate):
             with pytest.raises(EvaluationError, match="unbound variable 'Z'"):
-                estimator(psi, data)
+                estimator(CompiledEstimand(psi), data)
 
     def test_standard_error_overflow(self):
         data = dataset(("X",), [(10,), (20,)])
         with pytest.raises(EvaluationError):
-            eic_standard_error(parse_expression("E[X^400]"), data)
+            eic_standard_error(CompiledEstimand(parse_expression("E[X^400]")), data)
 
 
 class TestOneLawPerCall:
@@ -364,6 +372,31 @@ class TestOneLawPerCall:
         data_moments = [mono for law, mono in computed if law == 0]
         assert len(data_moments) == len(set(data_moments)) > 4
         assert {law for law, _ in computed} == {0, 1, 2}
+
+    def test_one_derive_and_six_compile_steps(self, capsys, monkeypatch, tmp_path):
+        """The plug-in, the standard error and the one-step estimate share
+        one compiled estimand: the gradient is derived once, and each of the
+        four moment arguments and the gradient (E[g], and E[g] with E[g^2])
+        is expanded once."""
+        path = tmp_path / "data.csv"
+        path.write_text("X,Y\n1,2\n3,5\n4,2.5\n2,1\n0.5,7\n6,3\n")
+        calls = {"derive_eic": 0, "canonicalize_rv": 0}
+
+        def counted(name):
+            original = getattr(estimate_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(estimate_module, name, wrapper)
+
+        counted("derive_eic")
+        counted("canonicalize_rv")
+        argv = ["estimate", "Cov(X,Y)*inv(Var(X))", "--data", str(path), "--split", "0.5"]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert calls["derive_eic"] == 1
+        assert calls["canonicalize_rv"] <= 6
 
     def test_float_onestep_of_a_smooth_estimand(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
@@ -398,9 +431,9 @@ class TestSmoothInsideMoments:
             for text in self.ESTIMANDS:
                 psi = parse_expression(text)
                 eic = derive_eic(psi, mode="float").eic
-                estimate = plugin_estimate(psi, data, "float")
+                estimate = plugin_estimate(CompiledEstimand(psi, "float"), data)
                 assert estimate == evaluate_func(psi, space, binding, "float")
-                se = eic_standard_error(psi, data, "float")
+                se = eic_standard_error(CompiledEstimand(psi, "float"), data)
                 variance = eic_variance(eic, space, binding, "float")
                 assert se == math.sqrt(variance / data.n), (text, data)
                 evaluated += 1
