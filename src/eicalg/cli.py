@@ -146,15 +146,21 @@ def cmd_verify(args) -> tuple[int, dict]:
     return (0 if all_passed else 1), doc
 
 
+def _read_input(path: str, error: type[ValueError]) -> str:
+    """The text of an input file, without a leading byte-order mark.  The
+    file is decoded whole, so a byte that is not UTF-8 raises ``error``
+    naming the file and the byte's offset from the file's first byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8") from exc
+
+
 def cmd_estimate(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
     check_level(args.level)
     split = None if args.split is None else checked_split(args.split)
-    try:  # decoded whole, so that an offset counts from the file's first byte
-        text = Path(args.data).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{args.data}: byte {exc.start} is not UTF-8") from exc
-    data = read_delimited(text.removeprefix("\ufeff"))
+    data = read_delimited(_read_input(args.data, DataError))
     estimand = CompiledEstimand(psi, args.mode)
     estimate = plugin_estimate(estimand, data)
     se = eic_standard_error(estimand, data)
@@ -203,7 +209,11 @@ def _join_list_values(argv: list[str]) -> list[str]:
 def _mc_config_from_args(args) -> McConfig:
     """Study from a JSON config file, or from flags that build the same dict."""
     if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+        text = _read_input(args.config, ValueError)
+        try:
+            raw = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
     elif not args.family or not args.estimand:
@@ -224,8 +234,12 @@ def _mc_config_from_args(args) -> McConfig:
         if not isinstance(raw.get(key, ""), str):
             raise ValueError(f"{key!r} must be a string")
     level = raw.get("level", 0.95)
-    if isinstance(level, bool) or not isinstance(level, (int, float, str)):
-        raise ValueError("'level' must be a real number or a numeric string")
+    try:
+        if isinstance(level, bool):  # float() would read it as 0 or 1
+            raise TypeError
+        level = float(level)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("'level' must be a real number or a numeric string") from None
     return McConfig(
         family=raw["family"],
         params=raw.get("params", {}),
@@ -233,7 +247,7 @@ def _mc_config_from_args(args) -> McConfig:
         n=integer_setting("n", raw["n"]),
         replicates=integer_setting("replicates", raw["replicates"]),
         seed=integer_setting("seed", raw["seed"]),
-        level=float(level),
+        level=level,
         column=raw.get("column", "X"),
     )
 

@@ -17,6 +17,7 @@ evaluating row by row on :func:`empirical_space`, the independent route.
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property
 from fractions import Fraction
 from statistics import NormalDist
@@ -33,7 +34,7 @@ from .expr import (
     to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .numerals import is_decimal_literal, rational_setting
+from .numerals import rational_setting
 
 __all__ = [
     "Dataset",
@@ -119,16 +120,10 @@ class Dataset:
         return Fraction(num, den)
 
 
-def _parse_cell(text: str) -> tuple[int, int]:
-    """A decimal cell as (integer, digits after the point)."""
-    text = text.strip()
-    negative = text.startswith("-")
-    body = text[1:] if negative else text
-    if not is_decimal_literal(body):
-        raise DataError(f"non-numeric cell {text!r}")
-    whole, _, frac = body.partition(".")
-    value = int(whole + frac)
-    return (-value if negative else value), len(frac)
+# A cell is the expression grammar's numeral with an optional sign, between
+# optional whitespace (``\s`` is exactly ``str.isspace``): the integer with
+# its sign, and the digits after the point.
+_CELL = re.compile(r"\s*(-?[0-9]+)(?:\.([0-9]+))?\s*")
 
 
 def read_delimited(text: str) -> Dataset:
@@ -142,14 +137,18 @@ def read_delimited(text: str) -> Dataset:
     if any(not name for name in names):
         raise DataError("empty column name")
     values, digits = [[] for _ in names], [[] for _ in names]
+    fullmatch = _CELL.fullmatch
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(names):
             raise DataError("ragged row")
         for cell, column, places in zip(cells, values, digits):
-            value, d = _parse_cell(cell)
-            column.append(value)
-            places.append(d)
+            m = fullmatch(cell)
+            if m is None:
+                raise DataError(f"non-numeric cell {cell.strip()!r}")
+            whole, frac = m.groups("")
+            column.append(int(whole + frac))
+            places.append(len(frac))
     if len(set(names)) != len(names):
         raise DataError("column names must be distinct")
     columns = {}

@@ -4,14 +4,7 @@ A decimal literal is a ratio over a power of ten; parsing never round-trips
 through binary floats.
 """
 
-import re
 from fractions import Fraction
-
-_DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]+)?$")
-
-
-def is_decimal_literal(text: str) -> bool:
-    return bool(_DECIMAL_RE.match(text))
 
 
 def rational_setting(key: str, value) -> Fraction:

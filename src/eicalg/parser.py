@@ -34,6 +34,7 @@ represents (its expectation), so ``X*Y`` parses to the same functional as
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,8 +66,15 @@ __all__ = ["parse_expression", "tokenize"]
 
 _SMOOTH_NAMES = ("exp", "log", "sqrt")
 _RESERVED = ("E", "Var", "Cov", "inv") + _SMOOTH_NAMES
-_DIGITS = "0123456789"
-_IDENT_START = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+# One token per match.  Spaces and tabs match nothing, so ``finditer`` skips
+# them; any other character is matched by the unnamed last alternative.  A
+# number may end in its point only to be rejected.
+_TOKEN = re.compile(
+    r"(?P<NUMBER>[0-9]+(?:\.[0-9]*)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol>[-+*^()\[\],])"
+    r"|[^ \t]"
+)
 
 # Deepest bracket nesting accepted.  The parser and the later passes over the
 # tree recurse at every level; this keeps them inside the default stack.
@@ -86,38 +94,15 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j < len(text) and text[j] == ".":
-                j += 1
-                if j >= len(text) or text[j] not in _DIGITS:
-                    raise ParseError("digits required after decimal point", col)
-                while j < len(text) and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(Token("NUMBER", text[i:j], col))
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < len(text) and text[j] in _IDENT_START + _DIGITS:
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], col))
-            i = j
-            continue
-        if ch in "+-*^()[],":
-            tokens.append(Token(ch, ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", col)
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, col = m.lastgroup, m[0], m.start() + 1
+        if kind == "symbol":
+            kind = lexeme
+        elif kind is None:
+            raise ParseError(f"unexpected character {lexeme!r}", col)
+        elif lexeme[-1] == ".":
+            raise ParseError("digits required after decimal point", col)
+        tokens.append(Token(kind, lexeme, col))
     tokens.append(Token("EOF", "", len(text) + 1))
     return tokens
 

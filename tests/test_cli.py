@@ -447,6 +447,15 @@ class TestEstimate:
         assert code == 0, err
         assert parse_structured(out)["results"][0]["estimate"] == "3/2"
 
+    def test_data_cells_padded_with_spaces_and_tabs(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(" X ,\tY\n 1 ,\t-2.5\t\n\t3\t, 0.50 \n")
+        code, out, err = run_cli(
+            capsys, "--output", "structured", "estimate", "E[X*Y]", "--data", str(path)
+        )
+        assert code == 0, err
+        assert parse_structured(out)["results"][0]["estimate"] == "-1/2"
+
     def test_mean_closed_form(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("Y\n0\n1\n")
@@ -860,6 +869,8 @@ class TestSimulateSettings:
             ({"level": True}, "level"),
             ({"level": [0.9]}, "level"),
             ({"seed": -1}, "seed"),
+            ({"level": "abc"}, "level"),
+            ({"level": 10**400}, "level"),
         ],
     )
     def test_config_setting_is_usage_error_naming_the_key(
@@ -1008,3 +1019,76 @@ class TestTypedExitForBadSettings:
         code, out, err = run_cli(capsys, "estimate", "E[X]", "--data", str(path))
         assert (code, out) == (3, "")
         assert err == f"error: {path}: byte {len(prefix) + 4} is not UTF-8\n"
+
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+    def test_config_file_that_is_not_utf8(self, capsys, tmp_path, prefix):
+        """Read as the data file is: the error names the file and the offset
+        of the first bad byte, counted from the file's first byte."""
+        path = tmp_path / "mc.json"
+        path.write_bytes(prefix + b'{"family": "\xff"}')
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: byte {len(prefix) + 12} is not UTF-8\n"
+
+    def test_config_file_whose_json_does_not_parse(self, capsys, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text('{"family": "bernoulli", }')
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: Expecting property name enclosed in double quotes: "
+            "line 1 column 25 (char 24)\n"
+        )
+
+    def test_config_file_nested_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_unreadable_config_file_is_data_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "none.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "none.json" in err
+
+
+FUZZ_DATA = "X,Y\n1,2\n3,5\n4,2.5\n2,0\n"
+
+
+def _fuzz_expression(rng):
+    """A grammar expression of depth 1 to 3, bare or in a smooth wrapper."""
+    text = grammar_expression(rng, rng.randint(1, 3))
+    wrap = rng.randrange(3)
+    if wrap == 1:
+        return f"exp({text})"
+    if wrap == 2:
+        return f"log(({text})^2 + 1)"
+    return text
+
+
+def test_exit_code_fuzz(capsys, tmp_path):
+    """Every call through main ends in 0, or in exit 2 or 3 with one
+    ``error:`` line and no traceback."""
+    data = tmp_path / "data.csv"
+    data.write_text(FUZZ_DATA)
+    estimate = ["--data", str(data)]
+    commands = [
+        ["derive"], ["derive", "--mode", "float"], ["estimate", *estimate],
+        ["estimate", *estimate, "--split", "0.5"], ["parse-check"],
+    ]
+    rng = random.Random(20251018)
+    codes = set()
+    for _ in range(150):
+        text = _fuzz_expression(rng)
+        for command in commands:
+            argv = [command[0], text, *command[1:]]
+            code, out, err = run_cli(capsys, *argv)
+            codes.add(code)
+            if code == 0:
+                assert err == "", argv
+            else:
+                assert code in (2, 3), (argv, code, err)
+                assert out == "" and "Traceback" not in err, argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert codes == {0, 2, 3}
