@@ -34,6 +34,7 @@ from .estimate import (
 )
 from .expr import render_func, to_float
 from .mc import McConfig, integer_setting, run_mc
+from .numerals import exact_string
 from .parser import parse_expression
 from .verify import available_suites, run_suite
 
@@ -167,7 +168,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
     estimate_float = to_float(estimate)
     low, high = wald_ci(estimate_float, se, args.level)
     result = {
-        "estimate": str(estimate),
+        "estimate": exact_string(estimate),
         "estimate_float": estimate_float,
         "standard_error": se,
         "ci_low": low,
@@ -177,7 +178,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
     }
     if split is not None:
         onestep = onestep_estimate(estimand, data, split)
-        result["onestep"] = str(onestep)
+        result["onestep"] = exact_string(onestep)
         result["onestep_float"] = to_float(onestep)
     doc = _document(
         "estimate",
@@ -192,6 +193,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
 _SAMPLER_FLAGS = (
     "p", "support", "weights", "low", "high", "points", "mean", "sd", "span"
 )
+_CONFIG_KEYS = ("estimand", "family", "n", "replicates", "seed", "level", "column")
 _LIST_OPTS, _DIGITS = ("--support", "--weights", "--points"), "0123456789."
 
 
@@ -216,11 +218,13 @@ def _mc_config_from_args(args) -> McConfig:
             raise ValueError(f"{args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(raw) - {*_CONFIG_KEYS, "params"})
+        if unknown:
+            raise ValueError(f"config file has an unknown key {unknown[0]!r}")
     elif not args.family or not args.estimand:
         raise ValueError("either --config or --family and --estimand are required")
     else:
-        keys = ("estimand", "family", "n", "replicates", "seed", "level", "column")
-        raw = {key: getattr(args, key) for key in keys}
+        raw = {key: getattr(args, key) for key in _CONFIG_KEYS}
         flags = {key: getattr(args, key) for key in _SAMPLER_FLAGS}
         params = {key: v for key, v in flags.items() if v is not None}
         for key in ("support", "weights"):

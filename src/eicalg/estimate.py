@@ -7,18 +7,22 @@ cells, so no cell is ever a binary float or a ``Fraction``.  A plug-in
 functional of moments and its gradient are rational in primitive moments
 E[X^a Y^b]: a call compiles the estimand once, in one mode, as a
 :class:`CompiledEstimand`, which every estimator then values on a law,
-whose primitive moments are integer sums over the columns, each computed
-once per law.  Results are exact; the empirical mean of a plug-in gradient
-is exactly zero.  Float mode rounds every embedded functional to a float as
-pointwise evaluation does, so both modes give the same numbers as
-evaluating row by row on :func:`empirical_space`, the independent route.
+whose primitive moments are integer sums over the columns, each one lazy
+pass made once per law.  Results are exact; the empirical mean of a
+plug-in gradient is exactly zero.  Float mode rounds every embedded
+functional to a float as pointwise evaluation does, so both modes give the
+same numbers as evaluating row by row on :func:`empirical_space`, the
+independent route.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from functools import cached_property
+from itertools import repeat
+from operator import mul
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -94,13 +98,16 @@ class Dataset:
 
     def moment(self, mono) -> Fraction:
         """E[prod X^a] of a base monomial ((name, exponent), ...), by one
-        integer pass over the rows."""
-        terms, scale = self._counts, self.n
+        lazy integer pass over the rows that builds no list; the counts are
+        multiplied in only when one of them is not 1."""
+        unit = self._counts.count(1) == len(self._counts)
+        terms, scale = None if unit else self._counts, self.n
         for name, exponent in mono:
             column_scale, column = self._columns[name]
-            terms = [t * x**exponent for t, x in zip(terms, column)]
+            factor = column if exponent == 1 else map(pow, column, repeat(exponent))
+            terms = factor if terms is None else map(mul, terms, factor)
             scale *= column_scale**exponent
-        return Fraction(sum(terms), scale)
+        return Fraction(sum(self._counts if terms is None else terms), scale)
 
     def value(self, poly, scalars: dict) -> Fraction:
         """A polynomial over moment and opaque atoms, as one integer sum."""
@@ -124,10 +131,20 @@ class Dataset:
 # optional whitespace (``\s`` is exactly ``str.isspace``): the integer with
 # its sign, and the digits after the point.
 _CELL = re.compile(r"\s*(-?[0-9]+)(?:\.([0-9]+))?\s*")
+# The same with a fixed point part (``{}``), padded only by what ``int()``
+# strips: every ``\s`` but the unit separator.
+_FIXED = r"[^\S\x1f]*-?[0-9]+{}[^\S\x1f]*"
+_CHUNK = 1024  # rows converted at a time, so few cells are alive at once
 
 
 def read_delimited(text: str) -> Dataset:
-    """Parse comma-separated data: header line, decimal numerals, no quoting."""
+    """Parse comma-separated data: header line, decimal numerals, no quoting.
+
+    Rows are validated before they are converted.  If every row matches one
+    pattern of k cells with the first row's places, a column is the ints of
+    its cells without their points.  Otherwise each cell is read on its own,
+    and the first ragged row or bad cell raises.
+    """
     lines = [line for line in text.splitlines() if line.strip() != ""]
     if len(lines) < 2:
         raise DataError("need a header line and at least one data row")
@@ -136,11 +153,36 @@ def read_delimited(text: str) -> Dataset:
     names = [name.strip() for name in lines[0].split(",")]
     if any(not name for name in names):
         raise DataError("empty column name")
-    values, digits = [[] for _ in names], [[] for _ in names]
+    rows, k = lines[1:], len(names)
+    first = [len(cell.strip().partition(".")[2]) for cell in rows[0].split(",")]
+    fixed = ",".join(_FIXED.format(rf"\.[0-9]{{{p}}}" if p else "") for p in first)
+    try:
+        if len(first) == k and all(map(re.compile(fixed).fullmatch, rows)):
+            columns = [(10**p, []) for p in first]
+            for start in range(0, len(rows), _CHUNK):
+                cells = ",".join(rows[start : start + _CHUNK]).replace(".", "").split(",")
+                for j, (_, ints) in enumerate(columns):
+                    ints.extend(map(int, cells[j::k]))
+        else:
+            columns = _cell_by_cell(rows, k)
+    except DataError:
+        raise
+    except ValueError:  # int() of a valid cell: too many digits
+        limit = sys.get_int_max_str_digits()
+        raise DataError(f"data cell exceeds the limit of {limit} digits for an integer") from None
+    if len(set(names)) != len(names):
+        raise DataError("column names must be distinct")
+    return Dataset(dict(zip(names, columns)), [1] * len(rows), len(rows))
+
+
+def _cell_by_cell(rows: list[str], k: int) -> list:
+    """The k columns of ``rows``, each over the largest power of ten of its
+    cells; the first ragged row or bad cell, in row order, raises."""
+    values, digits = [[] for _ in range(k)], [[] for _ in range(k)]
     fullmatch = _CELL.fullmatch
-    for line in lines[1:]:
+    for line in rows:
         cells = line.split(",")
-        if len(cells) != len(names):
+        if len(cells) != k:
             raise DataError("ragged row")
         for cell, column, places in zip(cells, values, digits):
             m = fullmatch(cell)
@@ -149,14 +191,11 @@ def read_delimited(text: str) -> Dataset:
             whole, frac = m.groups("")
             column.append(int(whole + frac))
             places.append(len(frac))
-    if len(set(names)) != len(names):
-        raise DataError("column names must be distinct")
-    columns = {}
-    for name, column, places in zip(names, values, digits):
+    columns = []
+    for column, places in zip(values, digits):
         top = max(places)
-        columns[name] = (10**top, [v * 10 ** (top - d) for v, d in zip(column, places)])
-    n = len(lines) - 1
-    return Dataset(columns, [1] * n, n)
+        columns.append((10**top, [v * 10 ** (top - d) for v, d in zip(column, places)]))
+    return columns
 
 
 def empirical_space(data: Dataset) -> tuple[FiniteProbSpace, dict[str, RandVar]]:

@@ -27,7 +27,7 @@ from .estimate import (
     CompiledEstimand, Dataset, check_level, normal_quantile, standard_error
 )
 from .expr import FuncExpr, func_base_vars, to_float
-from .numerals import rational_setting
+from .numerals import exact_string, rational_setting
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
 
@@ -81,6 +81,15 @@ def integer_setting(key: str, value) -> int:
     return value
 
 
+# the parameters each family reads
+_FAMILIES = {
+    "bernoulli": ("p",),
+    "discrete": ("support", "weights"),
+    "uniform-grid": ("low", "high", "points"),
+    "gaussian-grid": ("mean", "sd", "points", "span"),
+}
+
+
 def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Resolve a family name to (support, weights) with exact weights.
 
@@ -88,10 +97,15 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     ``uniform-grid`` (low, high, points: equally weighted grid), and
     ``gaussian-grid`` (mean, sd, points, span: grid weighted by the normal
     density, normalized exactly).  ``params`` is a dict (a JSON object); a
-    missing or mistyped parameter raises ``ValueError`` naming it.
+    missing, mistyped or unknown parameter raises ``ValueError`` naming it.
     """
     if not isinstance(params, dict):
         raise ValueError("sampler parameters must be a JSON object")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ValueError(f"unsupported sampler family {family!r}")
+    unknown = sorted(set(params) - set(_FAMILIES[family]))
+    if unknown:
+        raise ValueError(f"the {family} sampler has no parameter {unknown[0]!r}")
 
     def param(key, default=None):
         if key not in params and default is None:
@@ -147,7 +161,6 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         if total == 0:
             raise ValueError("every gaussian-grid weight underflows to 0: lower 'span'")
         return support, tuple(w / total for w in raw)
-    raise ValueError(f"unsupported sampler family {family!r}")
 
 
 def run_mc(config: McConfig) -> McReport:
@@ -200,9 +213,9 @@ def run_mc(config: McConfig) -> McReport:
     }
     return McReport(
         truth=truth_f,
-        truth_exact=str(truth),
+        truth_exact=exact_string(truth),
         bound=to_float(bound),
-        bound_exact=str(bound),
+        bound_exact=exact_string(bound),
         empirical_variance=empirical_variance,
         coverage=covered / config.replicates,
         n=config.n,

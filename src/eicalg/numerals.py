@@ -4,7 +4,10 @@ A decimal literal is a ratio over a power of ten; parsing never round-trips
 through binary floats.
 """
 
+import sys
 from fractions import Fraction
+
+from .errors import DataError
 
 
 def rational_setting(key: str, value) -> Fraction:
@@ -15,6 +18,19 @@ def rational_setting(key: str, value) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{key!r} must be a rational number, not {value!r}") from None
+
+
+def exact_string(value) -> str:
+    """``str(value)`` of an exact result.  One with more digits than Python
+    prints (``sys.get_int_max_str_digits()``) is a :class:`DataError`
+    naming the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DataError(
+            f"exact value exceeds the limit of {limit} digits for printing an integer"
+        ) from None
 
 
 def format_decimal(q: Fraction) -> str | None:

@@ -871,6 +871,8 @@ class TestSimulateSettings:
             ({"seed": -1}, "seed"),
             ({"level": "abc"}, "level"),
             ({"level": 10**400}, "level"),
+            ({"levle": 0.5}, "levle"),  # unknown keys are not dropped
+            ({"params": {"p": "0.5", "q": 1}}, "q"),
         ],
     )
     def test_config_setting_is_usage_error_naming_the_key(
@@ -985,11 +987,12 @@ class TestTypedExitForBadSettings:
                 3,
                 "overflows a float",
             ),
+            ([*SIMULATE, "--family", "bernoulli", "--p", "0.5", "--mean", "3"], 2, "'mean'"),
         ],
         ids=[
             "split-zero-denominator", "p-zero-denominator", "support-zero-denominator",
             "gaussian-weights-underflow", "gaussian-square-overflow", "n-above-int64",
-            "uniform-grid-overflow", "gaussian-span-overflow",
+            "uniform-grid-overflow", "gaussian-span-overflow", "flag-the-family-does-not-read",
         ],
     )
     def test_exit_code_and_one_error_line(self, capsys, tmp_path, argv, code, needle):
@@ -1051,6 +1054,46 @@ class TestTypedExitForBadSettings:
         code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "none.json"))
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "none.json" in err
+
+
+# Python 3.11 and the 3.10 releases from 3.10.7 refuse to convert an int of
+# more than this many digits to or from text; older ones have no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="this Python has no integer digit limit")
+class TestDigitLimit:
+    """A valid cell with more digits than ``int()`` converts, or an exact
+    result with more digits than ``str()`` prints, is a data error (exit 3)
+    with one ``error:`` line that names the limit."""
+
+    @pytest.mark.parametrize("places", ["", ".5"], ids=["one-pattern", "cell-by-cell"])
+    def test_data_cell(self, capsys, tmp_path, places):
+        path = tmp_path / "big.csv"
+        path.write_text(f"X\n1{places}\n{'2' * (DIGIT_LIMIT + 700)}\n3\n")
+        code, out, err = run_cli(capsys, "estimate", "E[X]", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: data cell exceeds the limit of {DIGIT_LIMIT} digits for an integer\n"
+
+    def test_exact_estimate(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"X\n1\n2.{'7' * 2500}\n3\n")
+        code, out, err = run_cli(capsys, "estimate", "Var(X)", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: exact value exceeds the limit of {DIGIT_LIMIT} digits"
+            " for printing an integer\n"
+        )
+        code, out, err = run_cli(capsys, "estimate", "Var(X)", "--data", str(path),
+                                 "--mode", "float")
+        assert (code, err) == (0, "")
+
+    def test_exact_truth_of_a_study(self, capsys):
+        support = f"0.{'3' * 2500},1"
+        code, out, err = run_cli(capsys, *SIMULATE, "--family", "discrete", "--support",
+                                 support, "--weights", "0.5,0.5")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: exact value exceeds the limit") and err.count("\n") == 1
 
 
 FUZZ_DATA = "X,Y\n1,2\n3,5\n4,2.5\n2,0\n"
