@@ -81,12 +81,7 @@ Poly = dict
 
 
 def base_mono_string(mono: BaseMono) -> str:
-    if not mono:
-        return "1"
-    parts = []
-    for name, exp in mono:
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
+    return "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
 
 
 def _atom_key(atom: Atom):

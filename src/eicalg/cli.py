@@ -33,7 +33,7 @@ from .estimate import (
     wald_ci,
 )
 from .expr import render_func, to_float
-from .mc import McConfig, integer_setting, run_mc
+from .mc import FAMILIES, McConfig, integer_setting, run_mc
 from .numerals import exact_string
 from .parser import parse_expression
 from .verify import available_suites, run_suite
@@ -190,9 +190,8 @@ def cmd_estimate(args) -> tuple[int, dict]:
     return 0, doc
 
 
-_SAMPLER_FLAGS = (
-    "p", "support", "weights", "low", "high", "points", "mean", "sd", "span"
-)
+# every parameter some sampler family reads, in the families' order
+_SAMPLER_FLAGS = tuple(dict.fromkeys(p for params in FAMILIES.values() for p in params))
 _CONFIG_KEYS = ("estimand", "family", "n", "replicates", "seed", "level", "column")
 _LIST_OPTS, _DIGITS = ("--support", "--weights", "--points"), "0123456789."
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -38,7 +37,7 @@ from .expr import (
     to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .numerals import rational_setting
+from .numerals import digit_limit, rational_setting
 
 __all__ = [
     "Dataset",
@@ -168,8 +167,7 @@ def read_delimited(text: str) -> Dataset:
     except DataError:
         raise
     except ValueError:  # int() of a valid cell: too many digits
-        limit = sys.get_int_max_str_digits()
-        raise DataError(f"data cell exceeds the limit of {limit} digits for an integer") from None
+        raise DataError(digit_limit("data cell") + " for an integer") from None
     if len(set(names)) != len(names):
         raise DataError("column names must be distinct")
     return Dataset(dict(zip(names, columns)), [1] * len(rows), len(rows))

@@ -32,7 +32,7 @@ from typing import Callable
 
 from .errors import EvaluationError, ExactModeError, NormalizationError
 from .measure import FiniteProbSpace, RandVar, embed, expectation
-from .numerals import format_decimal
+from .numerals import exact_string, format_decimal
 
 __all__ = [
     "RvExpr",
@@ -562,9 +562,8 @@ def _const_string(q: Fraction) -> str:
     dec = format_decimal(q)
     if dec is not None:
         return dec
-    if q.numerator == 1:
-        return f"inv({q.denominator})"
-    return f"{q.numerator}*inv({q.denominator})"
+    num, den = (exact_string(n, ValueError) for n in (q.numerator, q.denominator))
+    return f"inv({den})" if num == "1" else f"{num}*inv({den})"
 
 
 def _split_sign(e) -> tuple[bool, object]:

@@ -82,7 +82,7 @@ def integer_setting(key: str, value) -> int:
 
 
 # the parameters each family reads
-_FAMILIES = {
+FAMILIES = {
     "bernoulli": ("p",),
     "discrete": ("support", "weights"),
     "uniform-grid": ("low", "high", "points"),
@@ -101,9 +101,9 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     """
     if not isinstance(params, dict):
         raise ValueError("sampler parameters must be a JSON object")
-    if not isinstance(family, str) or family not in _FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unsupported sampler family {family!r}")
-    unknown = sorted(set(params) - set(_FAMILIES[family]))
+    unknown = sorted(set(params) - set(FAMILIES[family]))
     if unknown:
         raise ValueError(f"the {family} sampler has no parameter {unknown[0]!r}")
 

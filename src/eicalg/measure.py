@@ -203,7 +203,6 @@ def decompose(space: FiniteProbSpace, f: RandVar) -> Decomposition:
 
 
 def covariance(space: FiniteProbSpace, f: RandVar, g: RandVar) -> Fraction:
-    """E[fg] - E[f]E[g], exact."""
-    return expectation(space, pointwise_product(f, g)) - expectation(
-        space, f
-    ) * expectation(space, g)
+    """E[(f - E f)(g - E g)], exact: the textbook definition, which shares no
+    code with the expectation-product bracket it is checked against."""
+    return expectation(space, center(space, f) * center(space, g))

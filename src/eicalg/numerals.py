@@ -20,17 +20,19 @@ def rational_setting(key: str, value) -> Fraction:
         raise ValueError(f"{key!r} must be a rational number, not {value!r}") from None
 
 
-def exact_string(value) -> str:
+def digit_limit(what: str) -> str:
+    """The message for ``what`` having more digits than Python converts
+    between an integer and text (``sys.get_int_max_str_digits()``)."""
+    return f"{what} exceeds the limit of {sys.get_int_max_str_digits()} digits"
+
+
+def exact_string(value, error: type[ValueError] = DataError) -> str:
     """``str(value)`` of an exact result.  One with more digits than Python
-    prints (``sys.get_int_max_str_digits()``) is a :class:`DataError`
-    naming the limit."""
+    prints raises ``error`` naming the limit."""
     try:
         return str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise DataError(
-            f"exact value exceeds the limit of {limit} digits for printing an integer"
-        ) from None
+        raise error(digit_limit("exact value") + " for printing an integer") from None
 
 
 def format_decimal(q: Fraction) -> str | None:
@@ -50,11 +52,11 @@ def format_decimal(q: Fraction) -> str | None:
     if den != 1:
         return None
     k = max(two, five)
-    mantissa = abs(q.numerator) * 10**k // q.denominator
+    digits = exact_string(abs(q.numerator) * 10**k // q.denominator, ValueError)
     sign = "-" if q < 0 else ""
     if k == 0:
-        return sign + str(mantissa)
-    digits = str(mantissa).rjust(k + 1, "0")
+        return sign + digits
+    digits = digits.rjust(k + 1, "0")
     head, tail = digits[:-k], digits[-k:]
     tail = tail.rstrip("0")
     return sign + (head if not tail else f"{head}.{tail}")

@@ -51,6 +51,7 @@ from .expr import (
     RvExpr,
     RvProduct,
     RvSum,
+    SMOOTH_TABLE,
     Smooth,
     f_pow,
     f_product,
@@ -61,10 +62,11 @@ from .expr import (
     rv_product,
     rv_sum,
 )
+from .numerals import digit_limit
 
 __all__ = ["parse_expression", "tokenize"]
 
-_SMOOTH_NAMES = ("exp", "log", "sqrt")
+_SMOOTH_NAMES = tuple(SMOOTH_TABLE)
 _RESERVED = ("E", "Var", "Cov", "inv") + _SMOOTH_NAMES
 # One token per match.  Spaces and tabs match nothing, so ``finditer`` skips
 # them; any other character is matched by the unnamed last alternative.  A
@@ -105,6 +107,14 @@ def tokenize(text: str) -> list[Token]:
         tokens.append(Token(kind, lexeme, col))
     tokens.append(Token("EOF", "", len(text) + 1))
     return tokens
+
+
+def _numeral(tok: Token) -> Fraction:
+    """The exact value of a NUMBER token, or a ParseError naming the digit limit."""
+    try:
+        return Fraction(tok.text)
+    except ValueError:
+        raise ParseError(digit_limit("numeral"), tok.column) from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +228,7 @@ class _Parser:
         if "." in tok.text:
             raise ParseError("exponent must be a nonnegative integer", tok.column)
         scalar, node = part
-        n = int(tok.text)
+        n = _numeral(tok).numerator
         if scalar:
             return True, f_pow(node, n)
         return False, _embed_if_scalar(rv_pow(node, n))
@@ -239,7 +249,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return True, FuncConst(Fraction(tok.text))
+            return True, FuncConst(_numeral(tok))
         if tok.kind == "(":
             return self.nested(self.advance(), ")")
         if tok.kind == "IDENT":
@@ -260,8 +270,9 @@ class _Parser:
                 first = self.expect("IDENT")
                 self.expect(",")
                 second = self.expect("IDENT")
-                if first.text in _RESERVED or second.text in _RESERVED:
-                    raise ParseError("Cov takes base variables", first.column)
+                reserved = [t for t in (first, second) if t.text in _RESERVED]
+                if reserved:
+                    raise ParseError("Cov takes base variables", reserved[0].column)
                 self.expect(")")
                 x, y = BaseVar(first.text), BaseVar(second.text)
                 return True, E(x * y) - E(x) * E(y)

@@ -3,7 +3,8 @@
 Every suite pairs two independent routes to the same statement.  The
 numeric route draws seeded random spaces and integer variables and compares
 the operator implementation against a closed form computed with direct
-vector arithmetic, exactly.  The symbolic route decides the same identity
+vector arithmetic, exactly; each trial's instance is drawn once and serves
+every check of its suite.  The symbolic route decides the same identity
 once at the canonical-form level.  A suite passes only if every instance
 and every canonical-form comparison agrees.
 """
@@ -18,234 +19,215 @@ from .brackets import (
     corollary_cov,
     corollary_leibniz,
     jacobi_sum,
-    nested_P_prod_T,
     nested_T_P_prod,
+    nested_P_prod_T,
     nested_prod_T_P,
     symbolic_identity_suite,
 )
 from .eic import certify_eic
 from .expr import E, var
-from .measure import (
-    covariance,
-    decompose,
-    embed,
-    expectation,
-    inner,
-)
+from .measure import covariance, decompose, embed, expectation, inner
 from .sampling import random_intvec, random_space, trial_rng
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
 
 
-def _describe(space, x, y=None) -> str:
-    parts = [f"weights={[str(w) for w in space.weights]}"]
-    parts.append(f"X={[str(v) for v in x.values]}")
-    if y is not None:
-        parts.append(f"Y={[str(v) for v in y.values]}")
-    return " ".join(parts)
-
-
-def _fuzz(table, trials, seed, max_outcomes):
-    """Run each (name, statement, check) of a table over a seeded corpus of
-    two-variable instances; a check returns None or a failure message."""
-    records = []
-    for name, statement, check in table:
-        counterexample = None
-        for index in range(trials):
-            rng = trial_rng(seed, index)
-            space = random_space(rng, max_outcomes=max_outcomes)
-            x = random_intvec(rng, space)
-            y = random_intvec(rng, space)
-            failure = check(space, x, y)
-            if failure is not None:
-                counterexample = (
-                    f"instance {index}: {_describe(space, x, y)}; {failure}"
-                )
-                break
-        passed = counterexample is None
-        records.append(IdentityRecord(name, statement, "exact", passed, counterexample))
-    return records
-
-
-def _vec(space, values):
+def _vec(values):
     return [str(v) for v in values.values]
 
 
+def _fuzz(table, trials, seed, max_outcomes):
+    """Records of each (name, statement, check) of a table, in table order.
+    Trial i draws one two-variable instance, on which every check with no
+    counterexample yet runs; a check returns None or a failure message."""
+    found = {}
+    for index in range(trials):
+        if len(found) == len(table):
+            break
+        rng = trial_rng(seed, index)
+        space = random_space(rng, max_outcomes=max_outcomes)
+        x = random_intvec(rng, space)
+        y = random_intvec(rng, space)
+        for name, _, check in table:
+            if name not in found and (failure := check(space, x, y)) is not None:
+                found[name] = (
+                    f"instance {index}: weights={[str(w) for w in space.weights]}"
+                    f" X={_vec(x)} Y={_vec(y)}; {failure}"
+                )
+    return [
+        IdentityRecord(name, statement, "exact", name not in found, found.get(name))
+        for name, statement, _ in table
+    ]
+
+
 # ---------------------------------------------------------------------------
-# suite bodies
+# checks: each compares one operator identity with its closed form
 
 
-def suite_decomposition(trials, seed, max_outcomes, symbolic):
-    def check(space, x, y):
-        parts = decompose(space, x)
-        rebuilt = embed(parts.constant_part, space) + parts.centered_part
-        if rebuilt != x:
-            return "parts do not reconstruct the input"
-        if expectation(space, parts.centered_part) != 0:
-            return "centered part has nonzero mean"
-        if inner(space, embed(parts.constant_part, space), parts.centered_part) != 0:
-            return "parts are not orthogonal"
-        if inner(space, x, embed(1, space)) != expectation(space, x):
-            return "inner product against 1 is not the expectation"
-        return None
+def _decomposition(space, x, y):
+    parts = decompose(space, x)
+    rebuilt = embed(parts.constant_part, space) + parts.centered_part
+    if rebuilt != x:
+        return "parts do not reconstruct the input"
+    if expectation(space, parts.centered_part) != 0:
+        return "centered part has nonzero mean"
+    if inner(space, embed(parts.constant_part, space), parts.centered_part) != 0:
+        return "parts are not orthogonal"
+    if inner(space, x, embed(1, space)) != expectation(space, x):
+        return "inner product against 1 is not the expectation"
+    return None
 
-    table = [
+
+def _covariance_bracket(space, x, y):
+    got = bracket_P_prod(space, x, y)
+    want = covariance(space, x, y)
+    if got != want:
+        return f"bracket={got} covariance={want}"
+    if got != bracket_P_prod(space, y, x):
+        return "bracket is not symmetric"
+    return None
+
+
+def _product_centering(space, x, y):
+    got = bracket_prod_T(space, x, y)
+    mx, my = expectation(space, x), expectation(space, y)
+    centered = (x - mx) * (y - my)
+    want = centered - (x * y - expectation(space, x * y))
+    if got != want:
+        return f"got={_vec(got)} want={_vec(want)}"
+    if expectation(space, got) != bracket_P_prod(space, x, y):
+        return "expectation of the bracket is not the covariance"
+    return None
+
+
+def _centering_expectation(space, x, y):
+    first, second = bracket_T_P(space, x, y)
+    mx, my = expectation(space, x), expectation(space, y)
+    if first != x - mx or second != y - my:
+        return "components differ from centered coordinates"
+    if expectation(space, first) != 0 or expectation(space, second) != 0:
+        return "components are not mean-zero"
+    return None
+
+
+def _sides(lhs, rhs, want):
+    """Failure of a corollary whose two sides must agree with a closed form."""
+    if lhs != rhs:
+        return f"lhs={_vec(lhs)} rhs={_vec(rhs)}"
+    if lhs != want:
+        return f"sides={_vec(lhs)} closed form={_vec(want)}"
+    return None
+
+
+def _product_of_gradients(space, x, y):
+    mx, my = expectation(space, x), expectation(space, y)
+    return _sides(*corollary_leibniz(space, x, y), x * y - mx * my)
+
+
+def _covariance_gradient(space, x, y):
+    mx, my = expectation(space, x), expectation(space, y)
+    return _sides(*corollary_cov(space, x, y), (x - mx) * (y - my))
+
+
+def _lemma_pieces(space, x, y):
+    mx, my = expectation(space, x), expectation(space, y)
+    tx, ty = x - mx, y - my
+    cov = covariance(space, x, y)
+    pieces = [
+        ("first", nested_T_P_prod, tx * ty - 2 * cov),
+        ("second", nested_P_prod_T, embed(cov, space) - tx * ty + (tx * my + mx * ty)),
+        ("third", nested_prod_T_P, tx * ty - (x * y - expectation(space, x * y))),
+    ]
+    for label, piece, want in pieces:
+        got = piece(space, x, y)
+        if got != want:
+            return f"{label} piece got={_vec(got)} want={_vec(want)}"
+    return None
+
+
+def _jacobi(space, x, y):
+    total = jacobi_sum(space, x, y)
+    return None if total.is_zero() else f"sum={_vec(total)}"
+
+
+def _suite(table, *names):
+    """A suite: the records of a check table, then the named symbolic records."""
+
+    def suite(trials, seed, max_outcomes, symbolic):
+        return _fuzz(table, trials, seed, max_outcomes) + [symbolic[n] for n in names]
+
+    return suite
+
+
+suite_decomposition = _suite(
+    [
         (
             "orthogonal-decomposition",
             "constant plus mean-zero parts are orthogonal and reconstruct exactly",
-            check,
+            _decomposition,
         )
     ]
-    return _fuzz(table, trials, seed, max_outcomes)
+)
 
-
-def suite_brackets(trials, seed, max_outcomes, symbolic):
-    def check_cov(space, x, y):
-        got = bracket_P_prod(space, x, y)
-        want = covariance(space, x, y)
-        if got != want:
-            return f"bracket={got} covariance={want}"
-        if got != bracket_P_prod(space, y, x):
-            return "bracket is not symmetric"
-        return None
-
-    def check_prod_center(space, x, y):
-        got = bracket_prod_T(space, x, y)
-        mx, my = expectation(space, x), expectation(space, y)
-        centered = (x - mx) * (y - my)
-        want = centered - (x * y - expectation(space, x * y))
-        if got != want:
-            return f"got={_vec(space, got)} want={_vec(space, want)}"
-        if expectation(space, got) != bracket_P_prod(space, x, y):
-            return "expectation of the bracket is not the covariance"
-        return None
-
-    def check_center_exp(space, x, y):
-        first, second = bracket_T_P(space, x, y)
-        mx, my = expectation(space, x), expectation(space, y)
-        if first != x - mx or second != y - my:
-            return "components differ from centered coordinates"
-        if expectation(space, first) != 0 or expectation(space, second) != 0:
-            return "components are not mean-zero"
-        return None
-
-    table = [
+suite_brackets = _suite(
+    [
         (
             "covariance-bracket",
             "expectation-product bracket equals the covariance and is symmetric",
-            check_cov,
+            _covariance_bracket,
         ),
         (
             "product-centering-bracket",
             "(TX)(TY) - T(XY) matches its closed form; its mean is the covariance",
-            check_prod_center,
+            _product_centering,
         ),
         (
             "centering-expectation-bracket",
             "the pair bracket returns the centered coordinates, both mean-zero",
-            check_center_exp,
+            _centering_expectation,
         ),
-    ]
-    return _fuzz(table, trials, seed, max_outcomes) + [
-        symbolic["covariance-bracket"],
-        symbolic["covariance-centering-invariance"],
-        symbolic["product-centering-bracket"],
-        symbolic["centering-expectation-bracket-first"],
-        symbolic["centering-expectation-bracket-second"],
-    ]
+    ],
+    "covariance-bracket",
+    "covariance-centering-invariance",
+    "product-centering-bracket",
+    "centering-expectation-bracket-first",
+    "centering-expectation-bracket-second",
+)
 
-
-def suite_corollaries(trials, seed, max_outcomes, symbolic):
-    def check_leibniz(space, x, y):
-        lhs, rhs = corollary_leibniz(space, x, y)
-        if lhs != rhs:
-            return f"lhs={_vec(space, lhs)} rhs={_vec(space, rhs)}"
-        mx, my = expectation(space, x), expectation(space, y)
-        want = x * y - mx * my
-        if lhs != want:
-            return f"sides={_vec(space, lhs)} closed form={_vec(space, want)}"
-        return None
-
-    def check_cov_gradient(space, x, y):
-        lhs, rhs = corollary_cov(space, x, y)
-        if lhs != rhs:
-            return f"lhs={_vec(space, lhs)} rhs={_vec(space, rhs)}"
-        mx, my = expectation(space, x), expectation(space, y)
-        want = (x - mx) * (y - my)
-        if lhs != want:
-            return f"sides={_vec(space, lhs)} closed form={_vec(space, want)}"
-        return None
-
-    table = [
+suite_corollaries = _suite(
+    [
         (
             "corollary-product-of-gradients",
             "T(PX)T(PY) + T(PX*PY) equals T(P(XY)) + Cov, both equal XY - PX*PY",
-            check_leibniz,
+            _product_of_gradients,
         ),
         (
             "corollary-covariance-gradient",
             "T(PX)T(PY) equals T(Cov) + Cov, both equal (X-PX)(Y-PY)",
-            check_cov_gradient,
+            _covariance_gradient,
         ),
-    ]
-    return _fuzz(table, trials, seed, max_outcomes) + [
-        symbolic["corollary-product-of-gradients"],
-        symbolic["corollary-covariance-gradient"],
-    ]
+    ],
+    "corollary-product-of-gradients",
+    "corollary-covariance-gradient",
+)
 
+suite_lemma = _suite(
+    [("lemma-pieces", "each composite bracket equals its closed form", _lemma_pieces)],
+    "lemma-piece-center-of-covariance",
+    "lemma-piece-expectation-of-product-centering",
+    "lemma-piece-product-of-centered-means",
+)
 
-def suite_lemma(trials, seed, max_outcomes, symbolic):
-    def closed_forms(space, x, y):
-        mx, my = expectation(space, x), expectation(space, y)
-        tx, ty = x - mx, y - my
-        cov = covariance(space, x, y)
-        first = tx * ty - 2 * cov
-        second = embed(cov, space) - tx * ty + (tx * my + mx * ty)
-        third = tx * ty - (x * y - expectation(space, x * y))
-        return first, second, third
-
-    def check(space, x, y):
-        first, second, third = closed_forms(space, x, y)
-        got_first = nested_T_P_prod(space, x, y)
-        if got_first != first:
-            return f"first piece got={_vec(space, got_first)} want={_vec(space, first)}"
-        got_second = nested_P_prod_T(space, x, y)
-        if got_second != second:
-            return f"second piece got={_vec(space, got_second)} want={_vec(space, second)}"
-        got_third = nested_prod_T_P(space, x, y)
-        if got_third != third:
-            return f"third piece got={_vec(space, got_third)} want={_vec(space, third)}"
-        return None
-
-    table = [
-        (
-            "lemma-pieces",
-            "each composite bracket equals its closed form",
-            check,
-        )
-    ]
-    return _fuzz(table, trials, seed, max_outcomes) + [
-        symbolic["lemma-piece-center-of-covariance"],
-        symbolic["lemma-piece-expectation-of-product-centering"],
-        symbolic["lemma-piece-product-of-centered-means"],
-    ]
-
-
-def suite_jacobi(trials, seed, max_outcomes, symbolic):
-    def check(space, x, y):
-        total = jacobi_sum(space, x, y)
-        if not total.is_zero():
-            return f"sum={_vec(space, total)}"
-        return None
-
-    table = [
+suite_jacobi = _suite(
+    [
         (
             "jacobi-identity",
             "the cyclic sum of composite brackets is the zero vector",
-            check,
+            _jacobi,
         )
-    ]
-    return _fuzz(table, trials, seed, max_outcomes) + [symbolic["jacobi-identity"]]
+    ],
+    "jacobi-identity",
+)
 
 
 def suite_eic_certificates(trials, seed, max_outcomes, symbolic):

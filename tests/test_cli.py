@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import negate_first_centering
-from eicalg import brackets, measure
+from eicalg import brackets, measure, verify
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.expr import E, var
@@ -67,6 +67,14 @@ class TestDerive:
         code, out, _ = run_cli(capsys, "--output", "structured", "derive", "Var(X)")
         trace = parse_structured(out)["results"][0]["trace"]
         assert trace and trace[0][0] == "linearity"
+
+    def test_reciprocal_of_a_reciprocal(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "derive", "inv(inv(E[X]))"
+        )
+        assert code == 0
+        result = parse_structured(out)["results"][0]
+        assert (result["estimand"], result["eic"]) == ("E[X]", "X - E[X]")
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "derive", "E[X")
@@ -330,6 +338,140 @@ def test_float_verdicts_against_numeric_means(capsys):
     assert 2 * checked >= draws
 
 
+INSTANCE_0 = (
+    "instance 0: weights=['2/27', '5/27', '4/27', '5/27', '1/3', '2/27']"
+    " X=['-2', '5', '2', '-3', '-3', '-5'] Y=['3', '1', '-4', '-5', '-5', '5']; "
+)
+INSTANCE_12 = (
+    "instance 12: weights=['7/43', '5/43', '7/43', '4/43', '2/43', '6/43', '7/43',"
+    " '5/43'] X=['-2', '-5', '4', '-5', '-1', '-5', '2', '-5']"
+    " Y=['5', '-2', '3', '0', '4', '5', '-5', '3']; "
+)
+
+
+def _decomposition(constant_shift, centered_shift):
+    def decompose(space, f):
+        mean = measure.expectation(space, f)
+        return measure.Decomposition(mean + constant_shift, f - mean - centered_shift)
+
+    return decompose
+
+
+# (suite, [(module, name, replacement)], {failing record: first counterexample})
+# at seed 0 and 20 trials; the faults patch the names the checks look up
+INJECTED_FAULTS = [
+    pytest.param(
+        "decomposition", [(verify, "decompose", _decomposition(1, 0))],
+        {"orthogonal-decomposition": INSTANCE_0 + "parts do not reconstruct the input"},
+        id="decomposition-not-reconstructing",
+    ),
+    pytest.param(
+        "decomposition", [(verify, "decompose", _decomposition(1, 1))],
+        {"orthogonal-decomposition": INSTANCE_0 + "centered part has nonzero mean"},
+        id="decomposition-centered-part-shifted",
+    ),
+    pytest.param(
+        "decomposition",
+        [(verify, "inner", lambda s, f, g: measure.inner(s, f, g) + (s.size == 8))],
+        {"orthogonal-decomposition": INSTANCE_12 + "parts are not orthogonal"},
+        id="inner-off-on-eight-outcomes",
+    ),
+    pytest.param(
+        "decomposition", [(verify, "inner", lambda s, f, g: 2 * measure.inner(s, f, g))],
+        {
+            "orthogonal-decomposition":
+                INSTANCE_0 + "inner product against 1 is not the expectation"
+        },
+        id="inner-doubled",
+    ),
+    pytest.param(
+        "brackets",
+        [(verify, "covariance", lambda s, x, y: 2 * measure.covariance(s, x, y))],
+        {"covariance-bracket": INSTANCE_0 + "bracket=2312/729 covariance=4624/729"},
+        id="covariance-doubled",
+    ),
+    pytest.param(
+        "brackets",
+        [
+            (brackets, "pointwise_product", lambda f, g: f * g + f),
+            (verify, "covariance", lambda s, x, y: brackets.bracket_P_prod(s, x, y)),
+        ],
+        {
+            "covariance-bracket": INSTANCE_0 + "bracket is not symmetric",
+            "product-centering-bracket":
+                INSTANCE_0 + "expectation of the bracket is not the covariance",
+        },
+        id="product-not-symmetric",
+    ),
+    pytest.param(
+        "corollaries", [(brackets, "embed", lambda a, s: measure.embed(a, s) + 1)],
+        {
+            "corollary-product-of-gradients": INSTANCE_0
+            + "lhs=['-5869/729', '2150/729', '-7327/729', '9440/729', '9440/729',"
+            " '-19720/729'] rhs=['-5140/729', '2879/729', '-6598/729', '10169/729',"
+            " '10169/729', '-18991/729']",
+            "corollary-covariance-gradient": INSTANCE_0
+            + "lhs=['-4526/729', '14536/729', '-3311/729', '4060/729', '4060/729',"
+            " '-22400/729'] rhs=['-3797/729', '15265/729', '-2582/729', '4789/729',"
+            " '4789/729', '-21671/729']",
+        },
+        id="corollary-sides-differ",
+    ),
+    pytest.param(
+        "corollaries", [(brackets, "pointwise_product", lambda f, g: f * g + 1)],
+        {
+            "corollary-product-of-gradients": INSTANCE_0
+            + "sides=['-5140/729', '2879/729', '-6598/729', '10169/729', '10169/729',"
+            " '-18991/729'] closed form=['-5869/729', '2150/729', '-7327/729',"
+            " '9440/729', '9440/729', '-19720/729']",
+            "corollary-covariance-gradient": INSTANCE_0
+            + "sides=['-3797/729', '15265/729', '-2582/729', '4789/729', '4789/729',"
+            " '-21671/729'] closed form=['-4526/729', '14536/729', '-3311/729',"
+            " '4060/729', '4060/729', '-22400/729']",
+        },
+        id="corollary-sides-off-the-closed-form",
+    ),
+    pytest.param(
+        "lemma",
+        [(brackets, "covariance", lambda s, x, y: 2 * measure.covariance(s, x, y))],
+        {
+            "lemma-pieces": INSTANCE_0
+            + "first piece got=['-11462/729', '7600/729', '-10247/729', '-2876/729',"
+            " '-2876/729', '-29336/729'] want=['-3050/243', '3304/243', '-2645/243',"
+            " '-188/243', '-188/243', '-9008/243']"
+        },
+        id="lemma-first-piece",
+    ),
+    pytest.param(
+        "lemma",
+        [(brackets, "bracket_P_prod", lambda s, x, y: measure.covariance(s, x, y) + 1)],
+        {
+            "lemma-pieces": INSTANCE_0
+            + "second piece got=['6224/729', '-23881/729', '2336/729', '4361/729',"
+            " '4361/729', '28121/729'] want=['5495/729', '-24610/729', '1607/729',"
+            " '3632/729', '3632/729', '27392/729']"
+        },
+        id="lemma-second-piece",
+    ),
+    pytest.param(
+        "lemma", [(brackets, "pointwise_product", lambda f, g: f * g + 1)],
+        {
+            "lemma-pieces": INSTANCE_0
+            + "third piece got=['4384/729', '15427/729', '7057/729', '-2339/729',"
+            " '-2339/729', '361/729'] want=['3655/729', '14698/729', '6328/729',"
+            " '-3068/729', '-3068/729', '-368/729']"
+        },
+        id="lemma-third-piece",
+    ),
+    pytest.param(
+        "jacobi",
+        [(brackets, "covariance", lambda s, x, y: 2 * measure.covariance(s, x, y))],
+        {"jacobi-identity": INSTANCE_0 + "sum=" + str(["-2312/729"] * 6)},
+        id="jacobi-sum-nonzero",
+    ),
+]
+
+
 class TestVerify:
     def test_all_suites_pass_quickly(self, capsys):
         code, out, _ = run_cli(
@@ -395,6 +537,38 @@ class TestVerify:
             None,
             None,
         ]
+
+    @pytest.mark.parametrize("suite, patches, failing", INJECTED_FAULTS)
+    def test_injected_fault_prints_its_first_counterexample(
+        self, capsys, monkeypatch, suite, patches, failing
+    ):
+        """One fault per failure message of a check: the exit code, which
+        records fail, and each one's first counterexample are pinned."""
+        for module, name, replacement in patches:
+            monkeypatch.setattr(module, name, replacement)
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "verify", suite, "--trials", "20"
+        )
+        assert code == 1
+        results = parse_structured(out)["results"]
+        assert {
+            r["name"]: r["counterexample"] for r in results if r["verdict"] == "fail"
+        } == failing
+
+    def test_covariance_does_not_share_the_product_under_test(
+        self, capsys, monkeypatch
+    ):
+        """A pointwise product off by one everywhere it is bound shifts the
+        bracket, but not the covariance computed from centered variables."""
+        for module in (measure, brackets):
+            monkeypatch.setattr(module, "pointwise_product", lambda f, g: f * g + 1)
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "verify", "brackets", "--trials", "5"
+        )
+        assert code == 1
+        assert parse_structured(out)["results"][0]["counterexample"] == (
+            INSTANCE_0 + "bracket=3041/729 covariance=2312/729"
+        )
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -640,6 +814,15 @@ class TestSimulate:
         code, out, err = run_cli(capsys, *common, *flags, *tail)
         assert (code, err) == (0, "")
         assert (code, out, err) == run_cli(capsys, *common, *joined, *tail)
+
+    def test_uniform_grid_of_one_point_is_its_midpoint(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--output", "structured", *SIMULATE, "--family", "uniform-grid",
+            "--low", "0", "--high", "1", "--points", "1",
+        )
+        assert (code, err) == (0, "")
+        result = parse_structured(out)["results"][0]
+        assert (result["truth_exact"], result["bound_exact"]) == ("1/2", "0")
 
     def test_config_file(self, capsys, tmp_path):
         config = tmp_path / "mc.json"
@@ -988,11 +1171,43 @@ class TestTypedExitForBadSettings:
                 "overflows a float",
             ),
             ([*SIMULATE, "--family", "bernoulli", "--p", "0.5", "--mean", "3"], 2, "'mean'"),
+            (["parse-check", "E[X] E[Y]"], 2, "trailing input 'E' (column 6)"),
+            (["parse-check", "Var(E)"], 2, "base variable (column 5)"),
+            (["parse-check", "Cov(X, inv)"], 2, "base variables (column 8)"),
+            (["simulate", "--n", "5"], 2, "--config"),
+            (
+                [*SIMULATE, "--family", "bernoulli", "--p", "0.5", "--replicates", "0"],
+                2,
+                "at least one replicate",
+            ),
+            ([*SIMULATE, "--family", "bernoulli", "--p", "1"], 2, "(0, 1)"),
+            (
+                [*SIMULATE, "--family", "discrete", "--support", "1,2", "--weights", "1"],
+                2,
+                "equal length",
+            ),
+            (
+                [*SIMULATE, "--family", "discrete", "--support", "1,1",
+                 "--weights", "0.5,0.5"],
+                2,
+                "distinct",
+            ),
+            (
+                [*SIMULATE, "--family", "uniform-grid", "--low", "1", "--high", "0",
+                 "--points", "3"],
+                2,
+                "high > low",
+            ),
+            ([*SIMULATE, "--family", "gaussian-grid", "--mean", "0", "--sd", "0"], 2, "sd"),
         ],
         ids=[
             "split-zero-denominator", "p-zero-denominator", "support-zero-denominator",
             "gaussian-weights-underflow", "gaussian-square-overflow", "n-above-int64",
             "uniform-grid-overflow", "gaussian-span-overflow", "flag-the-family-does-not-read",
+            "two-atoms-without-operator", "var-of-reserved-name", "cov-of-reserved-name",
+            "no-config-nor-family", "no-replicates", "bernoulli-p-one",
+            "discrete-unequal-lengths", "discrete-repeated-support", "uniform-grid-high-below-low",
+            "gaussian-grid-zero-sd",
         ],
     )
     def test_exit_code_and_one_error_line(self, capsys, tmp_path, argv, code, needle):
@@ -1065,7 +1280,34 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 class TestDigitLimit:
     """A valid cell with more digits than ``int()`` converts, or an exact
     result with more digits than ``str()`` prints, is a data error (exit 3)
-    with one ``error:`` line that names the limit."""
+    with one ``error:`` line that names the limit.  On the expression path,
+    such a numeral or constant is a usage error (exit 2), named the same way."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"E[X]*10^{DIGIT_LIMIT + 700}", f"E[X]*2^{4 * DIGIT_LIMIT + 3000}"],
+        ids=["power-of-ten", "power-of-two"],
+    )
+    def test_exact_constant_of_an_expression(self, capsys, text):
+        code, out, err = run_cli(capsys, "derive", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: exact value exceeds the limit of {DIGIT_LIMIT} digits"
+            " for printing an integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "template, column",
+        [("E[X]*{}", 6), ("E[X]^{}", 6), ("{}.5*E[X]", 1), ("E[X]*0.{}", 6)],
+        ids=["factor", "exponent", "integer-part", "decimal-places"],
+    )
+    def test_numeral(self, capsys, template, column):
+        text = template.format("7" * (DIGIT_LIMIT + 700))
+        code, out, err = run_cli(capsys, "parse-check", text)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: numeral exceeds the limit of {DIGIT_LIMIT} digits (column {column})\n"
+        )
 
     @pytest.mark.parametrize("places", ["", ".5"], ids=["one-pattern", "cell-by-cell"])
     def test_data_cell(self, capsys, tmp_path, places):
