@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .errors import NormalizationError
 from .expr import (
@@ -54,6 +56,7 @@ from .expr import (
     rv_product,
     rv_sum,
 )
+from .parser import MAX_EXPONENT
 
 __all__ = [
     "CanonForm",
@@ -251,10 +254,9 @@ class CanonForm:
         )
 
     def __pow__(self, n: int) -> "CanonForm":
-        out = CanonForm.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        if n > MAX_EXPONENT:
+            raise NormalizationError(f"exponent {n} above {MAX_EXPONENT}")
+        return reduce(mul, [self] * n, CanonForm.one())
 
     def scale(self, c: Fraction) -> "CanonForm":
         return CanonForm.make(_p_scale(self.num, c), self.den)
@@ -278,15 +280,9 @@ def _canonicalize_shared(x, recurse) -> CanonForm:
     if isinstance(x, (RvConst, FuncConst)):
         return CanonForm.from_const(x.value)
     if isinstance(x, (RvSum, FuncSum)):
-        out = CanonForm.zero()
-        for t in x.terms:
-            out = out + recurse(t)
-        return out
+        return reduce(add, map(recurse, x.terms), CanonForm.zero())
     if isinstance(x, (RvProduct, FuncProduct)):
-        out = CanonForm.one()
-        for f in x.factors:
-            out = out * recurse(f)
-        return out
+        return reduce(mul, map(recurse, x.factors), CanonForm.one())
     if isinstance(x, (IntPower, FuncPower)):
         return recurse(x.base) ** x.exponent
     raise TypeError(f"not an expression: {x!r}")

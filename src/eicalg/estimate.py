@@ -6,13 +6,13 @@ power of ten, and each column is kept over the largest power of ten of its
 cells, so no cell is ever a binary float or a ``Fraction``.  A plug-in
 functional of moments and its gradient are rational in primitive moments
 E[X^a Y^b]: a call compiles the estimand once, in one mode, as a
-:class:`CompiledEstimand`, which every estimator then values on a law,
-whose primitive moments are integer sums over the columns, each one lazy
-pass made once per law.  Results are exact; the empirical mean of a
-plug-in gradient is exactly zero.  Float mode rounds every embedded
-functional to a float as pointwise evaluation does, so both modes give the
-same numbers as evaluating row by row on :func:`empirical_space`, the
-independent route.
+:class:`CompiledEstimand` of integer terms, which a law values over integer
+(numerator, denominator) pairs: one lazy pass per moment, one ``Fraction``
+per polynomial, each atom-free expectation kept by the law.  Results are
+exact; the empirical mean of a plug-in gradient is exactly zero.  Float
+mode rounds every embedded functional to a float as pointwise evaluation
+does, so both modes give the same numbers as evaluating row by row on
+:func:`empirical_space`, the independent route.
 """
 
 from __future__ import annotations
@@ -61,14 +61,16 @@ class Dataset:
     row ``i`` (data rows count one each, a Monte Carlo replicate counts its
     draws) and ``n`` is the total, so a primitive moment E[prod_j X_j^a_j]
     is the single integer sum ``sum_i c_i prod_j x_ij^a_j`` divided by
-    ``total * prod_j scale_j^a_j``.  :meth:`value` computes each moment on
-    first use and caches it, so estimators valued on the same law share one
-    pass per moment.
+    ``total * prod_j scale_j^a_j``.  The law decides once whether every
+    count is 1, and keeps what it has valued: each moment as a pair, and in
+    ``expectations`` each E[e] free of embedded functionals, by (e, square),
+    so estimators valued on it share one pass per moment.
     """
 
     def __init__(self, columns: dict, counts, total: int):
         self._columns, self._counts, self.n = columns, list(counts), total
-        self._moments: dict = {}
+        self._unit = self._counts.count(1) == len(self._counts)
+        self._pairs, self.expectations = {}, {}
         if not self._counts:
             raise DataError("at least one row required")
         if any(len(ints) != len(self._counts) for _, ints in columns.values()):
@@ -99,8 +101,7 @@ class Dataset:
         """E[prod X^a] of a base monomial ((name, exponent), ...), by one
         lazy integer pass over the rows that builds no list; the counts are
         multiplied in only when one of them is not 1."""
-        unit = self._counts.count(1) == len(self._counts)
-        terms, scale = None if unit else self._counts, self.n
+        terms, scale = None if self._unit else self._counts, self.n
         for name, exponent in mono:
             column_scale, column = self._columns[name]
             factor = column if exponent == 1 else map(pow, column, repeat(exponent))
@@ -109,21 +110,30 @@ class Dataset:
         return Fraction(sum(self._counts if terms is None else terms), scale)
 
     def value(self, poly, scalars: dict) -> Fraction:
-        """A polynomial over moment and opaque atoms, as one integer sum."""
-        num, den = 0, 1
-        for mono, coeff in poly.items():
-            n, d = coeff.numerator, coeff.denominator
-            for (kind, key), exp in mono:
-                if kind != "m":
-                    x = scalars[key[0]]
-                elif key in self._moments:
-                    x = self._moments[key]
-                else:
-                    x = self._moments[key] = self.moment(key)
-                n, d = n * x.numerator**exp, d * x.denominator**exp
+        """A polynomial compiled by :func:`_integer_terms` as one integer sum
+        and one ``Fraction``: each coefficient pair times each atom's
+        (numerator, denominator) pair, from ``scalars`` or this law's moments."""
+        monos, terms = poly
+        for mono in monos - self._pairs.keys():
+            self._pairs[mono] = self.moment(mono).as_integer_ratio()
+        pairs, num, den = {**self._pairs, **scalars}, 0, 1
+        for n, d, atoms in terms:
+            for key, exp in atoms:
+                p, q = pairs[key]
+                n, d = n * p**exp, d * q**exp
             g = math.gcd(den, d)
             num, den = num * (d // g) + n * (den // g), den // g * d
         return Fraction(num, den)
+
+
+def _integer_terms(poly) -> tuple:
+    """A polynomial over moment and opaque atoms as its base monomials and
+    its integer terms (numerator, denominator, ((key, exponent), ...)), an
+    atom keyed by its base monomial or, if opaque, by its rendering."""
+    return frozenset(k for m in poly for (t, k), _ in m if t == "m"), tuple(
+        (c.numerator, c.denominator, tuple((k if t == "m" else k[0], x) for (t, k), x in m))
+        for m, c in poly.items()
+    )
 
 
 # A cell is the expression grammar's numeral with an optional sign, between
@@ -223,9 +233,10 @@ class CompiledEstimand:
 
     Each moment argument, and the gradient, is canonicalized once to a form
     P whose embedded functionals are opaque atoms, so E[P] (and E[P^2]) is
-    a fixed polynomial in primitive moments and those atoms.  A law values
-    every atom met, cancelled or not, by the tree walk, as pointwise
-    evaluation does, and substitutes: one rational function, same values.
+    a fixed polynomial of integer terms in primitive moments and those
+    atoms.  A law values every atom met, cancelled or not, by the tree walk,
+    as pointwise evaluation does, and substitutes: one rational function,
+    same values.  The law keeps each E[P] that has no atom.
     """
 
     def __init__(self, psi: FuncExpr, mode: str = "exact"):
@@ -243,19 +254,25 @@ class CompiledEstimand:
     def variance(self, table: Dataset) -> Fraction:
         """E[g^2] - E[g]^2 of the gradient g; as :func:`eic_variance`."""
         mean, square = self.means(self.eic, table, square=True)
-        return square - mean * mean
+        return square - mean * mean if mean else square
 
     def means(self, e: RvExpr, table, fit=None, square=False) -> list:
         """E[e], and E[e^2] if ``square``, with moments under ``table`` and
         embedded functionals under ``fit`` (by default ``table``)."""
-        if (e, square) not in self._forms:
+        key = e, square
+        if key in table.expectations:
+            return table.expectations[key]
+        if key not in self._forms:
             atoms: dict = {}
             form = canonicalize_rv(e, atoms)
             forms = [form, form * form] if square else [form]
-            self._forms[e, square] = atoms, [expectation_of_form(f).num for f in forms]
-        atoms, polys = self._forms[e, square]
-        scalars = {k: Fraction(self.value(fit or table, f)) for k, f in atoms.items()}
-        return [table.value(poly, scalars) for poly in polys]
+            self._forms[key] = atoms, [_integer_terms(expectation_of_form(f).num) for f in forms]
+        atoms, polys = self._forms[key]
+        scalars = {k: self.value(fit or table, f).as_integer_ratio() for k, f in atoms.items()}
+        values = [table.value(poly, scalars) for poly in polys]
+        if not atoms:  # then a function of e and the law alone
+            table.expectations[key] = values
+        return values
 
 
 def _checked(psi: FuncExpr, data: Dataset) -> Dataset:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Callable
 
 from .errors import EvaluationError, ExactModeError, NormalizationError
@@ -111,6 +113,18 @@ class _Operand:
 
     def __neg__(self):
         return _builders(self, self)[2](-1, self)
+
+    def __init_subclass__(cls):
+        cls.__hash__ = _Operand.__hash__  # so @dataclass keeps it
+
+    def __hash__(self):  # of the fields, once per node: a lookup, not a walk
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+        return h
+
+    def __getstate__(self):  # a str hashes differently in another process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -520,13 +534,11 @@ def _eval_func(f, expect, mode):
         return f.value
     if isinstance(f, Moment):
         return expect(f.arg)
-    if isinstance(f, FuncSum):
-        return sum((_eval_func(t, expect, mode) for t in f.terms), Fraction(0))
-    if isinstance(f, FuncProduct):
-        out = Fraction(1)
-        for x in f.factors:
-            out = out * _eval_func(x, expect, mode)
-        return out
+    if isinstance(f, (FuncSum, FuncProduct)):  # folded from the first part
+        op, unit, parts = (add, 0, f.terms) if isinstance(f, FuncSum) else (mul, 1, f.factors)
+        values = (_eval_func(x, expect, mode) for x in parts)
+        first = next(values, None)
+        return Fraction(unit) if first is None else reduce(op, values, first)
     if isinstance(f, FuncPower):
         return _eval_func(f.base, expect, mode) ** f.exponent
     if isinstance(f, Reciprocal):

@@ -81,6 +81,8 @@ _TOKEN = re.compile(
 # Deepest bracket nesting accepted.  The parser and the later passes over the
 # tree recurse at every level; this keeps them inside the default stack.
 MAX_NESTING = 100
+# Largest exponent of a power of anything but a number, which expands it.
+MAX_EXPONENT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,8 @@ class _Parser:
             raise ParseError("exponent must be a nonnegative integer", tok.column)
         scalar, node = part
         n = _numeral(tok).numerator
+        if n > MAX_EXPONENT and not isinstance(node, FuncConst):
+            raise ParseError(f"exponent above {MAX_EXPONENT}", tok.column)
         if scalar:
             return True, f_pow(node, n)
         return False, _embed_if_scalar(rv_pow(node, n))

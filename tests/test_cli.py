@@ -13,7 +13,7 @@ from eicalg import brackets, measure, verify
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.expr import E, var
-from eicalg.parser import MAX_NESTING, parse_expression
+from eicalg.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
 from workloads import grammar_expression
 
 X, Y = var("X"), var("Y")
@@ -199,6 +199,39 @@ class TestNestingBound:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert "nested more than" in err
+
+
+class TestExponentBound:
+    """A power of anything but a number has an exponent of at most
+    ``MAX_EXPONENT``; a larger one is an expression error (exit 2) at the
+    exponent's column, raised before anything is expanded."""
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("E[X]^99999999", 6), ("E[X^20000]", 5), ("E[(X+Y)^1001]", 9), ("inv(E[X])^1001", 11)],
+    )
+    @pytest.mark.parametrize("command", [["parse-check"], ["derive"]])
+    def test_larger_exponent_fails_fast(self, capsys, command, text, column):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *command, text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: exponent above {MAX_EXPONENT} (column {column})\n"
+
+    @pytest.mark.parametrize("text", [f"E[X^{MAX_EXPONENT}]", f"E[X]*2^{MAX_EXPONENT + 1}"])
+    def test_bound_and_constant_powers_are_accepted(self, capsys, text):
+        code, _, err = run_cli(capsys, "derive", text)
+        assert code == 0, err
+
+    def test_tree_built_through_the_api(self):
+        from eicalg.canon import canonicalize_func
+        from eicalg.errors import NormalizationError
+        from eicalg.expr import FuncPower
+
+        start = time.perf_counter()
+        with pytest.raises(NormalizationError, match="exponent"):
+            canonicalize_func(FuncPower(E(X), 99999999))
+        assert time.perf_counter() - start < 1
 
 
 class TestAsciiIdentifiers:

@@ -1,5 +1,6 @@
 """Empirical measures, plug-in and one-step estimation, Wald intervals."""
 
+import gc
 import json
 import math
 from fractions import Fraction as Q
@@ -343,6 +344,50 @@ class TestMomentTableAgainstPointwise:
         data = dataset(("X",), [(10,), (20,)])
         with pytest.raises(EvaluationError):
             eic_standard_error(CompiledEstimand(parse_expression("E[X^400]")), data)
+
+
+def _bits(value):
+    """A value as its exact bits: a float's hex form, a Fraction's pair."""
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value.numerator, value.denominator
+
+
+class TestCachesAreSafe:
+    """A law keeps the moments and the atom-free expectations it has been
+    valued with.  Valued in turn by estimands of both modes, of the same
+    and of other estimands, and again by fresh estimands once the earlier
+    ones are dropped and collected, it gives every value bit for bit as a
+    fresh law does."""
+
+    TEXT = "X,Y\n1,2\n3,5\n4,2.5\n2,1\n0.5,7\n6,3\n"
+    ESTIMANDS = (
+        "Var(X)", "Cov(X,Y)*inv(Var(X))", "E[X*Y]^2*inv(E[Y^2])", "E[X]",
+        "E[X^2]", "exp(E[X])*Var(Y)",
+    )
+
+    def _values(self, estimand, law):
+        fit = read_delimited(self.TEXT).subset(0, 3)
+        computations = (
+            estimand.value,
+            estimand.variance,
+            lambda law: estimand.means(estimand.eic, law, square=True)[1],
+            lambda law: estimand.means(estimand.eic, law, fit)[0],
+        )
+        return [_outcome(lambda: _bits(compute(law))) for compute in computations]
+
+    def test_shared_law_equals_fresh_laws(self):
+        shared = read_delimited(self.TEXT)
+        for _ in range(2):
+            for text in self.ESTIMANDS:
+                for mode in ("float", "exact"):
+                    estimand = CompiledEstimand(parse_expression(text), mode)
+                    got = self._values(estimand, shared)
+                    fresh = CompiledEstimand(parse_expression(text), mode)
+                    assert got == self._values(fresh, read_delimited(self.TEXT)), (text, mode)
+                    del estimand, fresh
+                    gc.collect()
+        assert shared.expectations  # the law did keep expectations
 
 
 class TestOneLawPerCall:

@@ -1,6 +1,11 @@
 """Expression construction, evaluation, and rendering."""
 
 import operator
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction as Q
 
 import pytest
@@ -299,3 +304,37 @@ class TestOperatorOracle:
     @given(_operands.filter(lambda e: isinstance(e, _EXPRS)))
     def test_unary_minus(self, e):
         assert -e == _old("neg", e)
+
+
+class TestCachedHash:
+    """Each node hashes its fields once; equal trees hash equal, and a tree
+    sent through pickle takes no hash along."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trees)
+    def test_equal_trees_hash_equal(self, t):
+        hash(t)
+        twin = pickle.loads(pickle.dumps(t))
+        assert twin == t and twin is not t and "_hash" not in twin.__dict__
+        assert hash(twin) == hash(t) == hash(tuple(getattr(t, f.name) for f in fields(t)))
+        assert {t: 1}[twin] == 1
+
+    def test_pickled_tree_is_found_in_another_process(self):
+        tree = E(X * Y) - E(X) * E(Y)
+        hash(tree)
+        script = (
+            "import pickle, sys\n"
+            "from eicalg.expr import E, var\n"
+            "X, Y = var('X'), var('Y')\n"
+            "tree = pickle.loads(sys.stdin.buffer.read())\n"
+            "print({E(X * Y) - E(X) * E(Y): 'found'}.get(tree))\n"
+        )
+        import eicalg
+
+        source = os.path.dirname(os.path.dirname(eicalg.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": source}
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(tree),
+            capture_output=True, env=env, check=True,
+        ).stdout
+        assert out == b"found\n"

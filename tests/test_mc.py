@@ -176,24 +176,41 @@ def _pointwise_study(config: McConfig) -> dict:
     }
 
 
+# one law per sampler family; gaussian-grid is the benchmark's family, whose
+# exact weights (normal densities as floats, over their sum) have 21-digit
+# denominators
+FAMILY_PARAMS = {
+    "bernoulli": {"p": "0.3"},
+    "discrete": {"support": ["-1", "0.5", "2.25"], "weights": ["0.2", "0.3", "0.5"]},
+    "uniform-grid": {"low": "-1", "high": "2", "points": 7},
+    "gaussian-grid": {"mean": "1", "sd": "2", "points": 41},
+}
+
+
 class TestMomentTableAgainstPointwise:
-    @pytest.mark.parametrize(
-        "estimand",
-        [MEAN, VARIANCE, E((X - E(X)) ** 3) * inv(E(X**2))],
-    )
-    def test_report_equals_pointwise_recomputation(self, estimand):
+    ESTIMANDS = [MEAN, VARIANCE, E((X - E(X)) ** 3) * inv(E(X**2))]
+
+    def _compare(self, family, estimand):
         config = McConfig(
-            family="discrete",
-            params={"support": ["-1", "0.5", "2.25"], "weights": ["0.2", "0.3", "0.5"]},
+            family=family,
+            params=FAMILY_PARAMS[family],
             estimand=estimand,
             n=25,
             replicates=40,
             seed=9,
         )
         report = run_mc(config)
-        expected = _pointwise_study(config)
-        got = {key: getattr(report, key) for key in expected}
-        assert got == expected
+        for key, expected in _pointwise_study(config).items():
+            assert getattr(report, key) == expected, key
+
+    @pytest.mark.parametrize("estimand", ESTIMANDS)
+    def test_report_equals_pointwise_recomputation(self, estimand):
+        self._compare("discrete", estimand)
+
+    @pytest.mark.parametrize("family", ["bernoulli", "uniform-grid", "gaussian-grid"])
+    @pytest.mark.parametrize("estimand", ESTIMANDS)
+    def test_every_other_sampler_family(self, estimand, family):
+        self._compare(family, estimand)
 
 
 def _outcome(study):
@@ -276,3 +293,39 @@ class TestCompiledOnce:
         many = self._canonicalizations(monkeypatch, replace(config, replicates=50))
         assert few == many
         assert few["canonicalize_rv"] > 0 and few["canonicalize_func"] > 0
+
+    def test_four_moment_passes_per_law_for_a_variance(self, monkeypatch):
+        """A Var(X) study values E[X], E[X^2], E[X^3] and E[X^4] once per
+        law, the true law and each replicate, and expands its estimand and
+        gradient a number of times that does not grow with the replicates."""
+        from eicalg.estimate import Dataset
+
+        laws, moments = [], []
+        original_init, original_moment = Dataset.__init__, Dataset.moment
+
+        def init(self, *args):
+            laws.append(self)
+            original_init(self, *args)
+
+        def moment(self, mono):
+            moments.append((laws.index(self), mono))
+            return original_moment(self, mono)
+
+        config = McConfig(
+            family="gaussian-grid",
+            params=FAMILY_PARAMS["gaussian-grid"],
+            estimand=VARIANCE,
+            n=100,
+            replicates=5,
+            seed=9,
+        )
+        few = self._canonicalizations(monkeypatch, config)
+        many = self._canonicalizations(monkeypatch, replace(config, replicates=50))
+        assert few == many and few["canonicalize_rv"] > 0
+        monkeypatch.setattr(Dataset, "__init__", init)
+        monkeypatch.setattr(Dataset, "moment", moment)
+        run_mc(config)
+        assert len(laws) == 1 + config.replicates
+        per_law = [sorted(mono for law, mono in moments if law == i) for i in range(len(laws))]
+        powers = [(("X", k),) for k in range(1, 5)]
+        assert per_law == [powers] * len(laws)
