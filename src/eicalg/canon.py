@@ -2,18 +2,20 @@
 
 The normal form is a fully expanded rational function over three kinds of
 atoms: base-variable symbols, primitive-moment symbols keyed by a monomial
-in base variables, and smooth-functional symbols (``exp``, ``log``,
-``sqrt`` of a functional in normal form), kept opaque.  Moments and smooth
-functionals are scalars, so expectation factors both out alike.  Monomials
-are ordered graded-lexicographically with base variables (alphabetical)
-before moment atoms (by the canonical string of their inner monomial) and
-those before smooth atoms (by their rendering).  Two expressions denote the
-same object exactly when their canonical forms are equal.
+in base variables, and scalar symbols for everything else (``exp``,
+``log``, ``sqrt`` of a functional in normal form, or an embedded functional
+kept whole), kept opaque.  Moments and scalar atoms are constants, so
+expectation factors both out alike.  Two expressions denote the same object
+exactly when their canonical forms are equal.
 
-Polynomials are plain dicts from monomial to coefficient, so arithmetic
-never re-sorts; term order is imposed only when a form is rebuilt as an
-expression.  The graded key (degree, ((atom key, -exponent), ...)) has one
-entry per atom, not one per unit of degree.
+Arithmetic is order-free: a monomial is an unordered set of atom powers and
+a polynomial a dict from monomial to coefficient, so nothing is sorted
+while forms are built.  Order is computed only where it is used, for the
+printed term order and the leading term of a denominator: monomials are
+ordered graded-lexicographically with base variables (alphabetical) before
+moment atoms (by the canonical string of their inner monomial) and those
+before scalar atoms (by their rendering).  The graded key (degree, ((atom
+key, -exponent), ...)) has one entry per atom, not one per unit of degree.
 
 Equality of rational forms is decided by cross-multiplication
 (n1*d2 - n2*d1 == 0); no multivariate gcd machinery is needed.  The only
@@ -24,6 +26,7 @@ coefficient to one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -31,6 +34,7 @@ from operator import add, mul
 
 from .errors import NormalizationError
 from .expr import (
+    MAX_EXPONENT,
     BaseVar,
     EmbedFunc,
     FuncConst,
@@ -56,7 +60,6 @@ from .expr import (
     rv_product,
     rv_sum,
 )
-from .parser import MAX_EXPONENT
 
 __all__ = [
     "CanonForm",
@@ -69,17 +72,16 @@ __all__ = [
 ]
 
 # A base monomial is a tuple of (variable name, exponent) sorted by name.
-# An atom is ("v", name), ("m", base monomial) or ("s", (key, node)), where
-# node is a Smooth over a canonical argument and key its rendering, computed
-# once because it sorts the atom; ("o", (key,)) is an opaque embedded
-# functional (see ``canonicalize_rv``).  A monomial is a tuple of
-# (atom, exponent) sorted by the atom sort key, sorted only in ``_mono``.  A
+# An atom is ("v", name), ("m", base monomial) or ("s", (key, node)): node is
+# a Smooth over a canonical argument, or an embedded functional kept whole
+# (see ``canonicalize_rv``), and key its rendering, computed once because it
+# orders the atom.  A monomial is a frozenset of (atom, exponent) pairs.  A
 # polynomial is a dict from monomial to nonzero Fraction.  Forms share these
 # dicts, so no code may mutate a form's ``num`` or ``den``.
 
 BaseMono = tuple[tuple[str, int], ...]
 Atom = tuple
-Mono = tuple
+Mono = frozenset
 Poly = dict
 
 
@@ -96,39 +98,42 @@ def _atom_key(atom: Atom):
     return (2, payload[0])
 
 
-def _mono(exps: dict) -> Mono:
-    return tuple(sorted(exps.items(), key=lambda item: _atom_key(item[0])))
-
-
 def _mono_key(mono: Mono):
     degree = sum(exp for _, exp in mono)
-    return (degree, tuple((_atom_key(atom), -exp) for atom, exp in mono))
+    return (degree, tuple(sorted((_atom_key(atom), -exp) for atom, exp in mono)))
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    if not (a and b):
+        return a or b
     exps = dict(a)
     for atom, exp in b:
         exps[atom] = exps.get(atom, 0) + exp
-    return _mono(exps)
+    return frozenset(exps.items())
 
 
 def _p_const(c: Fraction) -> Poly:
-    return {(): c} if c != 0 else {}
+    return {frozenset(): c} if c != 0 else {}
 
 
 def _p_atom(atom: Atom) -> Poly:
-    return {((atom, 1),): Fraction(1)}
+    return {frozenset({(atom, 1)}): Fraction(1)}
+
+
+def _accumulate(out: Poly, terms) -> Poly:
+    """``out`` with each (monomial, coefficient) of ``terms`` added in; a
+    coefficient that sums to zero drops its monomial."""
+    for mono, coeff in terms:
+        new = out.get(mono, 0) + coeff
+        if new:
+            out[mono] = new
+        else:
+            out.pop(mono, None)
+    return out
 
 
 def _p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for mono, coeff in b.items():
-        new = out.get(mono, Fraction(0)) + coeff
-        if new == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = new
-    return out
+    return _accumulate(dict(a), b.items())
 
 
 def _p_scale(a: Poly, c: Fraction) -> Poly:
@@ -138,20 +143,8 @@ def _p_scale(a: Poly, c: Fraction) -> Poly:
 
 
 def _p_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = _mono_mul(m1, m2)
-            new = out.get(mono, Fraction(0)) + c1 * c2
-            if new == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-    return out
-
-
-def _p_sorted(a: Poly) -> tuple:
-    return tuple(sorted(a.items(), key=lambda item: _mono_key(item[0])))
+    terms = ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
+    return _accumulate({}, terms)
 
 
 def _p_leading_coeff(a: Poly) -> Fraction:
@@ -161,30 +154,19 @@ def _p_leading_coeff(a: Poly) -> Fraction:
 
 def _common_mono_factor(polys: list[Poly]) -> Mono:
     """Largest monomial dividing every term of every polynomial."""
-    shared: dict | None = None
-    for p in polys:
-        for mono in p:
-            exps = dict(mono)
-            if shared is None:
-                shared = exps
-            else:
-                shared = {
-                    atom: min(exp, exps.get(atom, 0))
-                    for atom, exp in shared.items()
-                    if exps.get(atom, 0) > 0
-                }
-            if not shared:
-                return ()
-    return _mono(shared or {})
+    shared = None
+    for mono in (mono for p in polys for mono in p):
+        exps = dict(mono)
+        shared = exps if shared is None else {
+            atom: min(exp, exps[atom]) for atom, exp in shared.items() if atom in exps
+        }
+        if not shared:
+            return frozenset()
+    return frozenset(shared.items())
 
 
 def _mono_div(mono: Mono, divisor: Mono) -> Mono:
-    exps = dict(mono)
-    for atom, exp in divisor:
-        exps[atom] -= exp
-        if exps[atom] == 0:
-            del exps[atom]
-    return _mono(exps)
+    return frozenset((Counter(dict(mono)) - Counter(dict(divisor))).items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +182,7 @@ class CanonForm:
             raise ZeroDivisionError("canonical form with zero denominator")
         if not num:
             return CanonForm({}, _p_const(Fraction(1)))
-        factor = _common_mono_factor([num, den])
+        factor = _common_mono_factor([den, num])  # a den of 1 ends it at once
         if factor:
             num = {_mono_div(m, factor): c for m, c in num.items()}
             den = {_mono_div(m, factor): c for m, c in den.items()}
@@ -295,8 +277,8 @@ def canonicalize_rv(e: RvExpr, atoms: dict | None = None) -> CanonForm:
     if isinstance(e, BaseVar):
         return CanonForm.from_atom(("v", e.name))
     if isinstance(e, EmbedFunc) and atoms is not None:
-        atoms.setdefault(key := render_func(e.func), e.func)
-        return CanonForm.from_atom(("o", (key,)))
+        key = render_func(e.func)
+        return CanonForm.from_atom(("s", (key, atoms.setdefault(key, e.func))))
     if isinstance(e, EmbedFunc):
         return canonicalize_func(e.func)
     if isinstance(e, RvExpr):
@@ -318,6 +300,16 @@ def canonicalize_func(f: FuncExpr) -> CanonForm:
     raise TypeError(f"not a functional expression: {f!r}")
 
 
+def _expect_mono(mono: Mono) -> Mono:
+    """``mono`` under expectation: its base-variable part, with the
+    variables in name order, becomes one moment atom."""
+    exps = {atom: exp for atom, exp in mono if atom[0] != "v"}
+    base = tuple(sorted((atom[1], exp) for atom, exp in mono if atom[0] == "v"))
+    if base:
+        exps[("m", base)] = exps.get(("m", base), 0) + 1
+    return frozenset(exps.items())
+
+
 def expectation_of_form(form: CanonForm) -> CanonForm:
     """Apply linearity of expectation to a mixed-atom canonical form.
 
@@ -332,18 +324,7 @@ def expectation_of_form(form: CanonForm) -> CanonForm:
                 raise NormalizationError(
                     "expectation of a form with base variables in a denominator"
                 )
-    num: Poly = {}
-    for mono, coeff in form.num.items():
-        exps = {atom: exp for atom, exp in mono if atom[0] != "v"}
-        base = tuple((atom[1], exp) for atom, exp in mono if atom[0] == "v")
-        if base:
-            exps[("m", base)] = exps.get(("m", base), 0) + 1
-        new_mono = _mono(exps)
-        acc = num.get(new_mono, Fraction(0)) + coeff
-        if acc == 0:
-            num.pop(new_mono, None)
-        else:
-            num[new_mono] = acc
+    num = _accumulate({}, ((_expect_mono(m), c) for m, c in form.num.items()))
     return CanonForm.make(num, form.den)
 
 
@@ -360,11 +341,9 @@ def _poly_to_expr(poly: Poly, atom_power, product, total):
     family whose atom-power, product and sum constructors are passed (they
     coerce the coefficient)."""
     terms = []
-    for mono, coeff in _p_sorted(poly):
-        factors = [coeff]
-        for atom, exp in mono:
-            factors.append(atom_power(atom, exp))
-        terms.append(product(*factors))
+    for mono, coeff in sorted(poly.items(), key=lambda item: _mono_key(item[0])):
+        atoms = sorted(mono, key=lambda item: _atom_key(item[0]))
+        terms.append(product(coeff, *(atom_power(atom, exp) for atom, exp in atoms)))
     return total(*terms)
 
 

@@ -34,7 +34,7 @@ from typing import Callable
 
 from .errors import EvaluationError, ExactModeError, NormalizationError
 from .measure import FiniteProbSpace, RandVar, embed, expectation
-from .numerals import exact_string, format_decimal
+from .numerals import checked_power, exact_string, format_decimal
 
 __all__ = [
     "RvExpr",
@@ -72,6 +72,9 @@ __all__ = [
     "render_rv",
     "render_func",
 ]
+
+# Largest exponent of a power of anything but a number, which expands it.
+MAX_EXPONENT = 1000
 
 
 def _coerce_const(x) -> Fraction:
@@ -363,7 +366,7 @@ def _fold_pow(base, n, coerce, power_cls, const_cls):
     if n == 1:
         return base
     if isinstance(base, const_cls):
-        return const_cls(base.value**n)
+        return const_cls(checked_power(base.value, n))
     return power_cls(base, n)
 
 

@@ -26,6 +26,17 @@ def digit_limit(what: str) -> str:
     return f"{what} exceeds the limit of {sys.get_int_max_str_digits()} digits"
 
 
+def checked_power(q: Fraction, n: int) -> Fraction:
+    """``q**n``, unless it has more than ten bits per digit of the digit
+    limit (it has at least n*(b-1) bits, b the larger bit length of
+    numerator and denominator): about three times the digits that print, so
+    the error printing it would raise is raised before it is computed."""
+    bound = 10 * sys.get_int_max_str_digits()  # 0: no limit
+    if bound and n * (max(q.numerator.bit_length(), q.denominator.bit_length()) - 1) > bound:
+        raise ValueError(digit_limit("exact value") + " for printing an integer")
+    return q**n
+
+
 def exact_string(value, error: type[ValueError] = DataError) -> str:
     """``str(value)`` of an exact result.  One with more digits than Python
     prints raises ``error`` naming the limit."""

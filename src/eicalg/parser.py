@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .expr import (
+    MAX_EXPONENT,
     BaseVar,
     E,
     EmbedFunc,
@@ -81,8 +82,6 @@ _TOKEN = re.compile(
 # Deepest bracket nesting accepted.  The parser and the later passes over the
 # tree recurse at every level; this keeps them inside the default stack.
 MAX_NESTING = 100
-# Largest exponent of a power of anything but a number, which expands it.
-MAX_EXPONENT = 1000
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from eicalg.canon import (
     CanonForm,
     _atom_key,
-    _mono,
     _mono_key,
     canonicalize_func,
     canonicalize_rv,
     normalize_functional,
+    rv_from_form,
 )
+from eicalg.eic import derive_eic
 from eicalg.errors import NormalizationError
 from eicalg.expr import (
     E,
@@ -81,6 +82,15 @@ class TestCanonFunc:
     def test_reciprocal_times_original_is_one(self):
         psi = E(X)
         assert canonicalize_func(inv(psi) * psi) == CanonForm.one()
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [("E[X]*inv(E[X])", "1"), ("E[X*Y]*E[X]*inv(E[X]^2)", "E[X*Y]*inv(E[X])"),
+         ("E[X]^2*E[Y]*inv(E[X]*E[Y]^3 + E[X]^3*E[Y])", "E[X]*inv(E[X]^2 + E[Y]^2)")],
+    )
+    def test_monomial_factor_common_to_num_and_den_cancels(self, text, printed):
+        # cross-multiplication cannot see the factor; the printed form can
+        assert str(canonicalize_func(parse_expression(text))) == printed
 
     def test_rational_equality_via_cross_multiplication(self):
         # (E[X]^2 - 1) / (E[X] - 1) equals E[X] + 1 without gcd reduction
@@ -231,14 +241,40 @@ def test_rational_form_string_parses_back_to_an_equal_form():
     assert canonicalize_func(parse_expression(str(form))) == form
 
 
+@pytest.mark.parametrize(
+    "text, mode",
+    [("Var(X)", "exact"), ("E[X*Y] - E[X]*E[Y]", "exact"), ("Cov(X,Y)*inv(Var(X))", "exact"),
+     ("exp(E[X])", "float"), ("E[X*exp(E[Y])]", "float"), ("log(E[X])*Var(X)", "float")],
+)
+def test_form_with_opaque_functionals_reads_back_as_the_gradient(text, mode):
+    """A gradient with each embedded functional kept whole, as a compiled
+    estimand holds it, prints and canonicalizes back to the gradient's form."""
+    eic = derive_eic(parse_expression(text), mode=mode).eic
+    atoms = {}
+    opaque = canonicalize_rv(eic, atoms)
+    assert atoms and str(opaque)
+    assert canonicalize_rv(rv_from_form(opaque)) == canonicalize_rv(eic)
+
+
+def test_moment_atom_keeps_its_variables_in_name_order():
+    """A monomial is a set, iterated in an order that follows hashing; the
+    base monomial of a moment is sorted by name all the same."""
+    names = ["Z2", "Y", "X", "W", "D", "C", "B", "A"]
+    form = canonicalize_func(E(rv_product(*map(var, names))))
+    assert str(form) == "E[A*B*C*D*W*X*Y*Z2]"
+    assert form == CanonForm.from_atom(("m", tuple((name, 1) for name in sorted(names))))
+
+
 # ---------------------------------------------------------------------------
 # term order: the graded key against the monomial written out factor by factor
 
 
 def _flattened_key(mono):
-    """The key terms were once sorted by: each atom repeated by its exponent."""
+    """The key terms were once sorted by: each atom, in atom order, repeated
+    by its exponent."""
+    atoms = sorted(mono, key=lambda item: _atom_key(item[0]))
     degree = sum(exp for _, exp in mono)
-    return (degree, tuple(_atom_key(atom) for atom, exp in mono for _ in range(exp)))
+    return (degree, tuple(_atom_key(atom) for atom, exp in atoms for _ in range(exp)))
 
 
 _SMOOTH_NODES = [Smooth("exp", E(X)), Smooth("log", E(Y)), Smooth("exp", E(X) + 1)]
@@ -255,7 +291,7 @@ _ATOMS = [
 ]
 monomials = st.dictionaries(
     st.sampled_from(_ATOMS), st.integers(1, 12), max_size=4
-).map(_mono)
+).map(lambda exps: frozenset(exps.items()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism, fault injection."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import negate_first_centering
 from eicalg import brackets, measure, verify
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
-from eicalg.expr import E, var
+from eicalg.expr import E, FuncConst, f_pow, var
 from eicalg.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
 from workloads import grammar_expression
 
@@ -1041,6 +1043,43 @@ class TestDeterminism:
         assert first.stdout == second.stdout
         assert first.returncode == 0
 
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Canonical monomials are sets, iterated in an order that follows
+        string hashing; what is printed must not follow it."""
+        data = tmp_path / "data.csv"
+        data.write_text(FUZZ_DATA)
+        script = f"""if True:
+            import contextlib, io, random
+            from eicalg.cli import main
+            from workloads import grammar_expression
+            rng = random.Random(20261019)
+            calls = [["derive", grammar_expression(rng, rng.randint(1, 3)), "--mode", mode]
+                     for _ in range(50) for mode in ("exact", "float")]
+            for text in ("exp(E[X])*log(E[Y]^2 + 1)*inv(sqrt(Var(X) + 1))",
+                         "E[X*Y]*inv(E[Y]^2 + E[X]) + exp(Cov(X,Y))"):
+                calls.append(["derive", text, "--mode", "float"])
+            for text in ("Cov(X,Y)*inv(Var(X))", "exp(E[X])*E[X*Y]"):
+                for mode in ("exact", "float"):
+                    calls.append(["--output", "structured", "estimate", text, "--data",
+                                  {str(data)!r}, "--split", "0.5", "--mode", mode])
+            calls.append(["--output", "structured", "verify", "brackets", "--trials", "5"])
+            for argv in calls:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    code = main(argv)
+                print(argv, code, out.getvalue())
+        """
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+        runs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")
+        ]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout.count(b"error:") < 20 and b"Traceback" not in runs[0].stdout
+        assert runs[0].stdout == runs[1].stdout
+
 
 class TestImport:
     def test_cli_import_leaves_numpy_unloaded(self):
@@ -1328,6 +1367,34 @@ class TestDigitLimit:
             f"error: exact value exceeds the limit of {DIGIT_LIMIT} digits"
             " for printing an integer\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["derive", "E[X]*7^9999999"], ["derive", "7^99999999"],
+         ["derive", "E[X]*0.5^9999999"], ["parse-check", "7^99999999"]],
+    )
+    def test_power_of_a_number_is_bounded_before_it_is_computed(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: exact value exceeds the limit of {DIGIT_LIMIT} digits"
+            " for printing an integer\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["E[X]*1^99999999", "E[X]*0^99999999", "E[X]*2^20000*0.5^20000",
+         "E[X]*1.5^30000*inv(1.5^30000)"],
+    )
+    def test_power_of_a_number_within_the_bound(self, capsys, text):
+        code, _, err = run_cli(capsys, "derive", text)
+        assert (code, err) == (0, "")
+
+    def test_power_of_a_number_through_the_api(self):
+        with pytest.raises(ValueError, match=f"limit of {DIGIT_LIMIT} digits"):
+            f_pow(FuncConst(7), 10**8)
 
     @pytest.mark.parametrize(
         "template, column",
