@@ -350,7 +350,7 @@ def _poly_to_expr(poly: Poly, atom_power, product, total):
 def _func_atom_power(atom: Atom, exp: int) -> FuncExpr:
     kind, payload = atom
     if kind == "v":
-        raise ValueError("base variable in a scalar-functional polynomial")
+        raise NormalizationError("base variable in a scalar-functional polynomial")
     node = Moment(_base_mono_rv(payload)) if kind == "m" else payload[1]
     return f_pow(node, exp)
 

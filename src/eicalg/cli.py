@@ -7,7 +7,9 @@ version}; runs with identical inputs (including seeds) produce byte-identical
 structured output.
 
 Exit codes: 0 success or all identities pass, 1 verification failure,
-2 usage or expression error, 3 data error.
+2 usage or expression error, 3 data error (each error class carries its
+code), 4 internal error.  Setting flags are read as strings, by the same
+:func:`~eicalg.numerals.setting` that reads the keys of a config file.
 """
 
 from __future__ import annotations
@@ -15,17 +17,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import __version__
 from .canon import canonicalize_rv, rv_from_form
 from .eic import derive_eic, mean_zero_certificate
-from .errors import DataError, EvaluationError, ExactModeError, NormalizationError
+from .errors import DataError, EicalgError, UsageError
 from .estimate import (
     CompiledEstimand,
-    check_level,
-    checked_split,
     eic_standard_error,
     onestep_estimate,
     plugin_estimate,
@@ -33,8 +34,8 @@ from .estimate import (
     wald_ci,
 )
 from .expr import render_func, to_float
-from .mc import FAMILIES, McConfig, integer_setting, run_mc
-from .numerals import exact_string
+from .mc import FAMILIES, McConfig, run_mc
+from .numerals import MAX_OUTCOMES, exact_string, setting
 from .parser import parse_expression
 from .verify import available_suites, run_suite
 
@@ -65,20 +66,12 @@ def _emit(doc, output):
 
 
 def cmd_parse_check(args) -> tuple[int, dict]:
-    psi = parse_expression(args.expression)
-    printed = render_func(psi)
-    reparsed = parse_expression(printed)
-    results = [
-        {
-            "parsed": printed,
-            "round_trip": render_func(reparsed) == printed,
-        }
-    ]
-    verdict = "parse: ok" if results[0]["round_trip"] else "parse: unstable"
-    doc = _document(
-        "parse-check", {"expression": args.expression}, results, [verdict], None
-    )
-    return (0 if results[0]["round_trip"] else 1), doc
+    printed = render_func(parse_expression(args.expression))
+    round_trip = render_func(parse_expression(printed)) == printed
+    results = [{"parsed": printed, "round_trip": round_trip}]
+    verdict = "parse: ok" if round_trip else "parse: unstable"
+    doc = _document("parse-check", {"expression": args.expression}, results, [verdict], None)
+    return (0 if round_trip else 1), doc
 
 
 def cmd_derive(args) -> tuple[int, dict]:
@@ -95,29 +88,12 @@ def cmd_derive(args) -> tuple[int, dict]:
         }
     ]
     verdicts = [f"mean-zero: {'pass' if mean_zero else 'fail'}"]
-    doc = _document(
-        "derive",
-        {"expression": args.expression, "mode": args.mode},
-        results,
-        verdicts,
-        None,
-    )
+    inputs = {"expression": args.expression, "mode": args.mode}
+    doc = _document("derive", inputs, results, verdicts, None)
     return (0 if mean_zero else 1), doc
 
 
-# each trial's work grows with the size of its random space, so an unbounded
-# --max-outcomes lets one small command run for minutes
-MAX_OUTCOMES = 1000
-
-
 def cmd_verify(args) -> tuple[int, dict]:
-    # with no trials no instance is checked, so a pass would be vacuous
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    if args.max_outcomes < 2:
-        raise ValueError("--max-outcomes must be at least 2")
-    if args.max_outcomes > MAX_OUTCOMES:
-        raise ValueError(f"--max-outcomes must be at most {MAX_OUTCOMES}")
     records = run_suite(args.suite, args.trials, args.seed, args.max_outcomes)
     results = [
         {
@@ -129,78 +105,74 @@ def cmd_verify(args) -> tuple[int, dict]:
         }
         for r in records
     ]
-    verdicts = [
-        f"{r.name} [{r.mode}]: {'pass' if r.passed else 'fail'}" for r in records
-    ]
-    all_passed = all(r.passed for r in records)
+    verdicts = [f"{r.name} [{r.mode}]: {'pass' if r.passed else 'fail'}" for r in records]
     doc = _document(
         "verify",
         {
             "suite": args.suite,
-            "trials": args.trials,
-            "max_outcomes": args.max_outcomes,
+            "trials": setting("--trials", args.trials),
+            "max_outcomes": setting("--max-outcomes", args.max_outcomes),
         },
         results,
         verdicts,
-        args.seed,
+        setting("--seed", args.seed),
     )
-    return (0 if all_passed else 1), doc
+    return (0 if all(r.passed for r in records) else 1), doc
 
 
-def _read_input(path: str, error: type[ValueError]) -> str:
+def _read_input(path: str, error: type[EicalgError]) -> str:
     """The text of an input file, without a leading byte-order mark.  The
     file is decoded whole, so a byte that is not UTF-8 raises ``error``
-    naming the file and the byte's offset from the file's first byte."""
+    naming the file and the byte's offset from the file's first byte; a
+    file that cannot be read is a :class:`DataError`."""
     try:
         return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start} is not UTF-8") from exc
+    except OSError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def cmd_estimate(args) -> tuple[int, dict]:
     psi = parse_expression(args.expression)
-    check_level(args.level)
-    split = None if args.split is None else checked_split(args.split)
+    level = setting("level", args.level)
+    split = None if args.split is None else setting("--split", args.split)
     data = read_delimited(_read_input(args.data, DataError))
     estimand = CompiledEstimand(psi, args.mode)
     estimate = plugin_estimate(estimand, data)
     se = eic_standard_error(estimand, data)
     estimate_float = to_float(estimate)
-    low, high = wald_ci(estimate_float, se, args.level)
+    low, high = wald_ci(estimate_float, se, level)
     result = {
         "estimate": exact_string(estimate),
         "estimate_float": estimate_float,
         "standard_error": se,
         "ci_low": low,
         "ci_high": high,
-        "level": args.level,
+        "level": level,
         "n": data.n,
     }
     if split is not None:
         onestep = onestep_estimate(estimand, data, split)
         result["onestep"] = exact_string(onestep)
         result["onestep_float"] = to_float(onestep)
-    doc = _document(
-        "estimate",
-        {"expression": args.expression, "data": args.data, "level": args.level},
-        [result],
-        [f"estimate: {estimate_float}"],
-        None,
-    )
+    inputs = {"expression": args.expression, "data": args.data, "level": level}
+    doc = _document("estimate", inputs, [result], [f"estimate: {estimate_float}"], None)
     return 0, doc
 
 
 # every parameter some sampler family reads, in the families' order
 _SAMPLER_FLAGS = tuple(dict.fromkeys(p for params in FAMILIES.values() for p in params))
 _CONFIG_KEYS = ("estimand", "family", "n", "replicates", "seed", "level", "column")
-_LIST_OPTS, _DIGITS = ("--support", "--weights", "--points"), "0123456789."
+_OPTION, _NEGATIVE = re.compile(r"--[^=]+"), re.compile(r"-[0-9.]")
 
 
-def _join_list_values(argv: list[str]) -> list[str]:
-    """``--support -1,0.5`` as ``--support=-1,0.5``, which argparse reads."""
+def _join_values(argv: list[str]) -> list[str]:
+    """``--low -1/3`` as ``--low=-1/3``, which argparse reads: every option
+    takes a value, and argparse takes only a plain negative number for one."""
     out = []
     for token in argv:
-        if out and out[-1] in _LIST_OPTS and token[:1] == "-" and token[1:2] in _DIGITS:
+        if out and _OPTION.fullmatch(out[-1]) and _NEGATIVE.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -210,49 +182,34 @@ def _join_list_values(argv: list[str]) -> list[str]:
 def _mc_config_from_args(args) -> McConfig:
     """Study from a JSON config file, or from flags that build the same dict."""
     if args.config:
-        text = _read_input(args.config, ValueError)
+        text = _read_input(args.config, UsageError)
         try:
             raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise ValueError(f"{args.config}: {exc}") from exc
+        # broken JSON, an integer past the digit limit, or too deeply nested
+        except (ValueError, RecursionError) as exc:
+            raise UsageError(f"{args.config}: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise UsageError("config file must hold a JSON object")
         unknown = sorted(set(raw) - {*_CONFIG_KEYS, "params"})
         if unknown:
-            raise ValueError(f"config file has an unknown key {unknown[0]!r}")
+            raise UsageError(f"config file has an unknown key {unknown[0]!r}")
     elif not args.family or not args.estimand:
-        raise ValueError("either --config or --family and --estimand are required")
+        raise UsageError("either --config or --family and --estimand are required")
     else:
         raw = {key: getattr(args, key) for key in _CONFIG_KEYS}
-        flags = {key: getattr(args, key) for key in _SAMPLER_FLAGS}
-        params = {key: v for key, v in flags.items() if v is not None}
-        for key in ("support", "weights"):
-            if key in params:
-                params[key] = [v for v in params[key].split(",") if v]
-        raw["params"] = params
+        raw["params"] = {
+            key: [v for v in value.split(",") if v] if key in ("support", "weights") else value
+            for key in _SAMPLER_FLAGS
+            if (value := getattr(args, key)) is not None
+        }
     for key in ("estimand", "family", "n", "replicates", "seed"):
         if key not in raw:
-            raise ValueError(f"config file lacks the required key {key!r}")
+            raise UsageError(f"config file lacks the required key {key!r}")
     for key in ("estimand", "family", "column"):
         if not isinstance(raw.get(key, ""), str):
-            raise ValueError(f"{key!r} must be a string")
-    level = raw.get("level", 0.95)
-    try:
-        if isinstance(level, bool):  # float() would read it as 0 or 1
-            raise TypeError
-        level = float(level)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("'level' must be a real number or a numeric string") from None
-    return McConfig(
-        family=raw["family"],
-        params=raw.get("params", {}),
-        estimand=parse_expression(raw["estimand"]),
-        n=integer_setting("n", raw["n"]),
-        replicates=integer_setting("replicates", raw["replicates"]),
-        seed=integer_setting("seed", raw["seed"]),
-        level=level,
-        column=raw.get("column", "X"),
-    )
+            raise UsageError(f"{key!r} must be a string")
+    defaults = {"params": {}, "level": 0.95, "column": "X"}
+    return McConfig(**{**defaults, **raw, "estimand": parse_expression(raw["estimand"])})
 
 
 def cmd_simulate(args) -> tuple[int, dict]:
@@ -305,46 +262,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity-verification suite")
     p.add_argument("suite", choices=available_suites())
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-outcomes", type=int, default=8, dest="max_outcomes")
+    p.add_argument("--trials", default=200)
+    p.add_argument("--seed", default=0)
+    p.add_argument("--max-outcomes", default=8, dest="max_outcomes", help=f"2 to {MAX_OUTCOMES}")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("estimate", help="estimate a functional from CSV data")
     p.add_argument("expression")
     p.add_argument("--data", required=True)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", default=0.95)
     p.add_argument("--split", default=None, help="one-step split ratio, e.g. 0.5")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("simulate", help="run a seeded Monte Carlo study")
-    p.add_argument("--config", default=None, help="JSON configuration file")
-    p.add_argument("--family", default=None)
-    p.add_argument("--estimand", default=None)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--column", default="X")
-    for flag in _SAMPLER_FLAGS:
-        p.add_argument(f"--{flag}", default=None)
+    p.add_argument("--config", help="JSON configuration file")
+    defaults = {"n": 1000, "replicates": 200, "seed": 0, "level": 0.95, "column": "X"}
+    for flag in ("family", "estimand", *defaults, *_SAMPLER_FLAGS):
+        p.add_argument(f"--{flag}", default=defaults.get(flag))
     p.set_defaults(handler=cmd_simulate)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         code, doc = args.handler(args)
-    except (DataError, EvaluationError, OSError) as exc:
+    except EicalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    # ParseError is a ValueError: expression errors are usage errors
-    except (NormalizationError, ExactModeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
+    except Exception:  # a fault of the program, not of its input
+        import traceback
+
+        traceback.print_exc()
+        return 4
     _emit(doc, args.output)
     return code
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canon import CanonForm, expectation_of_form, normalize_functional
-from .errors import EvaluationError, ExactModeError
+from .errors import EvaluationError, ExactModeError, SpaceMismatchError, UsageError
 from .expr import (
     FuncConst,
     FuncExpr,
@@ -145,9 +145,9 @@ class PathSpec:
 
     def __post_init__(self):
         if self.score.space != self.space:
-            raise ValueError("score does not live on the path's space")
+            raise SpaceMismatchError("score does not live on the path's space")
         if expectation(self.space, self.score) != 0:
-            raise ValueError("path score must have expectation exactly zero")
+            raise UsageError("path score must have expectation exactly zero")
 
 
 def pathwise_derivative_exact(

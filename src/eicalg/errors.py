@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the exit code the
+command line returns for it."""
 
 
 class EicalgError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2  # usage or expression error
+
+
+class UsageError(EicalgError, ValueError):
+    """A setting, argument or input outside what the package accepts."""
 
 
 class SpaceMismatchError(EicalgError, ValueError):
@@ -20,6 +27,8 @@ class ExactModeError(EicalgError, ValueError):
 class EvaluationError(EicalgError, ValueError):
     """Evaluation failed: unbound variable, reciprocal of zero, domain error."""
 
+    exit_code = 3  # data error
+
 
 class ParseError(EicalgError, ValueError):
     """Surface-syntax error, with a 1-based column position."""
@@ -31,3 +40,5 @@ class ParseError(EicalgError, ValueError):
 
 class DataError(EicalgError, ValueError):
     """Malformed delimited data input."""
+
+    exit_code = 3

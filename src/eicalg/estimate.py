@@ -27,7 +27,7 @@ from statistics import NormalDist
 
 from .canon import canonicalize_rv, expectation_of_form
 from .eic import derive_eic
-from .errors import DataError, EvaluationError
+from .errors import DataError, EvaluationError, UsageError
 from .expr import (
     FuncExpr,
     RvExpr,
@@ -37,7 +37,7 @@ from .expr import (
     to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .numerals import digit_limit, rational_setting
+from .numerals import digit_limit, setting
 
 __all__ = [
     "Dataset",
@@ -318,14 +318,6 @@ def eic_standard_error(estimand: CompiledEstimand, data: Dataset) -> float:
     return standard_error(estimand.variance(_checked(estimand.psi, data)), data.n)
 
 
-def checked_split(ratio) -> Fraction:
-    """A one-step split ratio as an exact rational in (0, 1]."""
-    ratio = rational_setting("--split", ratio)
-    if not 0 < ratio <= 1:
-        raise ValueError("split ratio must lie in (0, 1]")
-    return ratio
-
-
 def onestep_estimate(
     estimand: CompiledEstimand, data: Dataset, split_ratio=Fraction(1, 2)
 ):
@@ -338,15 +330,16 @@ def onestep_estimate(
     plug-in estimate is returned unchanged (its own gradient mean is exactly
     zero).  Float mode rounds the fitted estimate and every fitted embedded
     functional to a float, as :func:`plugin_estimate` does, and returns the
-    float nearest their exact combination.
+    float nearest their exact combination.  ``split_ratio`` is the setting
+    ``--split`` of :func:`~eicalg.numerals.setting`, a rational in (0, 1].
     """
-    ratio = checked_split(split_ratio)
+    ratio = setting("--split", split_ratio)
     n = data.n
     k = int(ratio * n)
     if ratio == 1:
         return plugin_estimate(estimand, data)
     if k < 1 or k >= n:
-        raise ValueError("fold too small to evaluate the functional")
+        raise UsageError("fold too small to evaluate the functional")
     fit, held = _checked(estimand.psi, data).subset(0, k), data.subset(k, n)
     value = Fraction(estimand.value(fit)) + estimand.means(estimand.eic, held, fit)[0]
     return to_float(value) if estimand.mode == "float" else value
@@ -360,20 +353,15 @@ def normal_quantile(p: float) -> float:
     """Standard normal quantile, by Wichura's AS241 algorithm in the
     standard library (``statistics.NormalDist().inv_cdf``)."""
     if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must lie in (0, 1)")
+        raise UsageError("quantile argument must lie in (0, 1)")
     return NormalDist().inv_cdf(p)
 
 
-def check_level(level: float):
-    """Reject a two-sided confidence level outside (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
-
-
 def wald_ci(estimate: float, se: float, level: float) -> tuple[float, float]:
-    """estimate +/- z * se at the given two-sided confidence level."""
-    check_level(level)
+    """estimate +/- z * se at the given two-sided confidence level, the
+    setting ``level`` of :func:`~eicalg.numerals.setting`."""
+    level = setting("level", level)
     if se < 0:
-        raise ValueError("standard error must be nonnegative")
+        raise UsageError("standard error must be nonnegative")
     z = normal_quantile((1 + level) / 2)
     return (estimate - z * se, estimate + z * se)

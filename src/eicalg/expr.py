@@ -32,7 +32,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Callable
 
-from .errors import EvaluationError, ExactModeError, NormalizationError
+from .errors import EvaluationError, ExactModeError, NormalizationError, UsageError
 from .measure import FiniteProbSpace, RandVar, embed, expectation
 from .numerals import checked_power, exact_string, format_decimal
 
@@ -182,7 +182,7 @@ class IntPower(RvExpr):
 
     def __post_init__(self):
         if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise ValueError("integer power nodes require exponent >= 1")
+            raise UsageError("integer power nodes require exponent >= 1")
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ class FuncPower(FuncExpr):
 
     def __post_init__(self):
         if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise ValueError("integer power nodes require exponent >= 1")
+            raise UsageError("integer power nodes require exponent >= 1")
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ class Smooth(FuncExpr):
 
     def __post_init__(self):
         if self.tag not in SMOOTH_TABLE:
-            raise ValueError(f"unknown smooth function tag {self.tag!r}")
+            raise UsageError(f"unknown smooth function tag {self.tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,7 @@ def _fold_product(factors, coerce, product_cls, const_cls):
 def _fold_pow(base, n, coerce, power_cls, const_cls):
     base = coerce(base)
     if not isinstance(n, int) or n < 0:
-        raise ValueError("integer power >= 0 required")
+        raise UsageError("integer power >= 0 required")
     if n == 0:
         return const_cls(Fraction(1))
     if n == 1:
@@ -516,7 +516,7 @@ def evaluate_func_with(f: FuncExpr, expect: Callable[[RvExpr], Fraction], mode: 
     and a law given by a table of moments share one evaluator.
     """
     if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise UsageError(f"unknown mode {mode!r}")
     value = _eval_func(f, expect, mode)
     if mode == "float":
         return to_float(value)
@@ -554,7 +554,7 @@ def _eval_func(f, expect, mode):
             raise ExactModeError(
                 f"smooth functional {f.tag!r} cannot be evaluated exactly"
             )
-        x = float(_eval_func(f.arg, expect, mode))
+        x = to_float(_eval_func(f.arg, expect, mode))
         try:
             y = SMOOTH_TABLE[f.tag].evaluate(x)
         except (ValueError, OverflowError) as exc:
@@ -577,7 +577,7 @@ def _const_string(q: Fraction) -> str:
     dec = format_decimal(q)
     if dec is not None:
         return dec
-    num, den = (exact_string(n, ValueError) for n in (q.numerator, q.denominator))
+    num, den = (exact_string(n, UsageError) for n in (q.numerator, q.denominator))
     return f"inv({den})" if num == "1" else f"{num}*inv({den})"
 
 

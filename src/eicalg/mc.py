@@ -23,18 +23,18 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .estimate import (
-    CompiledEstimand, Dataset, check_level, normal_quantile, standard_error
-)
+from .errors import UsageError
+from .estimate import CompiledEstimand, Dataset, normal_quantile, standard_error
 from .expr import FuncExpr, func_base_vars, to_float
-from .numerals import exact_string, rational_setting
+from .numerals import exact_string, setting
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampler family, estimand, and experiment sizes for one study."""
+    """Sampler family, estimand, and experiment sizes for one study; each
+    size is read by :func:`~eicalg.numerals.setting`."""
 
     family: str
     params: dict
@@ -46,15 +46,8 @@ class McConfig:
     column: str = "X"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("sample size must be at least 2")
-        if self.n > 2**63 - 1:  # numpy's multinomial takes a 64-bit count
-            raise ValueError("sample size 'n' must be at most 2**63 - 1")
-        if self.replicates < 1:
-            raise ValueError("at least one replicate required")
-        if self.seed < 0:
-            raise ValueError("'seed' must be nonnegative")
-        check_level(self.level)
+        for key in ("n", "replicates", "seed", "level"):
+            object.__setattr__(self, key, setting(key, getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -70,15 +63,6 @@ class McReport:
     seed: int
     level: float
     estimates_digest: dict = field(default_factory=dict)
-
-
-def integer_setting(key: str, value) -> int:
-    """An int, or a digit string as the flags give it; not a bool or a float."""
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{key!r} must be an integer")
-    return value
 
 
 # the parameters each family reads
@@ -97,61 +81,53 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
     ``uniform-grid`` (low, high, points: equally weighted grid), and
     ``gaussian-grid`` (mean, sd, points, span: grid weighted by the normal
     density, normalized exactly).  ``params`` is a dict (a JSON object); a
-    missing, mistyped or unknown parameter raises ``ValueError`` naming it.
+    missing or unknown parameter, or a value :func:`~eicalg.numerals.setting`
+    refuses, raises :class:`UsageError` naming it.
     """
     if not isinstance(params, dict):
-        raise ValueError("sampler parameters must be a JSON object")
+        raise UsageError("sampler parameters must be a JSON object")
     if not isinstance(family, str) or family not in FAMILIES:
-        raise ValueError(f"unsupported sampler family {family!r}")
+        raise UsageError(f"unsupported sampler family {family!r}")
     unknown = sorted(set(params) - set(FAMILIES[family]))
     if unknown:
-        raise ValueError(f"the {family} sampler has no parameter {unknown[0]!r}")
+        raise UsageError(f"the {family} sampler has no parameter {unknown[0]!r}")
 
     def param(key, default=None):
         if key not in params and default is None:
-            raise ValueError(f"the {family} sampler needs the parameter {key!r}")
-        return params.get(key, default)
-
-    def rational(key, default=None):
-        return rational_setting(key, param(key, default))
+            raise UsageError(f"the {family} sampler needs the parameter {key!r}")
+        value = params.get(key, default)
+        if family != "discrete":
+            return setting(key, value)
+        if not isinstance(value, list):
+            raise UsageError(f"the discrete sampler's {key!r} must be a list")
+        return tuple(setting(key, v) for v in value)
 
     if family == "bernoulli":
-        p = rational("p")
-        if not 0 < p < 1:
-            raise ValueError("bernoulli parameter must lie in (0, 1)")
+        p = param("p")
         return (Fraction(0), Fraction(1)), (1 - p, p)
     if family == "discrete":
-        for key in ("support", "weights"):
-            if not isinstance(param(key), list):
-                raise ValueError(f"the discrete sampler's {key!r} must be a list")
-        support = tuple(rational_setting("support", v) for v in param("support"))
-        weights = tuple(rational_setting("weights", w) for w in param("weights"))
+        support, weights = param("support"), param("weights")
         if len(support) != len(weights):
-            raise ValueError("support and weights must have equal length")
+            raise UsageError("support and weights must have equal length")
         if len(set(support)) != len(support):
-            raise ValueError("support points must be distinct")
+            raise UsageError("support points must be distinct")
         if any(w < 0 for w in weights) or sum(weights) != 1:
-            raise ValueError("weights must be nonnegative and sum to 1")
+            raise UsageError("weights must be nonnegative and sum to 1")
         kept = [(v, w) for v, w in zip(support, weights) if w > 0]
         return tuple(v for v, _ in kept), tuple(w for _, w in kept)
     if family == "uniform-grid":
-        low, high = rational("low"), rational("high")
-        points = integer_setting("points", param("points"))
-        if points < 1 or high <= low:
-            raise ValueError("need high > low and at least one grid point")
+        low, high, points = param("low"), param("high"), param("points")
+        if high <= low:
+            raise UsageError("need high > low")
         if points == 1:
             return ((low + high) / 2,), (Fraction(1),)
         step = (high - low) / (points - 1)
         support = tuple(low + step * i for i in range(points))
         return support, tuple(Fraction(1, points) for _ in support)
     if family == "gaussian-grid":
-        mean, sd = rational("mean"), rational("sd")
-        points = integer_setting("points", param("points", 41))
-        span = rational("span", 4)
-        if sd <= 0 or points < 3:
-            raise ValueError("need positive sd and at least three grid points")
-        if span <= 0:
-            raise ValueError("need positive span")
+        mean, sd, points, span = param("mean"), param("sd"), param("points", 41), param("span", 4)
+        if points < 3:
+            raise UsageError("a gaussian grid needs at least three 'points'")
         step = 2 * span * sd / (points - 1)
         support = tuple(mean - span * sd + step * i for i in range(points))
         z = [to_float((v - mean) / sd) for v in support]
@@ -159,7 +135,7 @@ def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tu
         raw = [Fraction(math.exp(-x**2 / 2)) if abs(x) < 40 else Fraction(0) for x in z]
         total = sum(raw)
         if total == 0:
-            raise ValueError("every gaussian-grid weight underflows to 0: lower 'span'")
+            raise UsageError("every gaussian-grid weight underflows to 0: lower 'span'")
         return support, tuple(w / total for w in raw)
 
 
@@ -170,7 +146,7 @@ def run_mc(config: McConfig) -> McReport:
     support, weights = resolve_sampler(config.family, config.params)
     names = func_base_vars(config.estimand)
     if not names <= {config.column}:
-        raise ValueError(
+        raise UsageError(
             f"estimand uses variables {sorted(names)} but the sampler provides"
             f" only {config.column!r}"
         )

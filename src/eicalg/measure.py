@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import SpaceMismatchError
+from .errors import SpaceMismatchError, UsageError
 
 __all__ = [
     "FiniteProbSpace",
@@ -68,15 +68,15 @@ class FiniteProbSpace:
             outcomes=tuple(self.outcomes), weights=weights, nums=nums, den=den
         )
         if len(self.outcomes) != len(weights):
-            raise ValueError("one weight per outcome required")
+            raise UsageError("one weight per outcome required")
         if len(self.outcomes) == 0:
-            raise ValueError("a space needs at least one outcome")
+            raise UsageError("a space needs at least one outcome")
         if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("outcome labels must be distinct")
+            raise UsageError("outcome labels must be distinct")
         if any(n <= 0 for n in nums):
-            raise ValueError("weights must be strictly positive")
+            raise UsageError("weights must be strictly positive")
         if sum(nums) != den:
-            raise ValueError("weights must sum exactly to 1")
+            raise UsageError("weights must sum exactly to 1")
 
     @property
     def size(self) -> int:
@@ -141,7 +141,7 @@ class RandVar:
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("integer power >= 0 required")
+            raise UsageError("integer power >= 0 required")
         return _vector(self.space, [a**n for a in self.nums], self.den**n)
 
     def is_zero(self) -> bool:

@@ -1,23 +1,77 @@
-"""Exact conversion between decimal literals and rationals.
+"""Exact conversion between decimal literals and rationals, and the table
+of settings.
 
 A decimal literal is a ratio over a power of ten; parsing never round-trips
-through binary floats.
+through binary floats.  A setting is read by :func:`setting`, the one
+reader of every flag and config key that has a kind and a range.
 """
 
+import re
 import sys
 from fractions import Fraction
 
-from .errors import DataError
+from .errors import DataError, EicalgError, UsageError
+
+# A verify trial's work grows with the outcomes of its space, and a study's
+# with its grid points: a million points took 11.7 s and 319 MB.
+MAX_OUTCOMES, MAX_POINTS = 1000, 10_000
 
 
-def rational_setting(key: str, value) -> Fraction:
-    """A setting read exactly as a rational (``0.1``, ``1/3``, ``2e-3``); a
-    value that is not one, or has a zero denominator, is a usage error
-    naming ``key``."""
+def _integer(value) -> int:
+    """An int, or a string of ASCII digits after an optional minus."""
+    if isinstance(value, int) or isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise TypeError
+
+
+# each kind: its reader, and the message for a value that is not of the kind
+_KINDS = {
+    "int": (_integer, "{key!r} must be an integer"),
+    "float": (float, "{key!r} must be a real number or a numeric string"),
+    "rational": (lambda v: Fraction(str(v)), "{key!r} must be a rational number, not {value!r}"),
+}
+# each setting: its kind, its range (None: every value of the kind) and the
+# message for a value outside the range
+SETTINGS = {
+    # numpy's multinomial takes a 64-bit count
+    "n": ("int", lambda v: 2 <= v < 2**63, "sample size 'n' must lie in [2, 2**63 - 1]"),
+    "replicates": ("int", lambda v: v >= 1, "at least one replicate required"),
+    "seed": ("int", lambda v: v >= 0, "'seed' must be nonnegative"),
+    "level": ("float", lambda v: 0 < v < 1, "confidence level must lie in (0, 1)"),
+    "--split": ("rational", lambda v: 0 < v <= 1, "split ratio must lie in (0, 1]"),
+    # with no trials no instance is checked, so a pass would be vacuous
+    "--trials": ("int", lambda v: v >= 1, "--trials must be at least 1"),
+    "--seed": ("int", None, ""),
+    "--max-outcomes": (
+        "int", lambda v: 2 <= v <= MAX_OUTCOMES, f"--max-outcomes must lie in [2, {MAX_OUTCOMES}]"
+    ),
+    "p": ("rational", lambda v: 0 < v < 1, "bernoulli parameter must lie in (0, 1)"),
+    "points": ("int", lambda v: 1 <= v <= MAX_POINTS, f"'points' must lie in [1, {MAX_POINTS}]"),
+    "sd": ("rational", lambda v: v > 0, "need positive sd"),
+    "span": ("rational", lambda v: v > 0, "need positive span"),
+    **dict.fromkeys(("support", "weights", "low", "high", "mean"), ("rational", None, "")),
+}
+
+
+def setting(key: str, value):
+    """``value`` of the setting ``key``, read as its kind and checked against
+    its range; a flag's string and a config file's JSON value are read
+    alike.  A bool is of no kind, nor is a string with an underscore or a
+    character that is not ASCII (``float`` would take "1_000" and "٣").  A
+    value outside the kind or the range is a :class:`UsageError`."""
+    kind, inside, message = SETTINGS[key]
+    read, wrong_kind = _KINDS[kind]
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{key!r} must be a rational number, not {value!r}") from None
+        if isinstance(value, bool) or isinstance(value, str) and (
+            not value.isascii() or "_" in value
+        ):
+            raise TypeError
+        value = read(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise UsageError(wrong_kind.format(key=key, value=value)) from None
+    if inside and not inside(value):
+        raise UsageError(message)
+    return value
 
 
 def digit_limit(what: str) -> str:
@@ -33,11 +87,11 @@ def checked_power(q: Fraction, n: int) -> Fraction:
     the error printing it would raise is raised before it is computed."""
     bound = 10 * sys.get_int_max_str_digits()  # 0: no limit
     if bound and n * (max(q.numerator.bit_length(), q.denominator.bit_length()) - 1) > bound:
-        raise ValueError(digit_limit("exact value") + " for printing an integer")
+        raise UsageError(digit_limit("exact value") + " for printing an integer")
     return q**n
 
 
-def exact_string(value, error: type[ValueError] = DataError) -> str:
+def exact_string(value, error: type[EicalgError] = DataError) -> str:
     """``str(value)`` of an exact result.  One with more digits than Python
     prints raises ``error`` naming the limit."""
     try:
@@ -63,7 +117,7 @@ def format_decimal(q: Fraction) -> str | None:
     if den != 1:
         return None
     k = max(two, five)
-    digits = exact_string(abs(q.numerator) * 10**k // q.denominator, ValueError)
+    digits = exact_string(abs(q.numerator) * 10**k // q.denominator, UsageError)
     sign = "-" if q < 0 else ""
     if k == 0:
         return sign + digits

@@ -25,8 +25,10 @@ from .brackets import (
     symbolic_identity_suite,
 )
 from .eic import certify_eic
+from .errors import UsageError
 from .expr import E, var
 from .measure import covariance, decompose, embed, expectation, inner
+from .numerals import setting
 from .sampling import random_intvec, random_space, trial_rng
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
@@ -270,9 +272,14 @@ def available_suites() -> list[str]:
 
 def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     """Records of one suite, or of all.  The symbolic identity suite runs once
-    per call; each suite takes its records from it by name."""
+    per call; each suite takes its records from it by name.  ``trials``,
+    ``seed`` and ``max_outcomes`` are the settings ``--trials``, ``--seed``
+    and ``--max-outcomes`` of :func:`~eicalg.numerals.setting`."""
     if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise UsageError(f"unknown suite {name!r}")
+    trials, seed, max_outcomes = map(
+        setting, ("--trials", "--seed", "--max-outcomes"), (trials, seed, max_outcomes)
+    )
     symbolic = {r.name: r for r in symbolic_identity_suite()}
     suites = SUITES.values() if name == "all" else [SUITES[name]]
     records = []
