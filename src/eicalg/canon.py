@@ -34,7 +34,6 @@ from operator import add, mul
 
 from .errors import NormalizationError
 from .expr import (
-    MAX_EXPONENT,
     BaseVar,
     EmbedFunc,
     FuncConst,
@@ -50,6 +49,7 @@ from .expr import (
     RvProduct,
     RvSum,
     Smooth,
+    bounded_exponent,
     f_pow,
     f_product,
     f_recip,
@@ -114,6 +114,9 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 def _p_const(c: Fraction) -> Poly:
     return {frozenset(): c} if c != 0 else {}
+
+
+_ONE = _p_const(Fraction(1))  # shared, as every form's dicts are
 
 
 def _p_atom(atom: Atom) -> Poly:
@@ -181,8 +184,10 @@ class CanonForm:
         if not den:
             raise ZeroDivisionError("canonical form with zero denominator")
         if not num:
-            return CanonForm({}, _p_const(Fraction(1)))
-        factor = _common_mono_factor([den, num])  # a den of 1 ends it at once
+            return CanonForm({}, _ONE)
+        if den == _ONE:  # nothing to cancel or scale
+            return CanonForm(num, den)
+        factor = _common_mono_factor([den, num])
         if factor:
             num = {_mono_div(m, factor): c for m, c in num.items()}
             den = {_mono_div(m, factor): c for m, c in den.items()}
@@ -194,7 +199,7 @@ class CanonForm:
 
     @staticmethod
     def from_const(c) -> "CanonForm":
-        return CanonForm.make(_p_const(Fraction(c)), _p_const(Fraction(1)))
+        return CanonForm.make(_p_const(Fraction(c)), _ONE)
 
     @staticmethod
     def zero() -> "CanonForm":
@@ -206,7 +211,7 @@ class CanonForm:
 
     @staticmethod
     def from_atom(atom: Atom) -> "CanonForm":
-        return CanonForm.make(_p_atom(atom), _p_const(Fraction(1)))
+        return CanonForm.make(_p_atom(atom), _ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -214,7 +219,7 @@ class CanonForm:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == _p_const(Fraction(1))
+        return self.den == _ONE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CanonForm):
@@ -236,9 +241,7 @@ class CanonForm:
         )
 
     def __pow__(self, n: int) -> "CanonForm":
-        if n > MAX_EXPONENT:
-            raise NormalizationError(f"exponent {n} above {MAX_EXPONENT}")
-        return reduce(mul, [self] * n, CanonForm.one())
+        return reduce(mul, [self] * bounded_exponent(n), CanonForm.one())
 
     def scale(self, c: Fraction) -> "CanonForm":
         return CanonForm.make(_p_scale(self.num, c), self.den)
@@ -262,7 +265,11 @@ def _canonicalize_shared(x, recurse) -> CanonForm:
     if isinstance(x, (RvConst, FuncConst)):
         return CanonForm.from_const(x.value)
     if isinstance(x, (RvSum, FuncSum)):
-        return reduce(add, map(recurse, x.terms), CanonForm.zero())
+        forms = [recurse(term) for term in x.terms]
+        if all(form.is_polynomial for form in forms):  # one pass, one make
+            num = reduce(_accumulate, (form.num.items() for form in forms), {})
+            return CanonForm.make(num, _ONE)
+        return reduce(add, forms, CanonForm.zero())
     if isinstance(x, (RvProduct, FuncProduct)):
         return reduce(mul, map(recurse, x.factors), CanonForm.one())
     if isinstance(x, (IntPower, FuncPower)):

@@ -10,34 +10,22 @@ Exit codes: 0 success or all identities pass, 1 verification failure,
 2 usage or expression error, 3 data error (each error class carries its
 code), 4 internal error.  Setting flags are read as strings, by the same
 :func:`~eicalg.numerals.setting` that reads the keys of a config file.
+
+Importing this module loads only the settings table; each subcommand
+imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
 from pathlib import Path
 
 from . import __version__
-from .canon import canonicalize_rv, rv_from_form
-from .eic import derive_eic, mean_zero_certificate
 from .errors import DataError, EicalgError, UsageError
-from .estimate import (
-    CompiledEstimand,
-    eic_standard_error,
-    onestep_estimate,
-    plugin_estimate,
-    read_delimited,
-    wald_ci,
-)
-from .expr import render_func, to_float
-from .mc import FAMILIES, McConfig, run_mc
-from .numerals import MAX_OUTCOMES, exact_string, setting
-from .parser import parse_expression
-from .verify import available_suites, run_suite
+from .numerals import FAMILIES, MAX_OUTCOMES, exact_string, setting
 
 
 def _document(command, inputs, results, verdicts, seed):
@@ -66,6 +54,9 @@ def _emit(doc, output):
 
 
 def cmd_parse_check(args) -> tuple[int, dict]:
+    from .expr import render_func
+    from .parser import parse_expression
+
     printed = render_func(parse_expression(args.expression))
     round_trip = render_func(parse_expression(printed)) == printed
     results = [{"parsed": printed, "round_trip": round_trip}]
@@ -75,6 +66,11 @@ def cmd_parse_check(args) -> tuple[int, dict]:
 
 
 def cmd_derive(args) -> tuple[int, dict]:
+    from .canon import canonicalize_rv, rv_from_form
+    from .eic import derive_eic, mean_zero_certificate
+    from .expr import render_func
+    from .parser import parse_expression
+
     psi = parse_expression(args.expression)
     result = derive_eic(psi, mode=args.mode)
     form = canonicalize_rv(result.eic)
@@ -94,6 +90,8 @@ def cmd_derive(args) -> tuple[int, dict]:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    from .verify import run_suite
+
     records = run_suite(args.suite, args.trials, args.seed, args.max_outcomes)
     results = [
         {
@@ -134,6 +132,17 @@ def _read_input(path: str, error: type[EicalgError]) -> str:
 
 
 def cmd_estimate(args) -> tuple[int, dict]:
+    from .estimate import (
+        CompiledEstimand,
+        eic_standard_error,
+        onestep_estimate,
+        plugin_estimate,
+        read_delimited,
+        wald_ci,
+    )
+    from .expr import to_float
+    from .parser import parse_expression
+
     psi = parse_expression(args.expression)
     level = setting("level", args.level)
     split = None if args.split is None else setting("--split", args.split)
@@ -179,8 +188,12 @@ def _join_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _mc_config_from_args(args) -> McConfig:
-    """Study from a JSON config file, or from flags that build the same dict."""
+def _mc_config_from_args(args):
+    """Study (an :class:`~eicalg.mc.McConfig`) from a JSON config file, or
+    from flags that build the same dict."""
+    from .mc import McConfig
+    from .parser import parse_expression
+
     if args.config:
         text = _read_input(args.config, UsageError)
         try:
@@ -213,6 +226,11 @@ def _mc_config_from_args(args) -> McConfig:
 
 
 def cmd_simulate(args) -> tuple[int, dict]:
+    import dataclasses
+
+    from .expr import render_func
+    from .mc import run_mc
+
     config = _mc_config_from_args(args)
     report = run_mc(config)
     result = dataclasses.asdict(report)
@@ -238,6 +256,8 @@ def cmd_simulate(args) -> tuple[int, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .verify import available_suites
+
     parser = argparse.ArgumentParser(
         prog="eicalg",
         description="Derive efficient influence curves, verify the operator "

@@ -64,6 +64,8 @@ __all__ = [
     "f_pow",
     "f_recip",
     "SMOOTH_TABLE",
+    "MAX_EXPONENT",
+    "bounded_exponent",
     "evaluate_rv",
     "evaluate_func",
     "evaluate_func_with",
@@ -75,6 +77,14 @@ __all__ = [
 
 # Largest exponent of a power of anything but a number, which expands it.
 MAX_EXPONENT = 1000
+
+
+def bounded_exponent(n: int) -> int:
+    """``n``, the exponent of a power that is expanded or evaluated; one
+    above :data:`MAX_EXPONENT` raises :class:`NormalizationError`."""
+    if n > MAX_EXPONENT:
+        raise NormalizationError(f"exponent {n} above {MAX_EXPONENT}")
+    return n
 
 
 def _coerce_const(x) -> Fraction:
@@ -482,7 +492,7 @@ def evaluate_rv(
         factors = (evaluate_rv(f, space, binding, mode) for f in e.factors)
         return math.prod(factors, start=embed(1, space))
     if isinstance(e, IntPower):
-        return evaluate_rv(e.base, space, binding, mode) ** e.exponent
+        return evaluate_rv(e.base, space, binding, mode) ** bounded_exponent(e.exponent)
     if isinstance(e, EmbedFunc):
         value = evaluate_func(e.func, space, binding, mode)
         if isinstance(value, float):
@@ -543,7 +553,7 @@ def _eval_func(f, expect, mode):
         first = next(values, None)
         return Fraction(unit) if first is None else reduce(op, values, first)
     if isinstance(f, FuncPower):
-        return _eval_func(f.base, expect, mode) ** f.exponent
+        return _eval_func(f.base, expect, mode) ** bounded_exponent(f.exponent)
     if isinstance(f, Reciprocal):
         v = _eval_func(f.arg, expect, mode)
         if v == 0:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import UsageError
 from .estimate import CompiledEstimand, Dataset, normal_quantile, standard_error
 from .expr import FuncExpr, func_base_vars, to_float
-from .numerals import exact_string, setting
+from .numerals import FAMILIES, exact_string, setting
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
 
@@ -63,15 +63,6 @@ class McReport:
     seed: int
     level: float
     estimates_digest: dict = field(default_factory=dict)
-
-
-# the parameters each family reads
-FAMILIES = {
-    "bernoulli": ("p",),
-    "discrete": ("support", "weights"),
-    "uniform-grid": ("low", "high", "points"),
-    "gaussian-grid": ("mean", "sd", "points", "span"),
-}
 
 
 def resolve_sampler(family: str, params: dict) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:

@@ -24,11 +24,26 @@ def _integer(value) -> int:
     raise TypeError
 
 
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9]+)\s*$")
+
+
+def _rational(value) -> Fraction:
+    """The rational a number or a string writes.  ``Fraction`` computes ten
+    to a written exponent, so one whose power of ten has more digits than
+    the digit limit is refused first."""
+    text = str(value)
+    written = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if written and limit and (len(written[1]) > len(str(limit)) or int(written[1]) >= limit):
+        raise UsageError(digit_limit("its power of ten"))
+    return Fraction(text)
+
+
 # each kind: its reader, and the message for a value that is not of the kind
 _KINDS = {
     "int": (_integer, "{key!r} must be an integer"),
     "float": (float, "{key!r} must be a real number or a numeric string"),
-    "rational": (lambda v: Fraction(str(v)), "{key!r} must be a rational number, not {value!r}"),
+    "rational": (_rational, "{key!r} must be a rational number, not {value!r}"),
 }
 # each setting: its kind, its range (None: every value of the kind) and the
 # message for a value outside the range
@@ -52,6 +67,14 @@ SETTINGS = {
     **dict.fromkeys(("support", "weights", "low", "high", "mean"), ("rational", None, "")),
 }
 
+# the parameters each sampler family reads, each a setting above
+FAMILIES = {
+    "bernoulli": ("p",),
+    "discrete": ("support", "weights"),
+    "uniform-grid": ("low", "high", "points"),
+    "gaussian-grid": ("mean", "sd", "points", "span"),
+}
+
 
 def setting(key: str, value):
     """``value`` of the setting ``key``, read as its kind and checked against
@@ -67,6 +90,8 @@ def setting(key: str, value):
         ):
             raise TypeError
         value = read(value)
+    except UsageError as exc:  # the reader's own refusal
+        raise UsageError(f"{key!r}: {exc}") from None
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise UsageError(wrong_kind.format(key=key, value=value)) from None
     if inside and not inside(value):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,42 @@ class TestExponentBound:
         with pytest.raises(NormalizationError, match="exponent"):
             canonicalize_func(FuncPower(E(X), 99999999))
         assert time.perf_counter() - start < 1
+
+    def test_tree_evaluated_through_the_api(self):
+        """Evaluation bounds the exponent as expansion does: the plug-in
+        estimate of E[X]^(10^8) ran past a 5 s timeout before."""
+        from eicalg.errors import NormalizationError
+        from eicalg.estimate import CompiledEstimand, plugin_estimate, read_delimited
+        from eicalg.expr import FuncPower, IntPower, evaluate_rv
+        from eicalg.measure import FiniteProbSpace, RandVar
+
+        space = FiniteProbSpace(("a", "b"), (Fraction(1, 3), Fraction(2, 3)))
+        binding = {"X": RandVar(space, (Fraction(1), Fraction(3, 2)))}
+        data = read_delimited("X\n1\n2\n")
+        start = time.perf_counter()
+        with pytest.raises(NormalizationError, match=f"^exponent 100000000 above {MAX_EXPONENT}$"):
+            plugin_estimate(CompiledEstimand(FuncPower(E(X), 10**8)), data)
+        with pytest.raises(NormalizationError, match="exponent"):
+            evaluate_rv(IntPower(X, 10**8), space, binding)
+        assert time.perf_counter() - start < 1
+        # the bound itself evaluates
+        assert plugin_estimate(CompiledEstimand(FuncPower(E(X), MAX_EXPONENT)), data) == (
+            Fraction(3, 2) ** MAX_EXPONENT
+        )
+
+
+class TestLongSum:
+    def test_polynomial_terms_add_in_one_pass(self, capsys):
+        """A sum of polynomial terms adds their numerators in one pass: the
+        sum of E[Xi]*E[Yi] over i < 1000 took 11.4 s when every term was
+        folded into the running sum with its own normalization."""
+        text = "+".join(f"E[X{i}]*E[Y{i}]" for i in range(1000))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "derive", text)
+        assert time.perf_counter() - start < 1
+        assert code == 0, err
+        assert "X999*E[Y999] + " in out and "Y999*E[X999] - " in out
+        assert "mean-zero: pass" in out
 
 
 class TestAsciiIdentifiers:
@@ -1089,6 +1126,68 @@ class TestImport:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_loads_only_the_settings_table(self):
+        probe = (
+            "import json, sys, eicalg.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('eicalg'))))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["eicalg", "eicalg.cli", "eicalg.errors", "eicalg.numerals"]
+
+    def test_derive_imports_no_estimator(self):
+        probe = (
+            "import contextlib, io, sys\n"
+            "from eicalg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['derive', 'E[X]']) == 0\n"
+            "print([m for m in ('eicalg.estimate', 'eicalg.mc', 'statistics') if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_public_names_are_unchanged_and_resolve(self):
+        import eicalg
+        from eicalg.eic import derive_eic
+
+        assert set(eicalg.__all__) == PUBLIC_NAMES
+        assert len(eicalg.__all__) == len(PUBLIC_NAMES)
+        for name in eicalg.__all__:
+            assert getattr(eicalg, name) is not None
+        assert set(eicalg.__all__) <= set(dir(eicalg))
+        namespace = {}
+        exec("from eicalg import *", namespace)
+        assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+        assert eicalg.derive_eic is derive_eic
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        import eicalg
+
+        with pytest.raises(AttributeError, match="no attribute 'derive'"):
+            eicalg.derive
+        assert not hasattr(eicalg, "MAX_EXPONENT")
+
+
+# the package's public names, as the eager package exported them
+PUBLIC_NAMES = {
+    "__version__", "FiniteProbSpace", "RandVar", "Decomposition", "expectation", "embed",
+    "center", "pointwise_product", "inner", "decompose", "covariance", "var", "E", "inv",
+    "evaluate_rv", "evaluate_func", "CanonForm", "canonicalize_rv", "canonicalize_func",
+    "normalize_functional", "EicResult", "PathSpec", "derive_eic", "pathwise_derivative_exact",
+    "certify_eic", "bracket_P_prod", "bracket_prod_T", "bracket_T_P", "nested_T_P_prod",
+    "nested_P_prod_T", "nested_prod_T_P", "jacobi_sum", "corollary_leibniz", "corollary_cov",
+    "symbolic_identity_suite", "Dataset", "CompiledEstimand", "read_delimited",
+    "empirical_space", "plugin_estimate", "eic_standard_error", "onestep_estimate",
+    "normal_quantile", "wald_ci", "McConfig", "McReport", "run_mc", "parse_expression",
+}
 
 
 class TestDocumentSchema:

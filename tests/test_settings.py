@@ -8,6 +8,7 @@ carries, and anything else to the internal-error code 4."""
 import inspect
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,50 @@ class TestOneReader:
         for key in SETTINGS:
             with pytest.raises(UsageError, match=repr(key)):
                 setting(key, [])
+
+
+class TestWrittenExponent:
+    """A rational is read with ``Fraction``, which computes ten to a written
+    exponent first; one whose power of ten has more digits than the digit
+    limit is refused before that, naming the setting (each input below ran
+    past a 5 s timeout before)."""
+
+    def test_split_and_sampler_flags(self, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text("X\n1\n2\n")
+        runs = {
+            "'--split'": ["estimate", "E[X]", "--data", str(data), "--split", "1e-999999999"],
+            "'p'": ["simulate", "--family", "bernoulli", "--p", "1e999999999", "--estimand", "E[X]"],
+        }
+        for named, argv in runs.items():
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err == f"error: {named}: its power of ten exceeds the limit of 4300 digits\n"
+
+    def test_config_value(self, capsys, tmp_path):
+        start = time.perf_counter()
+        code, out, err = by_config(capsys, tmp_path, "bernoulli", {"p": "1e999999999"})
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "'p'" in err and "4300 digits" in err
+
+    @pytest.mark.parametrize("text", ["1e4300", "1E-4300", "2e+04300", "1e" + "9" * 5000])
+    def test_power_past_the_limit(self, text):
+        with pytest.raises(UsageError, match="^'mean': its power of ten exceeds"):
+            setting("mean", text)
+
+    def test_power_within_the_limit(self):
+        assert setting("mean", "1e-4299") == Fraction(1, 10**4299)
+        assert setting("mean", "-3.5e0") == Fraction(-7, 2)
+        assert setting("mean", 1e300) == 10**300
+
+    def test_float_overflow_stays_a_data_error(self, capsys):
+        """A written exponent within the limit reads; past the float range
+        the study is a data error, as before."""
+        code, _, err = by_flags(capsys, "uniform-grid", {"low": "0", "high": "1e400", "points": "3"})
+        assert code == 3, err
 
 
 class TestNegativeFlagValues:
