@@ -44,7 +44,7 @@ from .expr import (
     rv_sum,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .sampling import random_binding, random_score, random_space, trial_rng
+from .sampling import format_values, run_checks
 
 __all__ = [
     "EicResult",
@@ -204,10 +204,37 @@ class CertifyReport:
     counterexample: str | None
 
 
-def enough_checked(checked: int, trials: int) -> bool:
-    """A seeded check passes only if it checked at least one instance and at
-    least half of its trials; the other trials were degenerate draws."""
-    return checked >= 1 and 2 * checked >= trials
+def certificate(psi: FuncExpr, candidate: RvExpr | None = None):
+    """The variables of ``psi`` in name order, and the check of one instance
+    (a space, those variables, a score) against the (derived or supplied)
+    gradient: it must have mean exactly zero under the instance's law, and
+    the exact tilt derivative must equal its inner product with the score.
+    The mean-zero check matters: scores are orthogonal to constants, so the
+    derivative identity alone cannot see a missing centering.  A zero
+    denominator raises :class:`EvaluationError`."""
+    if candidate is None:
+        derived = derive_eic(psi)
+        normalized, eic = derived.estimand, derived.eic
+    else:
+        normalized, eic = normalize_functional(psi), candidate
+    names = sorted(func_base_vars(psi))
+
+    def check(space, *drawn):
+        binding, score = dict(zip(names, drawn[:-1])), drawn[-1]
+        eic_values = evaluate_rv(eic, space, binding)
+        path_side = _tilt(normalized, PathSpec(space, score), binding)[1]
+        eic_mean = expectation(space, eic_values)
+        if eic_mean != 0:
+            return f"gradient mean {eic_mean} is not zero"
+        gradient_side = inner(space, eic_values, score)
+        if path_side != gradient_side:
+            return (
+                f"score={format_values(score)}"
+                f" path-derivative={path_side} inner-product={gradient_side}"
+            )
+        return None
+
+    return names, check
 
 
 def certify_eic(
@@ -217,59 +244,14 @@ def certify_eic(
     candidate: RvExpr | None = None,
     max_outcomes: int = 8,
 ) -> CertifyReport:
-    """Check the pathwise-derivative identity on seeded random instances.
-
-    For each trial a random space, integer binding, and centered integer
-    score are drawn; the (derived or supplied) gradient must have mean
-    exactly zero under the trial law, and the exact tilt derivative must
-    equal its inner product with the score, with zero tolerance.  The
-    mean-zero check matters: scores are orthogonal to constants, so the
-    derivative identity alone cannot see a missing centering.  A degenerate
-    draw (a zero denominator) is skipped; ``checked`` counts the trials
-    actually checked, and the report fails unless :func:`enough_checked`
-    holds.
-    Failures are reported, not raised.
+    """Check the pathwise-derivative identity of :func:`certificate` on
+    seeded random instances, through :func:`~eicalg.sampling.run_checks`:
+    a degenerate draw is skipped, ``checked`` counts the trials actually
+    checked, and too few of them fail the report.  Failures are reported,
+    not raised.
     """
-    if candidate is None:
-        derived = derive_eic(psi)
-        normalized, eic = derived.estimand, derived.eic
-    else:
-        normalized, eic = normalize_functional(psi), candidate
-    names = sorted(func_base_vars(psi))
-    checked, counterexample = 0, None
-    for index in range(trials):
-        rng = trial_rng(seed, index)
-        space = random_space(rng, max_outcomes=max_outcomes)
-        binding = random_binding(rng, space, names)
-        score = random_score(rng, space)
-        path = PathSpec(space, score)
-        try:
-            eic_values = evaluate_rv(eic, space, binding)
-            path_side = _tilt(normalized, path, binding)[1]
-        except EvaluationError:
-            continue  # degenerate draw
-        checked += 1
-        eic_mean = expectation(space, eic_values)
-        if eic_mean != 0:
-            counterexample = (
-                f"trial {index}: gradient mean {eic_mean} is not zero;"
-                f" weights={[str(w) for w in space.weights]}"
-            )
-            break
-        gradient_side = inner(space, eic_values, score)
-        if path_side != gradient_side:
-            counterexample = (
-                f"trial {index}: weights={[str(w) for w in space.weights]}"
-                f" binding={{{', '.join(f'{n}={[str(v) for v in binding[n].values]}' for n in names)}}}"
-                f" score={[str(s) for s in score.values]}"
-                f" path-derivative={path_side} inner-product={gradient_side}"
-            )
-            break
-    if counterexample is None and not enough_checked(checked, trials):
-        counterexample = (
-            f"only {checked} of {trials} trials were checked;"
-            " the other draws were degenerate"
-        )
+    names, check = certificate(psi, candidate)
+    [(checked, counterexample)] = run_checks([check], names, trials, seed, max_outcomes)
     return CertifyReport(
         estimand=render_func(psi),
         trials=trials,

@@ -62,15 +62,14 @@ class Dataset:
     draws) and ``n`` is the total, so a primitive moment E[prod_j X_j^a_j]
     is the single integer sum ``sum_i c_i prod_j x_ij^a_j`` divided by
     ``total * prod_j scale_j^a_j``.  The law decides once whether every
-    count is 1, and keeps what it has valued: each moment as a pair, and in
-    ``expectations`` each E[e] free of embedded functionals, by (e, square),
-    so estimators valued on it share one pass per moment.
+    count is 1, and keeps each moment it has valued as a pair, so
+    estimators valued on it share one pass per moment.
     """
 
     def __init__(self, columns: dict, counts, total: int):
         self._columns, self._counts, self.n = columns, list(counts), total
         self._unit = self._counts.count(1) == len(self._counts)
-        self._pairs, self.expectations = {}, {}
+        self._pairs = {}
         if not self._counts:
             raise DataError("at least one row required")
         if any(len(ints) != len(self._counts) for _, ints in columns.values()):
@@ -236,7 +235,7 @@ class CompiledEstimand:
     a fixed polynomial of integer terms in primitive moments and those
     atoms.  A law values every atom met, cancelled or not, by the tree walk,
     as pointwise evaluation does, and substitutes: one rational function,
-    same values.  The law keeps each E[P] that has no atom.
+    same values.  The law keeps its primitive moments.
     """
 
     def __init__(self, psi: FuncExpr, mode: str = "exact"):
@@ -260,8 +259,6 @@ class CompiledEstimand:
         """E[e], and E[e^2] if ``square``, with moments under ``table`` and
         embedded functionals under ``fit`` (by default ``table``)."""
         key = e, square
-        if key in table.expectations:
-            return table.expectations[key]
         if key not in self._forms:
             atoms: dict = {}
             form = canonicalize_rv(e, atoms)
@@ -269,10 +266,7 @@ class CompiledEstimand:
             self._forms[key] = atoms, [_integer_terms(expectation_of_form(f).num) for f in forms]
         atoms, polys = self._forms[key]
         scalars = {k: self.value(fit or table, f).as_integer_ratio() for k, f in atoms.items()}
-        values = [table.value(poly, scalars) for poly in polys]
-        if not atoms:  # then a function of e and the law alone
-            table.expectations[key] = values
-        return values
+        return [table.value(poly, scalars) for poly in polys]
 
 
 def _checked(psi: FuncExpr, data: Dataset) -> Dataset:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import SpaceMismatchError, UsageError
+from .numerals import read_rational
 
 __all__ = [
     "FiniteProbSpace",
@@ -33,11 +34,12 @@ __all__ = [
 
 
 def _rational(x) -> int | Fraction:
-    """An exact rational as an int or a Fraction; a float is refused."""
+    """An exact rational as an int or a Fraction; a float is refused, and a
+    string is read as a setting's rational is."""
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        return read_rational(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 

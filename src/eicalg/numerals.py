@@ -27,7 +27,7 @@ def _integer(value) -> int:
 _EXPONENT = re.compile(r"[eE][-+]?0*([0-9]+)\s*$")
 
 
-def _rational(value) -> Fraction:
+def read_rational(value) -> Fraction:
     """The rational a number or a string writes.  ``Fraction`` computes ten
     to a written exponent, so one whose power of ten has more digits than
     the digit limit is refused first."""
@@ -43,7 +43,7 @@ def _rational(value) -> Fraction:
 _KINDS = {
     "int": (_integer, "{key!r} must be an integer"),
     "float": (float, "{key!r} must be a real number or a numeric string"),
-    "rational": (_rational, "{key!r} must be a rational number, not {value!r}"),
+    "rational": (read_rational, "{key!r} must be a rational number, not {value!r}"),
 }
 # each setting: its kind, its range (None: every value of the kind) and the
 # message for a value outside the range

@@ -1,4 +1,5 @@
-"""Seeded generation of random spaces, variables, and score directions.
+"""Seeded generation of random spaces, variables, and score directions,
+and the one loop that runs every seeded check of the package.
 
 Every fuzz corpus in the package derives per-instance generators
 deterministically from a root seed and an instance index, so corpora are
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import EvaluationError
 from .measure import FiniteProbSpace, RandVar, center
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "random_intvec",
     "random_score",
     "random_binding",
+    "run_checks",
 ]
 
 
@@ -55,3 +58,42 @@ def random_binding(
     high: int = 5,
 ) -> dict[str, RandVar]:
     return {name: random_intvec(rng, space, low, high) for name in sorted(names)}
+
+
+def format_values(v: RandVar) -> list[str]:
+    return [str(x) for x in v.values]
+
+
+def run_checks(checks, names, trials: int, seed: int, max_outcomes: int):
+    """``(checked, counterexample)`` of each check, in order.  Instance i
+    draws a space from ``trial_rng(seed, i)``, one integer variable per name
+    in name order, then a score; each check with no counterexample yet is
+    called as ``check(space, *variables, score)`` and returns None or a
+    failure message.  One that raises :class:`EvaluationError` skips the
+    (degenerate) draw, and one that checked no instance, or fewer than half
+    its trials, fails."""
+    checked, found = [0] * len(checks), [None] * len(checks)
+    for index in range(trials):
+        if all(found):
+            break
+        rng = trial_rng(seed, index)
+        space = random_space(rng, max_outcomes=max_outcomes)
+        binding = random_binding(rng, space, names)
+        drawn = (*binding.values(), random_score(rng, space))
+        for k, check in enumerate(checks):
+            if found[k]:
+                continue
+            try:
+                failure = check(space, *drawn)
+            except EvaluationError:
+                continue
+            checked[k] += 1
+            if failure is not None:
+                shown = "".join(f" {n}={format_values(v)}" for n, v in binding.items())
+                weights = [str(w) for w in space.weights]
+                found[k] = f"instance {index}: weights={weights}{shown}; {failure}"
+    return [
+        (n, f if f or (n >= 1 and 2 * n >= trials) else
+         f"only {n} of {trials} trials were checked; the other draws were degenerate")
+        for n, f in zip(checked, found)
+    ]

@@ -24,49 +24,21 @@ from .brackets import (
     nested_prod_T_P,
     symbolic_identity_suite,
 )
-from .eic import certify_eic
+from .eic import certificate
 from .errors import UsageError
 from .expr import E, var
 from .measure import covariance, decompose, embed, expectation, inner
 from .numerals import setting
-from .sampling import random_intvec, random_space, trial_rng
+from .sampling import format_values as _vec, run_checks
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
-
-
-def _vec(values):
-    return [str(v) for v in values.values]
-
-
-def _fuzz(table, trials, seed, max_outcomes):
-    """Records of each (name, statement, check) of a table, in table order.
-    Trial i draws one two-variable instance, on which every check with no
-    counterexample yet runs; a check returns None or a failure message."""
-    found = {}
-    for index in range(trials):
-        if len(found) == len(table):
-            break
-        rng = trial_rng(seed, index)
-        space = random_space(rng, max_outcomes=max_outcomes)
-        x = random_intvec(rng, space)
-        y = random_intvec(rng, space)
-        for name, _, check in table:
-            if name not in found and (failure := check(space, x, y)) is not None:
-                found[name] = (
-                    f"instance {index}: weights={[str(w) for w in space.weights]}"
-                    f" X={_vec(x)} Y={_vec(y)}; {failure}"
-                )
-    return [
-        IdentityRecord(name, statement, "exact", name not in found, found.get(name))
-        for name, statement, _ in table
-    ]
 
 
 # ---------------------------------------------------------------------------
 # checks: each compares one operator identity with its closed form
 
 
-def _decomposition(space, x, y):
+def _decomposition(space, x, y, score):
     parts = decompose(space, x)
     rebuilt = embed(parts.constant_part, space) + parts.centered_part
     if rebuilt != x:
@@ -80,7 +52,7 @@ def _decomposition(space, x, y):
     return None
 
 
-def _covariance_bracket(space, x, y):
+def _covariance_bracket(space, x, y, score):
     got = bracket_P_prod(space, x, y)
     want = covariance(space, x, y)
     if got != want:
@@ -90,7 +62,7 @@ def _covariance_bracket(space, x, y):
     return None
 
 
-def _product_centering(space, x, y):
+def _product_centering(space, x, y, score):
     got = bracket_prod_T(space, x, y)
     mx, my = expectation(space, x), expectation(space, y)
     centered = (x - mx) * (y - my)
@@ -102,7 +74,7 @@ def _product_centering(space, x, y):
     return None
 
 
-def _centering_expectation(space, x, y):
+def _centering_expectation(space, x, y, score):
     first, second = bracket_T_P(space, x, y)
     mx, my = expectation(space, x), expectation(space, y)
     if first != x - mx or second != y - my:
@@ -121,17 +93,17 @@ def _sides(lhs, rhs, want):
     return None
 
 
-def _product_of_gradients(space, x, y):
+def _product_of_gradients(space, x, y, score):
     mx, my = expectation(space, x), expectation(space, y)
     return _sides(*corollary_leibniz(space, x, y), x * y - mx * my)
 
 
-def _covariance_gradient(space, x, y):
+def _covariance_gradient(space, x, y, score):
     mx, my = expectation(space, x), expectation(space, y)
     return _sides(*corollary_cov(space, x, y), (x - mx) * (y - my))
 
 
-def _lemma_pieces(space, x, y):
+def _lemma_pieces(space, x, y, score):
     mx, my = expectation(space, x), expectation(space, y)
     tx, ty = x - mx, y - my
     cov = covariance(space, x, y)
@@ -147,16 +119,22 @@ def _lemma_pieces(space, x, y):
     return None
 
 
-def _jacobi(space, x, y):
+def _jacobi(space, x, y, score):
     total = jacobi_sum(space, x, y)
     return None if total.is_zero() else f"sum={_vec(total)}"
 
 
 def _suite(table, *names):
-    """A suite: the records of a check table, then the named symbolic records."""
+    """A suite: the records of a check table (or of the table a function
+    builds when the suite runs), then the named symbolic records."""
 
     def suite(trials, seed, max_outcomes, symbolic):
-        return _fuzz(table, trials, seed, max_outcomes) + [symbolic[n] for n in names]
+        rows = table() if callable(table) else table
+        results = run_checks([c for _, _, c in rows], ("X", "Y"), trials, seed, max_outcomes)
+        return [
+            IdentityRecord(name, statement, "exact", found is None, found)
+            for (name, statement, _), (_, found) in zip(rows, results)
+        ] + [symbolic[n] for n in names]
 
     return suite
 
@@ -232,7 +210,9 @@ suite_jacobi = _suite(
 )
 
 
-def suite_eic_certificates(trials, seed, max_outcomes, symbolic):
+def _certificates():
+    """A certificate check for each estimand of a catalog in X and Y; each
+    binds X, or X and Y, of the drawn pair."""
     x, y = var("X"), var("Y")
     catalog = [
         ("mean", E(x)),
@@ -241,19 +221,11 @@ def suite_eic_certificates(trials, seed, max_outcomes, symbolic):
         ("covariance", E(x * y) - E(x) * E(y)),
         ("product-of-means", E(x) * E(y)),
     ]
-    records = []
-    for name, psi in catalog:
-        report = certify_eic(psi, trials=trials, seed=seed, max_outcomes=max_outcomes)
-        records.append(
-            IdentityRecord(
-                f"gradient-certificate-{name}",
-                "exact tilt derivative equals the inner product with the score",
-                "exact",
-                report.passed,
-                report.counterexample,
-            )
-        )
-    return records
+    statement = "exact tilt derivative equals the inner product with the score"
+    return [(f"gradient-certificate-{n}", statement, certificate(psi)[1]) for n, psi in catalog]
+
+
+suite_eic_certificates = _suite(_certificates)
 
 
 SUITES = {

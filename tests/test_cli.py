@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from conftest import negate_first_centering
-from eicalg import brackets, measure, verify
+from eicalg import brackets, measure, sampling, verify
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
+from eicalg.errors import EvaluationError
 from eicalg.expr import E, FuncConst, f_pow, var
 from eicalg.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
 from workloads import grammar_expression
@@ -626,6 +627,38 @@ class TestVerify:
         assert {
             r["name"]: r["counterexample"] for r in results if r["verdict"] == "fail"
         } == failing
+
+    def test_one_space_per_trial_of_each_suite(self, capsys, monkeypatch):
+        """Each of the six suites draws one space per trial; the five gradient
+        certificates share the instances of theirs."""
+        spaces = []
+        draw = sampling.random_space
+        monkeypatch.setattr(
+            sampling, "random_space", lambda *args, **kw: spaces.append(1) or draw(*args, **kw)
+        )
+        code, _, _ = run_cli(capsys, "verify", "all", "--trials", "100")
+        assert code == 0
+        assert len(spaces) == 600
+
+    def test_check_that_checked_no_instance_fails(self, capsys, monkeypatch):
+        def degenerate(*args):
+            raise EvaluationError("every draw is degenerate")
+
+        monkeypatch.setattr(verify, "jacobi_sum", degenerate)
+        code, out, _ = run_cli(
+            capsys, "--output", "structured", "verify", "jacobi", "--trials", "20"
+        )
+        assert code == 1
+        assert [
+            (r["name"], r["counterexample"])
+            for r in parse_structured(out)["results"]
+            if r["verdict"] == "fail"
+        ] == [
+            (
+                "jacobi-identity",
+                "only 0 of 20 trials were checked; the other draws were degenerate",
+            )
+        ]
 
     def test_covariance_does_not_share_the_product_under_test(
         self, capsys, monkeypatch

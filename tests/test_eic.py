@@ -255,6 +255,14 @@ class TestPathwiseDerivative:
             assert float(numeric) == pytest.approx(gradient_side, rel=1e-9, abs=1e-12)
 
 
+# the first instance of seed 3 with its score, as a certificate prints it
+INSTANCE_0_SEED_3 = (
+    "instance 0: weights=['9/25', '2/25', '6/25', '2/25', '1/5', '1/25']"
+    " X=['1', '-1', '-3', '3', '4', '2'] Y=['-4', '2', '5', '-1', '3', '1'];"
+    " score=['2/25', '52/25', '-73/25', '77/25', '52/25', '-98/25'] "
+)
+
+
 class TestCertify:
     def test_mean_all_pass(self):
         report = certify_eic(E(X), trials=100, seed=42)
@@ -267,9 +275,11 @@ class TestCertify:
     def test_missing_centering_is_caught(self):
         # a corrupted gradient for the mean: the centering term is dropped
         report = certify_eic(E(X), trials=100, seed=42, candidate=X)
-        assert not report.passed
-        assert report.counterexample is not None
-        assert "trial" in report.counterexample
+        assert not report.passed and report.checked == 1
+        assert report.counterexample == (
+            "instance 0: weights=['7/8', '1/8'] X=['-1', '5'];"
+            " gradient mean -1/4 is not zero"
+        )
 
     @pytest.mark.parametrize("name", sorted(RATIONAL_ESTIMANDS))
     def test_rational_estimand_certified_exactly(self, name):
@@ -281,6 +291,18 @@ class TestCertify:
         psi = RATIONAL_ESTIMANDS["ratio-of-means"]
         report = certify_eic(psi, trials=50, seed=3, candidate=derive_eic(E(X * Y)).eic)
         assert not report.passed
+        assert report.counterexample == INSTANCE_0_SEED_3 + (
+            "path-derivative=-79/36 inner-product=8752/625"
+        )
+
+    def test_doubled_gradient_is_caught(self):
+        """The instance, its score and both sides of the identity are pinned."""
+        doubled = 2 * derive_eic(E(X * Y)).eic
+        report = certify_eic(E(X * Y), trials=50, seed=3, candidate=doubled)
+        assert not report.passed and report.checked == 1
+        assert report.counterexample == INSTANCE_0_SEED_3 + (
+            "path-derivative=8752/625 inner-product=17504/625"
+        )
 
     def test_degenerate_draws_are_skipped(self):
         psi = RATIONAL_ESTIMANDS["squared-correlation"]
@@ -314,7 +336,9 @@ class TestCertify:
         report = certify_eic(E(X), trials=20, seed=7)
         assert report.checked == 0
         assert not report.passed
-        assert "0 of 20" in report.counterexample
+        assert report.counterexample == (
+            "only 0 of 20 trials were checked; the other draws were degenerate"
+        )
 
 
 class TestSmoothInsideMoments:

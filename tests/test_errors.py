@@ -1,0 +1,80 @@
+"""Typed errors of the library's guards: each input raises its documented
+exception class with its message."""
+
+from fractions import Fraction
+
+import pytest
+
+from eicalg.canon import CanonForm, expectation_of_form
+from eicalg.errors import DataError, NormalizationError, UsageError
+from eicalg.estimate import Dataset, normal_quantile, wald_ci
+from eicalg.expr import E, IntPower, evaluate_func_with, rv_pow, var
+from eicalg.mc import resolve_sampler
+from eicalg.measure import FiniteProbSpace, RandVar
+from eicalg.verify import run_suite
+
+X = var("X")
+HALVES = FiniteProbSpace(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))
+
+CASES = [
+    pytest.param(
+        lambda: FiniteProbSpace(("a",), ()), UsageError, "one weight per outcome required",
+        id="space-weight-missing",
+    ),
+    pytest.param(
+        lambda: FiniteProbSpace((), ()), UsageError, "a space needs at least one outcome",
+        id="space-empty",
+    ),
+    pytest.param(
+        lambda: RandVar(HALVES, [1, 2]) ** -1, UsageError, "integer power >= 0 required",
+        id="randvar-negative-power",
+    ),
+    pytest.param(
+        lambda: Dataset({}, [], 0), DataError, "at least one row required",
+        id="dataset-no-rows",
+    ),
+    pytest.param(
+        lambda: Dataset({"X": (1, [1, 2])}, [1], 1), DataError,
+        "each column needs one value per row", id="dataset-ragged",
+    ),
+    pytest.param(
+        lambda: normal_quantile(0.0), UsageError, "quantile argument must lie in (0, 1)",
+        id="quantile-at-zero",
+    ),
+    pytest.param(
+        lambda: wald_ci(0.0, -1.0, 0.95), UsageError, "standard error must be nonnegative",
+        id="wald-negative-se",
+    ),
+    pytest.param(
+        lambda: resolve_sampler("gaussian-grid", {"mean": 0, "sd": 1, "points": 2}),
+        UsageError, "a gaussian grid needs at least three 'points'", id="gaussian-two-points",
+    ),
+    pytest.param(
+        lambda: evaluate_func_with(E(X), lambda arg: Fraction(1), "bogus"), UsageError,
+        "unknown mode 'bogus'", id="unknown-mode",
+    ),
+    pytest.param(
+        lambda: IntPower(X, 0), UsageError, "integer power nodes require exponent >= 1",
+        id="intpower-zero",
+    ),
+    pytest.param(
+        lambda: rv_pow(X, -1), UsageError, "integer power >= 0 required", id="rv-pow-negative",
+    ),
+    pytest.param(
+        lambda: run_suite("nonsense", 1, 0, 8), UsageError, "unknown suite 'nonsense'",
+        id="unknown-suite",
+    ),
+    pytest.param(
+        lambda: expectation_of_form(CanonForm.from_atom(("v", "X")).reciprocal()),
+        NormalizationError, "expectation of a form with base variables in a denominator",
+        id="expectation-of-variable-denominator",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, error, message", CASES)
+def test_typed_error(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error
+    assert str(raised.value) == message

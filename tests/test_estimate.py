@@ -354,11 +354,10 @@ def _bits(value):
 
 
 class TestCachesAreSafe:
-    """A law keeps the moments and the atom-free expectations it has been
-    valued with.  Valued in turn by estimands of both modes, of the same
-    and of other estimands, and again by fresh estimands once the earlier
-    ones are dropped and collected, it gives every value bit for bit as a
-    fresh law does."""
+    """A law keeps the moments it has been valued with.  Valued in turn by
+    estimands of both modes, of the same and of other estimands, and again
+    by fresh estimands once the earlier ones are dropped and collected, it
+    gives every value bit for bit as a fresh law does."""
 
     TEXT = "X,Y\n1,2\n3,5\n4,2.5\n2,1\n0.5,7\n6,3\n"
     ESTIMANDS = (
@@ -387,7 +386,6 @@ class TestCachesAreSafe:
                     assert got == self._values(fresh, read_delimited(self.TEXT)), (text, mode)
                     del estimand, fresh
                     gc.collect()
-        assert shared.expectations  # the law did keep expectations
 
 
 class TestOneLawPerCall:

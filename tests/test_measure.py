@@ -1,6 +1,7 @@
 """Exact operator arithmetic on finite spaces."""
 
 import math
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_rationals, space_and_vars, spaces
-from eicalg.errors import SpaceMismatchError
+from eicalg.errors import SpaceMismatchError, UsageError
 from eicalg.measure import (
     FiniteProbSpace,
     RandVar,
@@ -46,6 +47,32 @@ class TestSpaceInvariants:
     def test_variable_length_checked(self):
         with pytest.raises(SpaceMismatchError):
             halves().variable((1, 2, 3))
+
+
+class TestWrittenExponent:
+    """A string is read by the settings' reader, which refuses a written
+    exponent whose power of ten has more digits than the digit limit before
+    ``Fraction`` computes it; unguarded, each of these runs for minutes."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: embed("1e999999999", halves()),
+            lambda: FiniteProbSpace(("a", "b"), ("1e999999999", "1/2")),
+            lambda: RandVar(halves(), ["1E-999999999", 1]),
+            lambda: RandVar(halves(), [1, 2]) * "2e+0999999999",
+        ],
+        ids=["embed", "weight", "value", "scalar"],
+    )
+    def test_refused_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="power of ten exceeds the limit of"):
+            build()
+        assert time.perf_counter() - start < 1
+
+    def test_strings_still_read(self):
+        assert embed("2.5e2", halves()).values == (250, 250)
+        assert FiniteProbSpace(("a", "b"), ("1/3", "2/3")).weights == (Q(1, 3), Q(2, 3))
 
 
 class TestExpectation:
