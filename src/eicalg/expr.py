@@ -472,33 +472,12 @@ def evaluate_rv(
 ) -> RandVar:
     """Exact pointwise evaluation of an expression under a binding.
 
-    Embedded functionals evaluate through :func:`evaluate_func` and are
-    embedded as constant functions.  In float mode the value of a smooth
+    Embedded functionals evaluate through :func:`evaluate_func_with` and are
+    embedded as constant functions.  In float mode the value of an embedded
     functional is carried exactly as the rational equal to its float.
     """
-    if isinstance(e, BaseVar):
-        if e.name not in binding:
-            raise EvaluationError(f"unbound variable {e.name!r}")
-        v = binding[e.name]
-        if v.space != space:
-            raise EvaluationError(f"binding for {e.name!r} lives on another space")
-        return v
-    if isinstance(e, RvConst):
-        return embed(e.value, space)
-    if isinstance(e, RvSum):
-        terms = (evaluate_rv(t, space, binding, mode) for t in e.terms)
-        return sum(terms, embed(0, space))
-    if isinstance(e, RvProduct):
-        factors = (evaluate_rv(f, space, binding, mode) for f in e.factors)
-        return math.prod(factors, start=embed(1, space))
-    if isinstance(e, IntPower):
-        return evaluate_rv(e.base, space, binding, mode) ** bounded_exponent(e.exponent)
-    if isinstance(e, EmbedFunc):
-        value = evaluate_func(e.func, space, binding, mode)
-        if isinstance(value, float):
-            value = Fraction(value)
-        return embed(value, space)
-    raise TypeError(f"not a random-variable expression: {e!r}")
+    value = _walk(space, binding, mode)[0](e)
+    return value if isinstance(value, RandVar) else embed(value, space)
 
 
 def evaluate_func(
@@ -513,9 +492,55 @@ def evaluate_func(
     nodes require float mode.  Each moment is the expectation of its
     argument evaluated pointwise on the space.
     """
-    return evaluate_func_with(
-        f, lambda arg: expectation(space, evaluate_rv(arg, space, binding, mode)), mode
-    )
+    return evaluate_func_with(f, _walk(space, binding, mode)[1], mode)
+
+
+def _walk(space, binding, mode):
+    """The pointwise valuation of one evaluation, and its ``expect`` hook.
+
+    The valuation gives a random-variable expression as a :class:`RandVar`,
+    or as a rational where it is constant on the space: a sum or product
+    combines its rational parts as rationals and its vector parts as
+    vectors, and joins them with one vector operation unless the rational
+    is the unit.  The hook values each distinct moment argument once.
+    """
+    moments = {}
+
+    def expect(arg):
+        if arg not in moments:
+            value = walk(arg)
+            moments[arg] = expectation(space, value) if isinstance(value, RandVar) else value
+        return moments[arg]
+
+    def walk(e):
+        if isinstance(e, BaseVar):
+            if e.name not in binding:
+                raise EvaluationError(f"unbound variable {e.name!r}")
+            v = binding[e.name]
+            if v.space != space:
+                raise EvaluationError(f"binding for {e.name!r} lives on another space")
+            return v
+        if isinstance(e, RvConst):
+            return e.value
+        if isinstance(e, (RvSum, RvProduct)):
+            op, unit, parts = (add, 0, e.terms) if isinstance(e, RvSum) else (mul, 1, e.factors)
+            scalar = vector = None
+            for part in map(walk, parts):
+                if isinstance(part, RandVar):
+                    vector = part if vector is None else op(vector, part)
+                else:
+                    scalar = part if scalar is None else op(scalar, part)
+            if vector is None:
+                return Fraction(unit) if scalar is None else scalar
+            return vector if scalar is None or scalar == unit else op(vector, scalar)
+        if isinstance(e, IntPower):
+            return walk(e.base) ** bounded_exponent(e.exponent)
+        if isinstance(e, EmbedFunc):
+            value = evaluate_func_with(e.func, expect, mode)
+            return Fraction(value) if isinstance(value, float) else value
+        raise TypeError(f"not a random-variable expression: {e!r}")
+
+    return walk, expect
 
 
 def evaluate_func_with(f: FuncExpr, expect: Callable[[RvExpr], Fraction], mode: str):

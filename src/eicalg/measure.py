@@ -35,11 +35,17 @@ __all__ = [
 
 def _rational(x) -> int | Fraction:
     """An exact rational as an int or a Fraction; a float is refused, and a
-    string is read as a setting's rational is."""
+    string is read as a setting's rational is, or refused with a
+    :class:`UsageError` naming it."""
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, str):
-        return read_rational(x)
+        try:
+            return read_rational(x)
+        except UsageError as exc:  # its power of ten is past the digit limit
+            raise UsageError(f"{x!r}: {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise UsageError(f"{x!r} is not a rational number") from None
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 

@@ -27,11 +27,21 @@ def _integer(value) -> int:
 _EXPONENT = re.compile(r"[eE][-+]?0*([0-9]+)\s*$")
 
 
+def _numeral(value):
+    """``value``, unless it is a string with an underscore or a character
+    that is not ASCII, which ``float`` and ``Fraction`` would read ("1_000",
+    "٣") though the expression grammar does not: :class:`TypeError`."""
+    if isinstance(value, str) and (not value.isascii() or "_" in value):
+        raise TypeError(f"{value!r} is not an ASCII numeral")
+    return value
+
+
 def read_rational(value) -> Fraction:
-    """The rational a number or a string writes.  ``Fraction`` computes ten
-    to a written exponent, so one whose power of ten has more digits than
-    the digit limit is refused first."""
-    text = str(value)
+    """The rational a number or a string writes.  A string :func:`_numeral`
+    refuses raises :class:`TypeError`.  ``Fraction`` computes ten to a
+    written exponent, so one whose power of ten has more digits than the
+    digit limit is refused first, with a :class:`UsageError`."""
+    text = str(_numeral(value))
     written = _EXPONENT.search(text)
     limit = sys.get_int_max_str_digits()  # 0: no limit
     if written and limit and (len(written[1]) > len(str(limit)) or int(written[1]) >= limit):
@@ -42,7 +52,7 @@ def read_rational(value) -> Fraction:
 # each kind: its reader, and the message for a value that is not of the kind
 _KINDS = {
     "int": (_integer, "{key!r} must be an integer"),
-    "float": (float, "{key!r} must be a real number or a numeric string"),
+    "float": (lambda v: float(_numeral(v)), "{key!r} must be a real number or a numeric string"),
     "rational": (read_rational, "{key!r} must be a rational number, not {value!r}"),
 }
 # each setting: its kind, its range (None: every value of the kind) and the
@@ -80,14 +90,12 @@ def setting(key: str, value):
     """``value`` of the setting ``key``, read as its kind and checked against
     its range; a flag's string and a config file's JSON value are read
     alike.  A bool is of no kind, nor is a string with an underscore or a
-    character that is not ASCII (``float`` would take "1_000" and "٣").  A
-    value outside the kind or the range is a :class:`UsageError`."""
+    character that is not ASCII (see :func:`_numeral`).  A value outside the
+    kind or the range is a :class:`UsageError`."""
     kind, inside, message = SETTINGS[key]
     read, wrong_kind = _KINDS[kind]
     try:
-        if isinstance(value, bool) or isinstance(value, str) and (
-            not value.isascii() or "_" in value
-        ):
+        if isinstance(value, bool):
             raise TypeError
         value = read(value)
     except UsageError as exc:  # the reader's own refusal

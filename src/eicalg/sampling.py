@@ -1,5 +1,6 @@
 """Seeded generation of random spaces, variables, and score directions,
-and the one loop that runs every seeded check of the package.
+the corpus of instances that one verify call shares among its suites, and
+the one loop that runs every seeded check of the package.
 
 Every fuzz corpus in the package derives per-instance generators
 deterministically from a root seed and an instance index, so corpora are
@@ -22,7 +23,10 @@ __all__ = [
     "random_intvec",
     "random_score",
     "random_binding",
+    "draws",
+    "Corpus",
     "run_checks",
+    "check_instances",
 ]
 
 
@@ -64,22 +68,59 @@ def format_values(v: RandVar) -> list[str]:
     return [str(x) for x in v.values]
 
 
-def run_checks(checks, names, trials: int, seed: int, max_outcomes: int):
-    """``(checked, counterexample)`` of each check, in order.  Instance i
-    draws a space from ``trial_rng(seed, i)``, one integer variable per name
-    in name order, then a score; each check with no counterexample yet is
-    called as ``check(space, *variables, score)`` and returns None or a
-    failure message.  One that raises :class:`EvaluationError` skips the
-    (degenerate) draw, and one that checked no instance, or fewer than half
-    its trials, fails."""
-    checked, found = [0] * len(checks), [None] * len(checks)
-    for index in range(trials):
-        if all(found):
-            break
+# Outcomes in all of the instances a corpus keeps for its later passes (4
+# to 6 MB by tracemalloc); later instances are drawn again on each pass, so
+# memory stays bounded whatever the trial count.
+KEEP_OUTCOMES = 20_000
+
+
+def draws(names, trials: int, seed: int, max_outcomes: int, start: int = 0):
+    """Instances ``(index, space, binding, score)`` from ``start`` to
+    ``trials - 1``, each drawn when a loop reaches it: instance i draws a
+    space from ``trial_rng(seed, i)``, one integer variable per name in name
+    order, then a score."""
+    for index in range(start, trials):
         rng = trial_rng(seed, index)
         space = random_space(rng, max_outcomes=max_outcomes)
         binding = random_binding(rng, space, names)
-        drawn = (*binding.values(), random_score(rng, space))
+        yield index, space, binding, random_score(rng, space)
+
+
+class Corpus:
+    """The instances of :func:`draws`, for any number of passes.  A pass
+    draws an instance when it first reaches it; the first instances, up to
+    :data:`KEEP_OUTCOMES` outcomes in all, are kept for the later passes."""
+
+    def __init__(self, names, trials: int, seed: int, max_outcomes: int):
+        self.trials, self._draws = trials, (names, trials, seed, max_outcomes)
+        self._kept, self._room = [], KEEP_OUTCOMES
+
+    def __iter__(self):
+        yield from self._kept
+        for instance in draws(*self._draws, start=len(self._kept)):
+            size = instance[1].size
+            if instance[0] == len(self._kept) and size <= self._room:
+                self._kept.append(instance)
+                self._room -= size
+            yield instance
+
+
+def run_checks(checks, names, trials: int, seed: int, max_outcomes: int):
+    """``(checked, counterexample)`` of each check over the instances of
+    :func:`draws`, through :func:`check_instances`."""
+    return check_instances(checks, draws(names, trials, seed, max_outcomes), trials)
+
+
+def check_instances(checks, instances, trials: int):
+    """``(checked, counterexample)`` of each check, in order, over
+    ``instances`` of ``trials``.  Each check with no counterexample yet is
+    called as ``check(space, *variables, score)`` and returns None or a
+    failure message.  One that raises :class:`EvaluationError` skips the
+    (degenerate) draw, and one that checked no instance, or fewer than half
+    its trials, fails.  No instance is taken once every check has failed."""
+    checked, found = [0] * len(checks), [None] * len(checks)
+    for index, space, binding, score in instances:
+        drawn = (*binding.values(), score)
         for k, check in enumerate(checks):
             if found[k]:
                 continue
@@ -92,6 +133,8 @@ def run_checks(checks, names, trials: int, seed: int, max_outcomes: int):
                 shown = "".join(f" {n}={format_values(v)}" for n, v in binding.items())
                 weights = [str(w) for w in space.weights]
                 found[k] = f"instance {index}: weights={weights}{shown}; {failure}"
+        if all(found):
+            break
     return [
         (n, f if f or (n >= 1 and 2 * n >= trials) else
          f"only {n} of {trials} trials were checked; the other draws were degenerate")

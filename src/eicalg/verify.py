@@ -3,10 +3,10 @@
 Every suite pairs two independent routes to the same statement.  The
 numeric route draws seeded random spaces and integer variables and compares
 the operator implementation against a closed form computed with direct
-vector arithmetic, exactly; each trial's instance is drawn once and serves
-every check of its suite.  The symbolic route decides the same identity
-once at the canonical-form level.  A suite passes only if every instance
-and every canonical-form comparison agrees.
+vector arithmetic, exactly; each trial's instance is drawn once per call
+and serves every check of every suite.  The symbolic route decides the
+same identity once at the canonical-form level.  A suite passes only if
+every instance and every canonical-form comparison agrees.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import UsageError
 from .expr import E, var
 from .measure import covariance, decompose, embed, expectation, inner
 from .numerals import setting
-from .sampling import format_values as _vec, run_checks
+from .sampling import Corpus, check_instances, format_values as _vec
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
 
@@ -126,11 +126,12 @@ def _jacobi(space, x, y, score):
 
 def _suite(table, *names):
     """A suite: the records of a check table (or of the table a function
-    builds when the suite runs), then the named symbolic records."""
+    builds when the suite runs) over a corpus of instances in X and Y, then
+    the named symbolic records."""
 
-    def suite(trials, seed, max_outcomes, symbolic):
+    def suite(corpus, symbolic):
         rows = table() if callable(table) else table
-        results = run_checks([c for _, _, c in rows], ("X", "Y"), trials, seed, max_outcomes)
+        results = check_instances([c for _, _, c in rows], corpus, corpus.trials)
         return [
             IdentityRecord(name, statement, "exact", found is None, found)
             for (name, statement, _), (_, found) in zip(rows, results)
@@ -243,10 +244,12 @@ def available_suites() -> list[str]:
 
 
 def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
-    """Records of one suite, or of all.  The symbolic identity suite runs once
-    per call; each suite takes its records from it by name.  ``trials``,
-    ``seed`` and ``max_outcomes`` are the settings ``--trials``, ``--seed``
-    and ``--max-outcomes`` of :func:`~eicalg.numerals.setting`."""
+    """Records of one suite, or of all.  The symbolic identity suite runs
+    once per call, and each suite takes its records from it by name; the
+    instances are drawn once per call, and every suite runs on them.
+    ``trials``, ``seed`` and ``max_outcomes`` are the settings
+    ``--trials``, ``--seed`` and ``--max-outcomes`` of
+    :func:`~eicalg.numerals.setting`."""
     if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
     trials, seed, max_outcomes = map(
@@ -254,7 +257,8 @@ def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     )
     symbolic = {r.name: r for r in symbolic_identity_suite()}
     suites = SUITES.values() if name == "all" else [SUITES[name]]
+    corpus = Corpus(("X", "Y"), trials, seed, max_outcomes)
     records = []
     for suite in suites:
-        records.extend(suite(trials, seed, max_outcomes, symbolic))
+        records.extend(suite(corpus, symbolic))
     return records

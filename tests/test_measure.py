@@ -21,6 +21,7 @@ from eicalg.measure import (
     inner,
     pointwise_product,
 )
+from eicalg.numerals import setting
 
 
 def halves():
@@ -73,6 +74,36 @@ class TestWrittenExponent:
     def test_strings_still_read(self):
         assert embed("2.5e2", halves()).values == (250, 250)
         assert FiniteProbSpace(("a", "b"), ("1/3", "2/3")).weights == (Q(1, 3), Q(2, 3))
+
+
+class TestRefusedStrings:
+    """A string is refused as the setting ``mean`` refuses it, with a
+    :class:`UsageError` naming the value: ``Fraction`` alone reads "1_000"
+    as 1000 and "٣" as 3."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1_000", "'1_000' is not a rational number"),
+            ("٣", "'٣' is not a rational number"),
+            ("1e999999999", "'1e999999999': its power of ten exceeds the limit of 4300 digits"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda text: embed(text, halves()),
+            lambda text: FiniteProbSpace(("a", "b"), (text, "1/2")),
+            lambda text: RandVar(halves(), [text, 1]),
+        ],
+        ids=["embed", "weight", "value"],
+    )
+    def test_named_in_the_error(self, build, text, message):
+        with pytest.raises(UsageError) as caught:
+            build(text)
+        assert str(caught.value) == message
+        with pytest.raises(UsageError, match="^'mean'"):
+            setting("mean", text)
 
 
 class TestExpectation:

@@ -1,18 +1,26 @@
-"""The one seeded trial loop: its draws, its counterexample text, and the
-rule that a check that checked too few instances fails."""
+"""The one seeded trial loop: its draws, its counterexample text, the rule
+that a check that checked too few instances fails, and the corpus that one
+verify call shares among its suites."""
 
 from itertools import count
 
 import pytest
 
+from eicalg import sampling, verify
+from eicalg.eic import certify_eic
 from eicalg.errors import EvaluationError, ExactModeError
+from eicalg.expr import E, var
+from eicalg.measure import Decomposition
 from eicalg.sampling import (
+    Corpus,
+    draws,
     random_binding,
     random_score,
     random_space,
     run_checks,
     trial_rng,
 )
+from eicalg.verify import SUITES, run_suite
 
 
 def _recording(seen):
@@ -120,3 +128,78 @@ class TestTooFewChecked:
                 f"only {checked} of {trials} trials were checked;"
                 " the other draws were degenerate"
             )
+
+
+def _counting_spaces(monkeypatch):
+    spaces = []
+    draw = sampling.random_space
+    monkeypatch.setattr(
+        sampling, "random_space", lambda *args, **kw: spaces.append(1) or draw(*args, **kw)
+    )
+    return spaces
+
+
+def _fields(instances):
+    return [
+        (index, space, [(n, v.nums, v.den) for n, v in binding.items()], score.nums, score.den)
+        for index, space, binding, score in instances
+    ]
+
+
+class TestCorpus:
+    def test_every_pass_sees_the_draws(self):
+        corpus = Corpus("XY", 12, 5, 6)
+        want = _fields(draws("XY", 12, 5, 6))
+        assert _fields(corpus) == want and _fields(corpus) == want
+
+    @pytest.mark.parametrize("keep", [0, 10, 10**6])
+    def test_kept_outcomes_bounded_and_later_ones_drawn_again(self, monkeypatch, keep):
+        monkeypatch.setattr(sampling, "KEEP_OUTCOMES", keep)
+        corpus = Corpus("XY", 30, 1, 8)
+        first = _fields(corpus)
+        kept = sum(space.size for _, space, _, _ in corpus._kept)
+        assert kept <= keep
+        spaces = _counting_spaces(monkeypatch)
+        assert _fields(corpus) == first
+        assert len(spaces) == 30 - len(corpus._kept)
+
+    def test_a_pass_that_stops_early_draws_no_further(self, monkeypatch):
+        spaces = _counting_spaces(monkeypatch)
+        corpus = Corpus("XY", 1000, 0, 8)
+        for index, *_ in corpus:
+            if index == 3:
+                break
+        assert len(spaces) == 4
+        assert len(list(corpus)) == 1000
+        assert len(spaces) == 1000
+
+    def test_certify_draws_lazily(self, monkeypatch):
+        """A wrong candidate fails at its first instance, and no further
+        instance is drawn."""
+        spaces = _counting_spaces(monkeypatch)
+        x = var("X")
+        report = certify_eic(E(x), trials=10_000, seed=0, candidate=x)
+        assert not report.passed and report.checked == 1
+        assert len(spaces) == 1
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("max_outcomes", [2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_equals_the_suites_one_by_one(self, seed, max_outcomes):
+        together = run_suite("all", 25, seed, max_outcomes)
+        apart = [r for name in SUITES for r in run_suite(name, 25, seed, max_outcomes)]
+        assert together == apart
+
+    def test_a_suite_that_stops_early_leaves_the_rest_their_draws(self, monkeypatch):
+        """The first suite fails at instance 0 and draws no further; the
+        later suites draw the rest, as they do when run alone."""
+        monkeypatch.setattr(verify, "decompose", lambda s, x: Decomposition(1, x))
+        together = run_suite("all", 25, 0, 8)
+        assert [r.name for r in together if not r.passed] == ["orthogonal-decomposition"]
+        assert together == [r for name in SUITES for r in run_suite(name, 25, 0, 8)]
+
+    def test_kept_instances_do_not_change_the_records(self, monkeypatch):
+        want = run_suite("all", 25, 4, 5)
+        monkeypatch.setattr(sampling, "KEEP_OUTCOMES", 20)
+        assert run_suite("all", 25, 4, 5) == want
