@@ -221,8 +221,7 @@ def _mc_config_from_args(args):
     for key in ("estimand", "family", "column"):
         if not isinstance(raw.get(key, ""), str):
             raise UsageError(f"{key!r} must be a string")
-    defaults = {"params": {}, "level": 0.95, "column": "X"}
-    return McConfig(**{**defaults, **raw, "estimand": parse_expression(raw["estimand"])})
+    return McConfig(**{"params": {}, **raw, "estimand": parse_expression(raw["estimand"])})
 
 
 def cmd_simulate(args) -> tuple[int, dict]:

@@ -44,7 +44,7 @@ from .expr import (
     rv_sum,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .sampling import format_values, run_checks
+from .sampling import check_instances, draws, format_values
 
 __all__ = [
     "EicResult",
@@ -245,13 +245,14 @@ def certify_eic(
     max_outcomes: int = 8,
 ) -> CertifyReport:
     """Check the pathwise-derivative identity of :func:`certificate` on
-    seeded random instances, through :func:`~eicalg.sampling.run_checks`:
+    seeded random instances, through :func:`~eicalg.sampling.check_instances`:
     a degenerate draw is skipped, ``checked`` counts the trials actually
     checked, and too few of them fail the report.  Failures are reported,
     not raised.
     """
     names, check = certificate(psi, candidate)
-    [(checked, counterexample)] = run_checks([check], names, trials, seed, max_outcomes)
+    instances = draws(names, trials, seed, max_outcomes)
+    [(checked, counterexample)] = check_instances([check], instances, trials)
     return CertifyReport(
         estimand=render_func(psi),
         trials=trials,

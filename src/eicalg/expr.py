@@ -19,8 +19,8 @@ products, fold constants, and drop neutral elements; they do not attempt any
 deeper simplification (that is the canonicalizer's job).  The two families
 share one implementation per job: one set of operators, one builder each for
 sums, products and powers, parameterized by the family's node classes, one
-base-variable walker, and one renderer that dispatches on node type (no node
-type belongs to both families).
+base-variable walker, one valuation walk, and one renderer that dispatches
+on node type (no node type belongs to both families).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from operator import add, mul
 from typing import Callable
 
@@ -472,11 +471,14 @@ def evaluate_rv(
 ) -> RandVar:
     """Exact pointwise evaluation of an expression under a binding.
 
-    Embedded functionals evaluate through :func:`evaluate_func_with` and are
-    embedded as constant functions.  In float mode the value of an embedded
-    functional is carried exactly as the rational equal to its float.
+    Embedded functionals are embedded as constant functions.  In float mode
+    the value of an embedded functional is carried exactly as the rational
+    equal to its float.
     """
-    value = _walk(space, binding, mode)[0](e)
+    how = _pointwise(space, binding, _checked_mode(mode))
+    if not isinstance(e, RvExpr):
+        raise TypeError(f"not a random-variable expression: {e!r}")
+    value = _value(e, how)
     return value if isinstance(value, RandVar) else embed(value, space)
 
 
@@ -492,55 +494,7 @@ def evaluate_func(
     nodes require float mode.  Each moment is the expectation of its
     argument evaluated pointwise on the space.
     """
-    return evaluate_func_with(f, _walk(space, binding, mode)[1], mode)
-
-
-def _walk(space, binding, mode):
-    """The pointwise valuation of one evaluation, and its ``expect`` hook.
-
-    The valuation gives a random-variable expression as a :class:`RandVar`,
-    or as a rational where it is constant on the space: a sum or product
-    combines its rational parts as rationals and its vector parts as
-    vectors, and joins them with one vector operation unless the rational
-    is the unit.  The hook values each distinct moment argument once.
-    """
-    moments = {}
-
-    def expect(arg):
-        if arg not in moments:
-            value = walk(arg)
-            moments[arg] = expectation(space, value) if isinstance(value, RandVar) else value
-        return moments[arg]
-
-    def walk(e):
-        if isinstance(e, BaseVar):
-            if e.name not in binding:
-                raise EvaluationError(f"unbound variable {e.name!r}")
-            v = binding[e.name]
-            if v.space != space:
-                raise EvaluationError(f"binding for {e.name!r} lives on another space")
-            return v
-        if isinstance(e, RvConst):
-            return e.value
-        if isinstance(e, (RvSum, RvProduct)):
-            op, unit, parts = (add, 0, e.terms) if isinstance(e, RvSum) else (mul, 1, e.factors)
-            scalar = vector = None
-            for part in map(walk, parts):
-                if isinstance(part, RandVar):
-                    vector = part if vector is None else op(vector, part)
-                else:
-                    scalar = part if scalar is None else op(scalar, part)
-            if vector is None:
-                return Fraction(unit) if scalar is None else scalar
-            return vector if scalar is None or scalar == unit else op(vector, scalar)
-        if isinstance(e, IntPower):
-            return walk(e.base) ** bounded_exponent(e.exponent)
-        if isinstance(e, EmbedFunc):
-            value = evaluate_func_with(e.func, expect, mode)
-            return Fraction(value) if isinstance(value, float) else value
-        raise TypeError(f"not a random-variable expression: {e!r}")
-
-    return walk, expect
+    return evaluate_func_with(f, _pointwise(space, binding, mode)[0], mode)
 
 
 def evaluate_func_with(f: FuncExpr, expect: Callable[[RvExpr], Fraction], mode: str):
@@ -550,12 +504,11 @@ def evaluate_func_with(f: FuncExpr, expect: Callable[[RvExpr], Fraction], mode: 
     everything above the moments is evaluated here, so a law given pointwise
     and a law given by a table of moments share one evaluator.
     """
-    if mode not in ("exact", "float"):
-        raise UsageError(f"unknown mode {mode!r}")
-    value = _eval_func(f, expect, mode)
-    if mode == "float":
-        return to_float(value)
-    return value
+    how = expect, None, None, _checked_mode(mode)
+    if not isinstance(f, FuncExpr):
+        raise TypeError(f"not a functional expression: {f!r}")
+    value = _value(f, how)
+    return to_float(value) if mode == "float" else value
 
 
 def to_float(value: Fraction) -> float:
@@ -567,35 +520,79 @@ def to_float(value: Fraction) -> float:
         raise EvaluationError("value overflows a float") from exc
 
 
-def _eval_func(f, expect, mode):
-    if isinstance(f, FuncConst):
-        return f.value
-    if isinstance(f, Moment):
-        return expect(f.arg)
-    if isinstance(f, (FuncSum, FuncProduct)):  # folded from the first part
-        op, unit, parts = (add, 0, f.terms) if isinstance(f, FuncSum) else (mul, 1, f.factors)
-        values = (_eval_func(x, expect, mode) for x in parts)
-        first = next(values, None)
-        return Fraction(unit) if first is None else reduce(op, values, first)
-    if isinstance(f, FuncPower):
-        return _eval_func(f.base, expect, mode) ** bounded_exponent(f.exponent)
-    if isinstance(f, Reciprocal):
-        v = _eval_func(f.arg, expect, mode)
+def _checked_mode(mode: str) -> str:
+    if mode not in ("exact", "float"):
+        raise UsageError(f"unknown mode {mode!r}")
+    return mode
+
+
+def _pointwise(space, binding, mode):
+    """The ``(expect, space, binding, mode)`` of :func:`_value`: ``expect``
+    maps the argument of a moment to its exact expectation on ``space``,
+    valuing each distinct one once."""
+    moments = {}
+
+    def expect(arg):
+        if arg not in moments:
+            value = _value(arg, how)
+            moments[arg] = expectation(space, value) if type(value) is RandVar else value
+        return moments[arg]
+
+    how = expect, space, binding, mode
+    return how
+
+
+def _value(e, how):
+    """The value of a node of either family under ``how``, as
+    :func:`_pointwise` makes it (a functional's walk needs only its
+    ``expect`` and ``mode``): a rational, or for a random variable not
+    constant on the space a :class:`RandVar`.  A sum or product combines its
+    rational parts as rationals and its vector parts as vectors, and joins
+    them with one vector operation unless the rational is the unit."""
+    if isinstance(e, (RvConst, FuncConst)):
+        return e.value
+    if isinstance(e, Moment):
+        return how[0](e.arg)
+    if isinstance(e, BaseVar):
+        v = how[2].get(e.name)
+        if v is None:
+            raise EvaluationError(f"unbound variable {e.name!r}")
+        if v.space != how[1]:
+            raise EvaluationError(f"binding for {e.name!r} lives on another space")
+        return v
+    if isinstance(e, (RvSum, FuncSum, RvProduct, FuncProduct)):
+        is_sum = isinstance(e, (RvSum, FuncSum))
+        op, unit, parts = (add, 0, e.terms) if is_sum else (mul, 1, e.factors)
+        scalar = vector = None
+        for part in parts:
+            part = _value(part, how)
+            if type(part) is RandVar:
+                vector = part if vector is None else op(vector, part)
+            else:
+                scalar = part if scalar is None else op(scalar, part)
+        if vector is None:
+            return Fraction(unit) if scalar is None else scalar
+        return vector if scalar is None or scalar == unit else op(vector, scalar)
+    if isinstance(e, (IntPower, FuncPower)):
+        return _value(e.base, how) ** bounded_exponent(e.exponent)
+    if isinstance(e, EmbedFunc):  # in float mode, rounded through a float
+        value = _value(e.func, how)
+        return Fraction(to_float(value)) if how[3] == "float" else value
+    if isinstance(e, Reciprocal):
+        v = _value(e.arg, how)
         if v == 0:
             raise EvaluationError("reciprocal of a functional evaluating to zero")
         return 1 / v
-    if isinstance(f, Smooth):
-        if mode != "float":
-            raise ExactModeError(
-                f"smooth functional {f.tag!r} cannot be evaluated exactly"
-            )
-        x = to_float(_eval_func(f.arg, expect, mode))
+    if isinstance(e, Smooth):
+        if how[3] != "float":
+            raise ExactModeError(f"smooth functional {e.tag!r} requires float mode")
+        x = to_float(_value(e.arg, how))
         try:
-            y = SMOOTH_TABLE[f.tag].evaluate(x)
+            y = SMOOTH_TABLE[e.tag].evaluate(x)
         except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{f.tag}({x}) is undefined or overflows") from exc
+            raise EvaluationError(f"{e.tag}({x}) is undefined or overflows") from exc
         return Fraction(y)
-    raise TypeError(f"not a functional expression: {f!r}")
+    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

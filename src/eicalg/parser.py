@@ -20,11 +20,11 @@ functions build float-mode functionals.  Brackets (parentheses, ``E[`` and
 function calls) nest at most ``MAX_NESTING`` deep.
 
 The parser builds expression trees in one recursive pass.  Every rule
-returns a part ``(scalar, node)``: a part is scalar when its text has no bare
-variable outside any ``E[...]``, and its node is then a functional, else a
-random-variable expression.  All-scalar operands combine as functionals;
-otherwise scalar operands are embedded as constant functions, and a node
-whose operands all fold to scalars collapses into one embedded functional.
+returns a node, whose type says its family: a functional when its text has
+no bare variable outside any ``E[...]``, else a random-variable expression.
+All-functional operands combine as functionals; otherwise functional
+operands are embedded as constant functions, and a node whose operands all
+fold to scalars collapses into one embedded functional.
 
 A whole input containing a bare variable outside any ``E[...]`` denotes a
 random variable rather than a scalar; it is identified with the parameter it
@@ -59,7 +59,6 @@ from .expr import (
     f_recip,
     f_sum,
     rv_embed,
-    rv_pow,
     rv_product,
     rv_sum,
 )
@@ -122,16 +121,9 @@ def _numeral(tok: Token) -> Fraction:
 # sorts
 
 
-def _as_func(part) -> FuncExpr:
-    """The functional a part denotes: a random variable is its expectation."""
-    scalar, node = part
-    return node if scalar else Moment(node)
-
-
-def _as_rv(part) -> RvExpr:
-    """The random variable a part denotes: a scalar is a constant function."""
-    scalar, node = part
-    return rv_embed(node) if scalar else node
+def _as_func(node) -> FuncExpr:
+    """The functional a node denotes: a random variable is its expectation."""
+    return node if isinstance(node, FuncExpr) else Moment(node)
 
 
 def _scalar_leaf(e: RvExpr) -> bool:
@@ -142,8 +134,9 @@ def _as_leaf_func(e: RvExpr) -> FuncExpr:
     return FuncConst(e.value) if isinstance(e, RvConst) else e.func
 
 
-def _embed_if_scalar(e: RvExpr) -> RvExpr:
-    """Collapse an all-scalar node into a single embedded functional.
+def _embed_if_scalar(e):
+    """Collapse an all-scalar node into a single embedded functional; a
+    functional, or a node with a random-variable part, is returned as it is.
 
     Embedding markers are invisible in the surface syntax, so parsing must
     place them canonically (maximal scalar subtrees) for print/parse round
@@ -186,11 +179,11 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        part = self.expr()
+        node = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.column)
-        return part
+        return node
 
     def expr(self):
         signs, parts = [1], [self.term()]
@@ -199,15 +192,10 @@ class _Parser:
             parts.append(self.term())
         if len(parts) == 1:
             return parts[0]
-        if all(scalar for scalar, _ in parts):
-            funcs = (
-                f if s > 0 else f_product(-1, f) for s, (_, f) in zip(signs, parts)
-            )
-            return True, f_sum(*funcs)
-        rvs = (
-            e if s > 0 else rv_product(-1, e) for s, e in zip(signs, map(_as_rv, parts))
-        )
-        return False, _embed_if_scalar(rv_sum(*rvs))
+        funcs = all(isinstance(node, FuncExpr) for node in parts)
+        total, product = (f_sum, f_product) if funcs else (rv_sum, rv_product)
+        terms = (x if s > 0 else product(-1, x) for s, x in zip(signs, parts))
+        return _embed_if_scalar(total(*terms))
 
     def term(self):
         parts = [self.factor()]
@@ -216,25 +204,21 @@ class _Parser:
             parts.append(self.factor())
         if len(parts) == 1:
             return parts[0]
-        if all(scalar for scalar, _ in parts):
-            return True, f_product(*(f for _, f in parts))
-        return False, _embed_if_scalar(rv_product(*map(_as_rv, parts)))
+        funcs = all(isinstance(node, FuncExpr) for node in parts)
+        return _embed_if_scalar((f_product if funcs else rv_product)(*parts))
 
     def factor(self):
-        part = self.atom()
+        node = self.atom()
         if self.peek().kind != "^":
-            return part
+            return node
         self.advance()
         tok = self.expect("NUMBER")
         if "." in tok.text:
             raise ParseError("exponent must be a nonnegative integer", tok.column)
-        scalar, node = part
         n = _numeral(tok).numerator
         if n > MAX_EXPONENT and not isinstance(node, FuncConst):
             raise ParseError(f"exponent above {MAX_EXPONENT}", tok.column)
-        if scalar:
-            return True, f_pow(node, n)
-        return False, _embed_if_scalar(rv_pow(node, n))
+        return _embed_if_scalar(node**n)  # in the family of the base
 
     def nested(self, opener: Token, close: str):
         """Parse the expression after an opening bracket, up to ``close``."""
@@ -243,23 +227,23 @@ class _Parser:
             raise ParseError(
                 f"brackets nested more than {MAX_NESTING} deep", opener.column
             )
-        part = self.expr()
+        node = self.expr()
         self.expect(close)
         self.depth -= 1
-        return part
+        return node
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return True, FuncConst(_numeral(tok))
+            return FuncConst(_numeral(tok))
         if tok.kind == "(":
             return self.nested(self.advance(), ")")
         if tok.kind == "IDENT":
             self.advance()
             name = tok.text
             if name == "E":
-                return True, E(_as_rv(self.nested(self.expect("["), "]")))
+                return E(self.nested(self.expect("["), "]"))
             if name == "Var":
                 self.expect("(")
                 ident = self.expect("IDENT")
@@ -267,7 +251,7 @@ class _Parser:
                     raise ParseError("Var takes a base variable", ident.column)
                 self.expect(")")
                 x = BaseVar(ident.text)
-                return True, E(x**2) - E(x) ** 2
+                return E(x**2) - E(x) ** 2
             if name == "Cov":
                 self.expect("(")
                 first = self.expect("IDENT")
@@ -278,13 +262,13 @@ class _Parser:
                     raise ParseError("Cov takes base variables", reserved[0].column)
                 self.expect(")")
                 x, y = BaseVar(first.text), BaseVar(second.text)
-                return True, E(x * y) - E(x) * E(y)
+                return E(x * y) - E(x) * E(y)
             if name in ("inv",) + _SMOOTH_NAMES:
                 arg = _as_func(self.nested(self.expect("("), ")"))
-                return True, f_recip(arg) if name == "inv" else Smooth(name, arg)
+                return f_recip(arg) if name == "inv" else Smooth(name, arg)
             if self.peek().kind == "(":
                 raise ParseError(f"unknown function name {name!r}", tok.column)
-            return False, BaseVar(name)
+            return BaseVar(name)
         raise ParseError(
             f"expected an expression, found {tok.text or 'end of input'!r}",
             tok.column,

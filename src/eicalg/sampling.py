@@ -25,7 +25,6 @@ __all__ = [
     "random_binding",
     "draws",
     "Corpus",
-    "run_checks",
     "check_instances",
 ]
 
@@ -103,12 +102,6 @@ class Corpus:
                 self._kept.append(instance)
                 self._room -= size
             yield instance
-
-
-def run_checks(checks, names, trials: int, seed: int, max_outcomes: int):
-    """``(checked, counterexample)`` of each check over the instances of
-    :func:`draws`, through :func:`check_instances`."""
-    return check_instances(checks, draws(names, trials, seed, max_outcomes), trials)
 
 
 def check_instances(checks, instances, trials: int):

@@ -838,6 +838,14 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_smooth_estimand_message_is_the_one_derive_gives(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("X\n1\n4\n")
+        for argv in (["derive", "exp(E[X])"], ["estimate", "exp(E[X])", "--data", str(path)]):
+            assert run_cli(capsys, *argv) == (
+                2, "", "error: smooth functional 'exp' requires float mode\n"
+            )
+
     def test_float_mode_overflow_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("X\n1000\n2000\n")
@@ -949,6 +957,32 @@ class TestSimulate:
         result = parse_structured(out)["results"][0]
         assert result["empirical_variance"] == 0.0
         assert result["coverage"] == 1.0
+
+    def test_config_file_without_level_and_column(self, capsys, tmp_path):
+        """The study's defaults: level 0.95, and the sample's column is X."""
+        fields = {
+            "family": "bernoulli",
+            "params": {"p": "0.5"},
+            "estimand": "E[X]",
+            "n": 10,
+            "replicates": 3,
+            "seed": 1,
+        }
+        outs = []
+        for extra in ({}, {"level": 0.95, "column": "X"}):
+            config = tmp_path / "mc.json"
+            config.write_text(json.dumps({**fields, **extra}))
+            code, out, err = run_cli(
+                capsys, "--output", "structured", "simulate", "--config", str(config)
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert parse_structured(outs[0])["inputs"]["level"] == 0.95
+        config.write_text(json.dumps({**fields, "column": "Y"}))
+        assert run_cli(capsys, "simulate", "--config", str(config)) == (
+            2, "", "error: estimand uses variables ['X'] but the sampler provides only 'Y'\n"
+        )
 
     def test_config_file_with_byte_order_mark(self, capsys, tmp_path):
         config = tmp_path / "mc.json"

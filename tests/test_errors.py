@@ -6,15 +6,25 @@ from fractions import Fraction
 import pytest
 
 from eicalg.canon import CanonForm, expectation_of_form
-from eicalg.errors import DataError, NormalizationError, UsageError
+from eicalg.errors import DataError, ExactModeError, NormalizationError, UsageError
 from eicalg.estimate import Dataset, normal_quantile, wald_ci
-from eicalg.expr import E, IntPower, evaluate_func_with, rv_pow, var
+from eicalg.expr import (
+    E,
+    IntPower,
+    Smooth,
+    evaluate_func,
+    evaluate_func_with,
+    evaluate_rv,
+    rv_pow,
+    var,
+)
 from eicalg.mc import resolve_sampler
 from eicalg.measure import FiniteProbSpace, RandVar
 from eicalg.verify import run_suite
 
 X = var("X")
 HALVES = FiniteProbSpace(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))
+ON_HALVES = {"X": RandVar(HALVES, [1, 2])}
 
 CASES = [
     pytest.param(
@@ -52,6 +62,18 @@ CASES = [
     pytest.param(
         lambda: evaluate_func_with(E(X), lambda arg: Fraction(1), "bogus"), UsageError,
         "unknown mode 'bogus'", id="unknown-mode",
+    ),
+    pytest.param(
+        lambda: evaluate_rv(X * 2, HALVES, ON_HALVES, "bogus"), UsageError,
+        "unknown mode 'bogus'", id="unknown-mode-without-a-functional",
+    ),
+    pytest.param(
+        lambda: evaluate_func(E(X), HALVES, ON_HALVES, "bogus"), UsageError,
+        "unknown mode 'bogus'", id="unknown-mode-pointwise",
+    ),
+    pytest.param(
+        lambda: evaluate_func(Smooth("exp", E(X)), HALVES, ON_HALVES), ExactModeError,
+        "smooth functional 'exp' requires float mode", id="smooth-in-exact-mode",
     ),
     pytest.param(
         lambda: IntPower(X, 0), UsageError, "integer power nodes require exponent >= 1",

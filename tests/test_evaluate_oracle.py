@@ -1,20 +1,27 @@
-"""Differential oracle for ``expr.evaluate_rv``: the vector-only walk it
-replaced, kept verbatim, against seeded expression trees.
+"""Differential oracle for the valuation walk in ``expr``: the vector-only
+walk ``evaluate_rv`` replaced, and the functional walk (``_eval_func``) that
+valued functionals beside it, both kept verbatim, against seeded expression
+trees.
 
 The oracle embeds every constant and functional as a vector, starts each
 sum from ``embed(0)`` and each product from ``embed(1)``, and values a
 moment each time it appears.  The walk under test keeps constant parts as
-rationals and values each distinct moment once; it must give equal
-``RandVar`` fields, or raise the same error type with the same message."""
+rationals, values each distinct moment once, and values both families in
+one function; it must give equal ``RandVar`` fields or equal functional
+values, or raise the same error type with the same message.  The one edit
+to the copied code is the message for a smooth node in exact mode, which is
+now the one ``derive`` gives."""
 
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
 from eicalg import brackets, expr, measure
-from eicalg.errors import EicalgError, EvaluationError
+from eicalg.errors import EicalgError, EvaluationError, ExactModeError, UsageError
 from eicalg.expr import (
     BaseVar,
     EmbedFunc,
@@ -28,10 +35,13 @@ from eicalg.expr import (
     RvConst,
     RvProduct,
     RvSum,
+    SMOOTH_TABLE,
     Smooth,
     bounded_exponent,
+    evaluate_func,
     evaluate_func_with,
     evaluate_rv,
+    to_float,
 )
 from eicalg.measure import RandVar, embed, expectation
 from eicalg.sampling import random_binding, random_space, trial_rng
@@ -67,9 +77,51 @@ def oracle_evaluate_rv(e, space, binding, mode="exact"):
 
 
 def oracle_evaluate_func(f, space, binding, mode="exact"):
-    return evaluate_func_with(
-        f, lambda arg: expectation(space, oracle_evaluate_rv(arg, space, binding, mode)), mode
-    )
+    return oracle_evaluate_func_with(f, oracle_expect(space, binding, mode), mode)
+
+
+def oracle_expect(space, binding, mode):
+    return lambda arg: expectation(space, oracle_evaluate_rv(arg, space, binding, mode))
+
+
+def oracle_evaluate_func_with(f, expect, mode):
+    if mode not in ("exact", "float"):
+        raise UsageError(f"unknown mode {mode!r}")
+    value = _eval_func(f, expect, mode)
+    if mode == "float":
+        return to_float(value)
+    return value
+
+
+def _eval_func(f, expect, mode):
+    if isinstance(f, FuncConst):
+        return f.value
+    if isinstance(f, Moment):
+        return expect(f.arg)
+    if isinstance(f, (FuncSum, FuncProduct)):  # folded from the first part
+        op, unit, parts = (add, 0, f.terms) if isinstance(f, FuncSum) else (mul, 1, f.factors)
+        values = (_eval_func(x, expect, mode) for x in parts)
+        first = next(values, None)
+        return Fraction(unit) if first is None else reduce(op, values, first)
+    if isinstance(f, FuncPower):
+        return _eval_func(f.base, expect, mode) ** bounded_exponent(f.exponent)
+    if isinstance(f, Reciprocal):
+        v = _eval_func(f.arg, expect, mode)
+        if v == 0:
+            raise EvaluationError("reciprocal of a functional evaluating to zero")
+        return 1 / v
+    if isinstance(f, Smooth):
+        if mode != "float":
+            raise ExactModeError(
+                f"smooth functional {f.tag!r} requires float mode"
+            )
+        x = to_float(_eval_func(f.arg, expect, mode))
+        try:
+            y = SMOOTH_TABLE[f.tag].evaluate(x)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{f.tag}({x}) is undefined or overflows") from exc
+        return Fraction(y)
+    raise TypeError(f"not a functional expression: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +190,25 @@ def agree(e, space, binding, mode):
     return got
 
 
+def func_outcome(evaluate, *args):
+    """("value", type, value) of a functional's value, or (error type, message)."""
+    try:
+        v = evaluate(*args)
+    except (EicalgError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return "value", type(v), v
+
+
+def agree_func(f, space, binding, mode):
+    """evaluate_func, and evaluate_func_with given the oracle's moments,
+    against the functional walk."""
+    want = func_outcome(oracle_evaluate_func, f, space, binding, mode)
+    assert func_outcome(evaluate_func, f, space, binding, mode) == want, f
+    expect = oracle_expect(space, binding, mode)
+    assert func_outcome(evaluate_func_with, f, expect, mode) == want, f
+    return want
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -199,6 +270,71 @@ class TestAgainstTheVectorWalk:
         e = RvProduct((RvConst(Fraction(3)), EmbedFunc(Moment(BaseVar("X")))))
         want = embed(3 * expectation(space, binding["X"]), space)
         assert evaluate_rv(e, space, binding) == want
+
+
+class TestFunctionalsAgainstTheFunctionalWalk:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_seeded_trees(self, mode):
+        rng = random.Random(f"evaluate-oracle-func:{mode}")
+        seen = set()
+        for index in range(1500):
+            space, binding = instance(index)
+            got = agree_func(func_tree(rng, rng.randint(1, 4), mode), space, binding, mode)
+            seen.add(got[0] if got[0] == "value" else got[1])
+        assert "value" in seen
+        for message in (
+            "unbound variable 'Z'",
+            "reciprocal of a functional evaluating to zero",
+            "exponent 1001 above 1000",
+            "binding for 'Y' lives on another space",
+        ):
+            assert message in seen, message
+        smooth = [m for m in seen if m.startswith("smooth functional")]
+        assert bool(smooth) == (mode == "exact")
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Moment(BaseVar("Z")),
+            FuncSum(()),
+            FuncProduct(()),
+            FuncProduct((FuncConst(Fraction(0)), Moment(BaseVar("Z")))),
+            Reciprocal(FuncSum((FuncConst(Fraction(2)), FuncConst(Fraction(-2))))),
+            FuncPower(Moment(BaseVar("X")), 1001),
+            FuncPower(FuncConst(Fraction(10**300)), 2),
+            Smooth("sqrt", FuncConst(Fraction(-1))),
+            Smooth("exp", FuncConst(Fraction(10**6))),
+            Moment(EmbedFunc(Smooth("log", Moment(BaseVar("X"))))),
+        ],
+        ids=[
+            "unbound", "empty-sum", "empty-product", "zero-times-unbound", "reciprocal-of-zero",
+            "exponent-bound", "float-overflow", "sqrt-of-negative", "exp-overflow",
+            "smooth-inside-a-moment",
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_named_cases(self, f, mode):
+        space, binding = instance(0)
+        agree_func(f, space, binding, mode)
+
+
+class TestEntryPoints:
+    def test_root_of_the_other_family_is_a_type_error(self):
+        space, binding = instance(0)
+        with pytest.raises(TypeError, match="not a random-variable expression"):
+            evaluate_rv(Moment(BaseVar("X")), space, binding)
+        with pytest.raises(TypeError, match="not a functional expression"):
+            evaluate_func(BaseVar("X"), space, binding)
+        with pytest.raises(TypeError, match="not a functional expression"):
+            evaluate_func_with(RvConst(Fraction(1)), lambda arg: Fraction(0), "exact")
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_float_mode_rounds_each_embedded_value(self, mode):
+        """inv(3) embedded is the rational of its float in float mode."""
+        space, binding = instance(0)
+        e = EmbedFunc(Reciprocal(FuncConst(Fraction(3))))
+        want = Fraction(1, 3) if mode == "exact" else Fraction(1 / 3)
+        assert evaluate_rv(e, space, binding, mode) == embed(want, space)
 
 
 class TestMomentsValuedOnce:

@@ -1,12 +1,27 @@
 """Surface grammar: parsing, sugar, errors, and print/parse round trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from eicalg.canon import canonicalize_func
 from eicalg.errors import ParseError
-from eicalg.expr import E, Smooth, inv, render_func, rv_embed, var
+from eicalg.expr import (
+    BaseVar,
+    E,
+    EmbedFunc,
+    FuncConst,
+    FuncSum,
+    Moment,
+    RvConst,
+    RvSum,
+    Smooth,
+    inv,
+    render_func,
+    rv_embed,
+    var,
+)
 from eicalg.parser import parse_expression
 
 X, Y = var("X"), var("Y")
@@ -123,3 +138,31 @@ def test_round_trip_corpus():
         assert canonicalize_func(reparsed) == canonicalize_func(parsed)
         stable += 1
     assert stable == 200
+
+
+F1 = Fraction(1)
+EX, EY = Moment(BaseVar("X")), Moment(BaseVar("Y"))
+
+
+class TestFamilyEdgeCases:
+    """A random-variable part with scalar content: ``X^0`` is the random
+    variable 1, so its node is an ``RvConst``, and a part it makes constant
+    collapses into one embedded functional."""
+
+    @pytest.mark.parametrize(
+        "text, tree, rendered",
+        [
+            ("X^0", Moment(RvConst(F1)), "E[1]"),
+            ("2*X^0", Moment(RvConst(Fraction(2))), "E[2]"),
+            ("E[X^0]", Moment(RvConst(F1)), "E[1]"),
+            ("X^0 + E[Y]", Moment(EmbedFunc(FuncSum((EY, FuncConst(F1))))), "E[E[Y] + 1]"),
+            ("(X)^0*E[Y]", Moment(EmbedFunc(EY)), "E[E[Y]]"),
+            ("E[Y] + (Z)^0*E[X]", Moment(EmbedFunc(FuncSum((EY, EX)))), "E[E[Y] + E[X]]"),
+            ("X*(Y)^0", Moment(BaseVar("X")), "E[X]"),
+            ("E[X]*(Y)^0 + X", Moment(RvSum((EmbedFunc(EX), BaseVar("X")))), "E[E[X] + X]"),
+        ],
+    )
+    def test_tree_and_rendering(self, text, tree, rendered):
+        parsed = parse_expression(text)
+        assert parsed == tree
+        assert render_func(parsed) == rendered

@@ -13,11 +13,11 @@ from eicalg.expr import E, var
 from eicalg.measure import Decomposition
 from eicalg.sampling import (
     Corpus,
+    check_instances,
     draws,
     random_binding,
     random_score,
     random_space,
-    run_checks,
     trial_rng,
 )
 from eicalg.verify import SUITES, run_suite
@@ -47,7 +47,7 @@ class TestDraws:
     @pytest.mark.parametrize("names", [(), ("X",), ("Y", "X"), ("X", "Y", "Z")])
     def test_space_then_variables_in_name_order_then_score(self, names):
         seen = []
-        assert run_checks([_recording(seen)], names, 6, 11, 5) == [(6, None)]
+        assert check_instances([_recording(seen)], draws(names, 6, 11, 5), 6) == [(6, None)]
         for index, (space, drawn) in enumerate(seen):
             rng = trial_rng(11, index)
             want_space = random_space(rng, max_outcomes=5)
@@ -58,7 +58,7 @@ class TestDraws:
 
     def test_every_check_sees_the_same_instances(self):
         first, second = [], []
-        run_checks([_recording(first), _recording(second)], "XY", 8, 2, 8)
+        check_instances([_recording(first), _recording(second)], draws("XY", 8, 2, 8), 8)
         assert first == second and len(first) == 8
 
 
@@ -70,7 +70,7 @@ class TestCounterexamples:
             calls.append(x)
             return "two" if len(calls) == 3 else None
 
-        results = run_checks([fails_at_two, _recording([])], "XY", 10, 0, 8)
+        results = check_instances([fails_at_two, _recording([])], draws("XY", 10, 0, 8), 10)
         assert len(calls) == 3  # never called after its counterexample
         assert results[1] == (10, None)
         checked, found = results[0]
@@ -84,7 +84,7 @@ class TestCounterexamples:
         )
 
     def test_no_variables(self):
-        [(checked, found)] = run_checks([lambda space, score: "bad"], (), 3, 0, 2)
+        [(checked, found)] = check_instances([lambda space, score: "bad"], draws((), 3, 0, 2), 3)
         assert checked == 1
         assert found.startswith("instance 0: weights=[") and found.endswith("]; bad")
 
@@ -95,7 +95,7 @@ class TestCounterexamples:
             seen.append(space)
             return "no"
 
-        assert run_checks([fails], "X", 1000, 0, 8)[0][0] == 1
+        assert check_instances([fails], draws("X", 1000, 0, 8), 1000)[0][0] == 1
         assert len(seen) == 1
 
     def test_other_errors_propagate(self):
@@ -103,12 +103,12 @@ class TestCounterexamples:
             raise ExactModeError("not exact")
 
         with pytest.raises(ExactModeError):
-            run_checks([raises], "X", 5, 0, 8)
+            check_instances([raises], draws("X", 5, 0, 8), 5)
 
 
 class TestTooFewChecked:
     def test_every_draw_degenerate(self):
-        assert run_checks([_skipping(lambda i: True)], "XY", 7, 0, 8) == [
+        assert check_instances([_skipping(lambda i: True)], draws("XY", 7, 0, 8), 7) == [
             (0, "only 0 of 7 trials were checked; the other draws were degenerate")
         ]
 
@@ -117,8 +117,8 @@ class TestTooFewChecked:
         [(10, 5, True), (10, 6, False), (9, 4, True), (9, 5, False), (1, 0, True)],
     )
     def test_half_of_the_trials_must_be_checked(self, trials, skipped, passes):
-        [(checked, found)] = run_checks(
-            [_skipping(lambda i: i < skipped)], "X", trials, 4, 8
+        [(checked, found)] = check_instances(
+            [_skipping(lambda i: i < skipped)], draws("X", trials, 4, 8), trials
         )
         assert checked == trials - skipped
         if passes:
