@@ -33,6 +33,7 @@ from .expr import (
     RvExpr,
     Smooth,
     SMOOTH_TABLE,
+    _checked_mode,
     evaluate_rv,
     f_pow,
     f_recip,
@@ -44,7 +45,7 @@ from .expr import (
     rv_sum,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .sampling import check_instances, draws, format_values
+from .sampling import Corpus, check_instances, format_values
 
 __all__ = [
     "EicResult",
@@ -73,6 +74,7 @@ def derive_eic(psi: FuncExpr, mode: str = "exact") -> EicResult:
     rejected; in float mode the chain rule applies their registered
     derivative.
     """
+    mode = _checked_mode(mode)
     normalized = normalize_functional(psi)
     trace: list[tuple[str, str]] = []
     eic = _gradient(normalized, trace, mode)
@@ -248,14 +250,15 @@ def certify_eic(
     seeded random instances, through :func:`~eicalg.sampling.check_instances`:
     a degenerate draw is skipped, ``checked`` counts the trials actually
     checked, and too few of them fail the report.  Failures are reported,
-    not raised.
+    not raised.  ``trials``, ``seed`` and ``max_outcomes`` are read as the
+    :class:`~eicalg.sampling.Corpus` reads them.
     """
     names, check = certificate(psi, candidate)
-    instances = draws(names, trials, seed, max_outcomes)
-    [(checked, counterexample)] = check_instances([check], instances, trials)
+    corpus = Corpus(names, trials, seed, max_outcomes)
+    [(checked, counterexample)] = check_instances([check], corpus, corpus.trials)
     return CertifyReport(
         estimand=render_func(psi),
-        trials=trials,
+        trials=corpus.trials,
         checked=checked,
         passed=counterexample is None,
         counterexample=counterexample,

@@ -31,6 +31,7 @@ from .errors import DataError, EvaluationError, UsageError
 from .expr import (
     FuncExpr,
     RvExpr,
+    _checked_mode,
     evaluate_func_with,
     evaluate_rv,
     func_base_vars,
@@ -239,7 +240,7 @@ class CompiledEstimand:
     """
 
     def __init__(self, psi: FuncExpr, mode: str = "exact"):
-        self.psi, self.mode, self._forms = psi, mode, {}
+        self.psi, self.mode, self._forms = psi, _checked_mode(mode), {}
 
     @cached_property
     def eic(self) -> RvExpr:

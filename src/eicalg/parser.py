@@ -22,9 +22,14 @@ function calls) nest at most ``MAX_NESTING`` deep.
 The parser builds expression trees in one recursive pass.  Every rule
 returns a node, whose type says its family: a functional when its text has
 no bare variable outside any ``E[...]``, else a random-variable expression.
-All-functional operands combine as functionals; otherwise functional
-operands are embedded as constant functions, and a node whose operands all
-fold to scalars collapses into one embedded functional.
+A sum, product or power takes its family from its parts before it is built.
+A part is a scalar when it is a functional, a constant (``X^0`` is 1) or an
+embedded functional.  Scalar parts build a functional, negated terms
+included, embedded once as a constant function if any part was a
+random-variable node; any other part makes a random variable, each
+functional part embedded on its own (``X - E[Y]`` adds -1 times the embedded
+``E[Y]``).  So the embeddings, which the text does not show, sit at maximal
+scalar subtrees, and every printed form parses back to its own tree.
 
 A whole input containing a bare variable outside any ``E[...]`` denotes a
 random variable rather than a scalar; it is identified with the parameter it
@@ -46,12 +51,8 @@ from .expr import (
     EmbedFunc,
     FuncConst,
     FuncExpr,
-    IntPower,
     Moment,
     RvConst,
-    RvExpr,
-    RvProduct,
-    RvSum,
     SMOOTH_TABLE,
     Smooth,
     f_pow,
@@ -59,6 +60,7 @@ from .expr import (
     f_recip,
     f_sum,
     rv_embed,
+    rv_pow,
     rv_product,
     rv_sum,
 )
@@ -126,29 +128,23 @@ def _as_func(node) -> FuncExpr:
     return node if isinstance(node, FuncExpr) else Moment(node)
 
 
-def _scalar_leaf(e: RvExpr) -> bool:
-    return isinstance(e, (RvConst, EmbedFunc))
+def _scalar(node) -> FuncExpr | None:
+    """The functional a scalar node folds to, or None for a random part."""
+    if isinstance(node, EmbedFunc):
+        return node.func
+    if isinstance(node, RvConst):
+        return FuncConst(node.value)
+    return node if isinstance(node, FuncExpr) else None
 
 
-def _as_leaf_func(e: RvExpr) -> FuncExpr:
-    return FuncConst(e.value) if isinstance(e, RvConst) else e.func
-
-
-def _embed_if_scalar(e):
-    """Collapse an all-scalar node into a single embedded functional; a
-    functional, or a node with a random-variable part, is returned as it is.
-
-    Embedding markers are invisible in the surface syntax, so parsing must
-    place them canonically (maximal scalar subtrees) for print/parse round
-    trips to be stable at the tree level.
-    """
-    if isinstance(e, RvSum) and all(_scalar_leaf(t) for t in e.terms):
-        return rv_embed(f_sum(*(_as_leaf_func(t) for t in e.terms)))
-    if isinstance(e, RvProduct) and all(_scalar_leaf(f) for f in e.factors):
-        return rv_embed(f_product(*(_as_leaf_func(f) for f in e.factors)))
-    if isinstance(e, IntPower) and _scalar_leaf(e.base):
-        return rv_embed(f_pow(_as_leaf_func(e.base), e.exponent))
-    return e
+def _join(parts, build):
+    """The node ``build(nodes, sum, product, power)`` makes of ``parts`` with
+    the builders of the family the parts decide (see the module docstring)."""
+    scalars = [_scalar(p) for p in parts]
+    if any(s is None for s in scalars):
+        return build(parts, rv_sum, rv_product, rv_pow)
+    node = build(scalars, f_sum, f_product, f_pow)
+    return node if all(isinstance(p, FuncExpr) for p in parts) else rv_embed(node)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +188,11 @@ class _Parser:
             parts.append(self.term())
         if len(parts) == 1:
             return parts[0]
-        funcs = all(isinstance(node, FuncExpr) for node in parts)
-        total, product = (f_sum, f_product) if funcs else (rv_sum, rv_product)
-        terms = (x if s > 0 else product(-1, x) for s, x in zip(signs, parts))
-        return _embed_if_scalar(total(*terms))
+
+        def total(nodes, add, times, _):  # each term with its sign
+            return add(*(x if s > 0 else times(-1, x) for s, x in zip(signs, nodes)))
+
+        return _join(parts, total)
 
     def term(self):
         parts = [self.factor()]
@@ -204,8 +201,7 @@ class _Parser:
             parts.append(self.factor())
         if len(parts) == 1:
             return parts[0]
-        funcs = all(isinstance(node, FuncExpr) for node in parts)
-        return _embed_if_scalar((f_product if funcs else rv_product)(*parts))
+        return _join(parts, lambda nodes, add, times, _: times(*nodes))
 
     def factor(self):
         node = self.atom()
@@ -218,7 +214,7 @@ class _Parser:
         n = _numeral(tok).numerator
         if n > MAX_EXPONENT and not isinstance(node, FuncConst):
             raise ParseError(f"exponent above {MAX_EXPONENT}", tok.column)
-        return _embed_if_scalar(node**n)  # in the family of the base
+        return _join([node], lambda nodes, add, times, power: power(nodes[0], n))
 
     def nested(self, opener: Token, close: str):
         """Parse the expression after an opening bracket, up to ``close``."""

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import EvaluationError
 from .measure import FiniteProbSpace, RandVar, center
+from .numerals import setting
 
 __all__ = [
     "trial_rng",
@@ -88,9 +89,12 @@ def draws(names, trials: int, seed: int, max_outcomes: int, start: int = 0):
 class Corpus:
     """The instances of :func:`draws`, for any number of passes.  A pass
     draws an instance when it first reaches it; the first instances, up to
-    :data:`KEEP_OUTCOMES` outcomes in all, are kept for the later passes."""
+    :data:`KEEP_OUTCOMES` outcomes in all, are kept for the later passes.
+    The last three arguments are read as the settings of their flags."""
 
-    def __init__(self, names, trials: int, seed: int, max_outcomes: int):
+    def __init__(self, names, trials, seed, max_outcomes):
+        flags = ("--trials", "--seed", "--max-outcomes")
+        trials, seed, max_outcomes = map(setting, flags, (trials, seed, max_outcomes))
         self.trials, self._draws = trials, (names, trials, seed, max_outcomes)
         self._kept, self._room = [], KEEP_OUTCOMES
 

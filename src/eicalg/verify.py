@@ -28,7 +28,6 @@ from .eic import certificate
 from .errors import UsageError
 from .expr import E, var
 from .measure import covariance, decompose, embed, expectation, inner
-from .numerals import setting
 from .sampling import Corpus, check_instances, format_values as _vec
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
@@ -247,17 +246,13 @@ def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     """Records of one suite, or of all.  The symbolic identity suite runs
     once per call, and each suite takes its records from it by name; the
     instances are drawn once per call, and every suite runs on them.
-    ``trials``, ``seed`` and ``max_outcomes`` are the settings
-    ``--trials``, ``--seed`` and ``--max-outcomes`` of
-    :func:`~eicalg.numerals.setting`."""
+    ``trials``, ``seed`` and ``max_outcomes`` are read as the
+    :class:`~eicalg.sampling.Corpus` reads them."""
     if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
-    trials, seed, max_outcomes = map(
-        setting, ("--trials", "--seed", "--max-outcomes"), (trials, seed, max_outcomes)
-    )
+    corpus = Corpus(("X", "Y"), trials, seed, max_outcomes)
     symbolic = {r.name: r for r in symbolic_identity_suite()}
     suites = SUITES.values() if name == "all" else [SUITES[name]]
-    corpus = Corpus(("X", "Y"), trials, seed, max_outcomes)
     records = []
     for suite in suites:
         records.extend(suite(corpus, symbolic))

@@ -1,9 +1,11 @@
-"""Shared hypothesis strategies (small exact spaces and integer variables)
-and the centering fault the negative-control tests inject.
+"""Shared hypothesis strategies (small exact spaces and integer variables),
+the spliced grammar inputs of the round-trip checks, and the centering
+fault the negative-control tests inject.
 
 The benchmark's ``perfbench/`` directory goes on the import path, so the
 tests draw grammar expressions from the generator of its derive corpus."""
 
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +16,23 @@ from eicalg import brackets
 from eicalg.measure import FiniteProbSpace, RandVar, covariance
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import grammar_expression  # noqa: E402
+
+# scalar parts of other shapes: smooth and reciprocal functionals, and
+# random-variable text that folds to a constant
+SPLICES = ("exp(E[X])", "log(E[X]+1)", "sqrt(Var(X))", "X^0", "0*Y", "inv(E[Y]+2)")
+
+
+def spliced_expression(seed: int) -> str:
+    """Input ``seed`` of the round-trip checks: a derive-corpus grammar
+    expression of depth 1 to 4, in which every third seed replaces the first
+    ``E[X]`` with one of :data:`SPLICES`."""
+    rng = random.Random(seed)
+    text = grammar_expression(rng, rng.randint(1, 4))
+    if seed % 3 == 0 and "E[X]" in text:
+        text = text.replace("E[X]", rng.choice(SPLICES), 1)
+    return text
 
 
 @st.composite

@@ -1358,6 +1358,16 @@ class TestReciprocalOfZeroIsNotCancelled:
         assert out == ""
         assert "reciprocal of a functional evaluating to zero" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("derive", "inv(0)"), ("parse-check", "inv(2-2)"), ("derive", "E[X]*inv(0*E[Y])")],
+    )
+    def test_zero_constant(self, capsys, argv):
+        """A reciprocal whose argument folds to the constant 0 is refused
+        while the text is read."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: reciprocal of the zero functional\n")
+
 
 SIMULATE = ["simulate", "--estimand", "E[X]", "--n", "20", "--replicates", "2"]
 

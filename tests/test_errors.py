@@ -6,10 +6,18 @@ from fractions import Fraction
 import pytest
 
 from eicalg.canon import CanonForm, expectation_of_form
-from eicalg.errors import DataError, ExactModeError, NormalizationError, UsageError
-from eicalg.estimate import Dataset, normal_quantile, wald_ci
+from eicalg.eic import PathSpec, certify_eic, derive_eic
+from eicalg.errors import (
+    DataError,
+    ExactModeError,
+    NormalizationError,
+    SpaceMismatchError,
+    UsageError,
+)
+from eicalg.estimate import CompiledEstimand, Dataset, normal_quantile, wald_ci
 from eicalg.expr import (
     E,
+    FuncPower,
     IntPower,
     Smooth,
     evaluate_func,
@@ -25,6 +33,7 @@ from eicalg.verify import run_suite
 X = var("X")
 HALVES = FiniteProbSpace(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))
 ON_HALVES = {"X": RandVar(HALVES, [1, 2])}
+THIRDS = FiniteProbSpace(("a", "b", "c"), (Fraction(1, 3),) * 3)
 
 CASES = [
     pytest.param(
@@ -72,6 +81,14 @@ CASES = [
         "unknown mode 'bogus'", id="unknown-mode-pointwise",
     ),
     pytest.param(
+        lambda: derive_eic(E(X), mode="bogus"), UsageError, "unknown mode 'bogus'",
+        id="unknown-mode-derive",
+    ),
+    pytest.param(
+        lambda: CompiledEstimand(E(X), "bogus"), UsageError, "unknown mode 'bogus'",
+        id="unknown-mode-compiled-estimand",
+    ),
+    pytest.param(
         lambda: evaluate_func(Smooth("exp", E(X)), HALVES, ON_HALVES), ExactModeError,
         "smooth functional 'exp' requires float mode", id="smooth-in-exact-mode",
     ),
@@ -80,7 +97,27 @@ CASES = [
         id="intpower-zero",
     ),
     pytest.param(
+        lambda: FuncPower(E(X), 0), UsageError, "integer power nodes require exponent >= 1",
+        id="funcpower-zero",
+    ),
+    pytest.param(
         lambda: rv_pow(X, -1), UsageError, "integer power >= 0 required", id="rv-pow-negative",
+    ),
+    pytest.param(
+        lambda: PathSpec(HALVES, RandVar(THIRDS, [1, 0, -1])), SpaceMismatchError,
+        "score does not live on the path's space", id="path-score-on-another-space",
+    ),
+    pytest.param(
+        lambda: certify_eic(E(X), 10, 0, max_outcomes=1), UsageError,
+        "--max-outcomes must lie in [2, 1000]", id="certify-one-outcome",
+    ),
+    pytest.param(
+        lambda: certify_eic(E(X), 10, 0, max_outcomes=5000), UsageError,
+        "--max-outcomes must lie in [2, 1000]", id="certify-outcomes-above-bound",
+    ),
+    pytest.param(
+        lambda: certify_eic(E(X), 0, 0), UsageError, "--trials must be at least 1",
+        id="certify-no-trials",
     ),
     pytest.param(
         lambda: run_suite("nonsense", 1, 0, 8), UsageError, "unknown suite 'nonsense'",
@@ -100,3 +137,9 @@ def test_typed_error(build, error, message):
         build()
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def test_certify_reads_strings_as_flags():
+    report = certify_eic(E(X), "10", "0")
+    assert report.trials == 10 and type(report.trials) is int
+    assert report == certify_eic(E(X), 10, 0)

@@ -1,12 +1,18 @@
 """Surface grammar: parsing, sugar, errors, and print/parse round trips."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import SPLICES, spliced_expression
 from eicalg.canon import canonicalize_func
-from eicalg.errors import ParseError
+from eicalg.cli import main
+from eicalg.errors import NormalizationError, ParseError
 from eicalg.expr import (
     BaseVar,
     E,
@@ -160,9 +166,67 @@ class TestFamilyEdgeCases:
             ("E[Y] + (Z)^0*E[X]", Moment(EmbedFunc(FuncSum((EY, EX)))), "E[E[Y] + E[X]]"),
             ("X*(Y)^0", Moment(BaseVar("X")), "E[X]"),
             ("E[X]*(Y)^0 + X", Moment(RvSum((EmbedFunc(EX), BaseVar("X")))), "E[E[X] + X]"),
+            # a negated functional among parts that fold to scalars
+            (
+                "Cov(X,Y) - E[Z] + Y^0",
+                E(rv_embed(E(X * Y) - EX * EY - E(var("Z")) + 1)),
+                "E[E[X*Y] - E[X]*E[Y] - E[Z] + 1]",
+            ),
+            (
+                "Var(X) - Z^0 - Var(Y)",
+                E(rv_embed(E(X**2) - EX**2 - 1 - (E(Y**2) - EY**2))),
+                "E[E[X^2] - E[X]^2 - (E[Y^2] - E[Y]^2) - 1]",
+            ),
         ],
     )
     def test_tree_and_rendering(self, text, tree, rendered):
         parsed = parse_expression(text)
         assert parsed == tree
         assert render_func(parsed) == rendered
+
+
+# ---------------------------------------------------------------------------
+# every printed form parses back to its own tree
+
+
+def _assert_round_trip(text):
+    """The printed form of ``text`` parses back to its tree, and
+    ``parse-check`` calls it stable."""
+    tree = parse_expression(text)
+    assert parse_expression(render_func(tree)) == tree, text
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["parse-check", text]) == 0, text
+
+
+def test_spliced_grammar_round_trips():
+    for seed in range(21_000, 23_000):
+        text = spliced_expression(seed)
+        try:
+            parse_expression(text)
+        except NormalizationError:  # a reciprocal of a zero constant
+            continue
+        _assert_round_trip(text)
+
+
+_LEAVES = ("X", "Y", "Z", "0", "2.5", "E[X]", "E[Y]", "Var(X)", "Cov(X,Y)") + SPLICES
+
+# texts of trees with scalar parts of every shape: functionals, differences
+# of them, and random-variable text that folds to a constant
+_texts = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+        st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda text: f"E[{text}]"),
+        inner.map(lambda text: f"({text})"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts)
+@example("Cov(X,Y) - E[Z] + Y^0")
+@example("Var(X) - Z^0 - Var(Y)")
+def test_generated_trees_round_trip(text):
+    _assert_round_trip(text)
