@@ -70,6 +70,7 @@ __all__ = [
     "evaluate_func_with",
     "to_float",
     "func_base_vars",
+    "same_tree",
     "render_rv",
     "render_func",
 ]
@@ -457,6 +458,22 @@ def func_base_vars(f) -> set[str]:
     if isinstance(f, (Moment, Reciprocal, Smooth)):
         return func_base_vars(f.arg)
     raise TypeError(f"not an expression: {f!r}")
+
+
+def same_tree(a, b) -> bool:
+    """``a == b`` for two expressions, by a loop over pairs of parts: ``==``
+    recurses at every level, past the default stack at the deepest nesting
+    that the parser accepts."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if isinstance(a, _Operand) and type(a) is type(b):
+            pairs += zip(a.__getstate__().values(), b.__getstate__().values())
+        elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+            pairs += zip(a, b)
+        elif isinstance(a, (_Operand, tuple)) or a != b:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

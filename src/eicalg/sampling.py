@@ -1,6 +1,6 @@
 """Seeded generation of random spaces, variables, and score directions,
-the corpus of instances that one verify call shares among its suites, and
-the one loop that runs every seeded check of the package.
+and the one loop that runs every seeded check of the package: one verify
+call runs all the checks of its suites in a single pass over the draws.
 
 Every fuzz corpus in the package derives per-instance generators
 deterministically from a root seed and an instance index, so corpora are
@@ -68,18 +68,12 @@ def format_values(v: RandVar) -> list[str]:
     return [str(x) for x in v.values]
 
 
-# Outcomes in all of the instances a corpus keeps for its later passes (4
-# to 6 MB by tracemalloc); later instances are drawn again on each pass, so
-# memory stays bounded whatever the trial count.
-KEEP_OUTCOMES = 20_000
-
-
-def draws(names, trials: int, seed: int, max_outcomes: int, start: int = 0):
-    """Instances ``(index, space, binding, score)`` from ``start`` to
-    ``trials - 1``, each drawn when a loop reaches it: instance i draws a
-    space from ``trial_rng(seed, i)``, one integer variable per name in name
+def draws(names, trials: int, seed: int, max_outcomes: int):
+    """Instances ``(index, space, binding, score)`` for ``index`` below
+    ``trials``, each drawn when a loop reaches it: instance i draws a space
+    from ``trial_rng(seed, i)``, one integer variable per name in name
     order, then a score."""
-    for index in range(start, trials):
+    for index in range(trials):
         rng = trial_rng(seed, index)
         space = random_space(rng, max_outcomes=max_outcomes)
         binding = random_binding(rng, space, names)
@@ -87,25 +81,16 @@ def draws(names, trials: int, seed: int, max_outcomes: int, start: int = 0):
 
 
 class Corpus:
-    """The instances of :func:`draws`, for any number of passes.  A pass
-    draws an instance when it first reaches it; the first instances, up to
-    :data:`KEEP_OUTCOMES` outcomes in all, are kept for the later passes.
-    The last three arguments are read as the settings of their flags."""
+    """The instances of :func:`draws`, drawn afresh on each pass; the last
+    three arguments are read as the settings of their flags."""
 
     def __init__(self, names, trials, seed, max_outcomes):
         flags = ("--trials", "--seed", "--max-outcomes")
         trials, seed, max_outcomes = map(setting, flags, (trials, seed, max_outcomes))
         self.trials, self._draws = trials, (names, trials, seed, max_outcomes)
-        self._kept, self._room = [], KEEP_OUTCOMES
 
     def __iter__(self):
-        yield from self._kept
-        for instance in draws(*self._draws, start=len(self._kept)):
-            size = instance[1].size
-            if instance[0] == len(self._kept) and size <= self._room:
-                self._kept.append(instance)
-                self._room -= size
-            yield instance
+        return draws(*self._draws)
 
 
 def check_instances(checks, instances, trials: int):

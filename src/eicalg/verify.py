@@ -3,9 +3,9 @@
 Every suite pairs two independent routes to the same statement.  The
 numeric route draws seeded random spaces and integer variables and compares
 the operator implementation against a closed form computed with direct
-vector arithmetic, exactly; each trial's instance is drawn once per call
-and serves every check of every suite.  The symbolic route decides the
-same identity once at the canonical-form level.  A suite passes only if
+vector arithmetic, exactly; one call runs every check of its suites in
+one pass over the instances, each drawn once.  The symbolic route decides
+the same identity once at the canonical-form level.  A suite passes only if
 every instance and every canonical-form comparison agrees.
 """
 
@@ -123,34 +123,23 @@ def _jacobi(space, x, y, score):
     return None if total.is_zero() else f"sum={_vec(total)}"
 
 
-def _suite(table, *names):
-    """A suite: the records of a check table (or of the table a function
-    builds when the suite runs) over a corpus of instances in X and Y, then
-    the named symbolic records."""
-
-    def suite(corpus, symbolic):
-        rows = table() if callable(table) else table
-        results = check_instances([c for _, _, c in rows], corpus, corpus.trials)
-        return [
-            IdentityRecord(name, statement, "exact", found is None, found)
-            for (name, statement, _), (_, found) in zip(rows, results)
-        ] + [symbolic[n] for n in names]
-
-    return suite
+# ---------------------------------------------------------------------------
+# suites: each returns its table of checks and the names of its symbolic records
 
 
-suite_decomposition = _suite(
-    [
+def suite_decomposition():
+    table = [
         (
             "orthogonal-decomposition",
             "constant plus mean-zero parts are orthogonal and reconstruct exactly",
             _decomposition,
         )
     ]
-)
+    return table, ()
 
-suite_brackets = _suite(
-    [
+
+def suite_brackets():
+    table = [
         (
             "covariance-bracket",
             "expectation-product bracket equals the covariance and is symmetric",
@@ -166,16 +155,18 @@ suite_brackets = _suite(
             "the pair bracket returns the centered coordinates, both mean-zero",
             _centering_expectation,
         ),
-    ],
-    "covariance-bracket",
-    "covariance-centering-invariance",
-    "product-centering-bracket",
-    "centering-expectation-bracket-first",
-    "centering-expectation-bracket-second",
-)
+    ]
+    return table, (
+        "covariance-bracket",
+        "covariance-centering-invariance",
+        "product-centering-bracket",
+        "centering-expectation-bracket-first",
+        "centering-expectation-bracket-second",
+    )
 
-suite_corollaries = _suite(
-    [
+
+def suite_corollaries():
+    table = [
         (
             "corollary-product-of-gradients",
             "T(PX)T(PY) + T(PX*PY) equals T(P(XY)) + Cov, both equal XY - PX*PY",
@@ -186,31 +177,27 @@ suite_corollaries = _suite(
             "T(PX)T(PY) equals T(Cov) + Cov, both equal (X-PX)(Y-PY)",
             _covariance_gradient,
         ),
-    ],
-    "corollary-product-of-gradients",
-    "corollary-covariance-gradient",
-)
-
-suite_lemma = _suite(
-    [("lemma-pieces", "each composite bracket equals its closed form", _lemma_pieces)],
-    "lemma-piece-center-of-covariance",
-    "lemma-piece-expectation-of-product-centering",
-    "lemma-piece-product-of-centered-means",
-)
-
-suite_jacobi = _suite(
-    [
-        (
-            "jacobi-identity",
-            "the cyclic sum of composite brackets is the zero vector",
-            _jacobi,
-        )
-    ],
-    "jacobi-identity",
-)
+    ]
+    return table, ("corollary-product-of-gradients", "corollary-covariance-gradient")
 
 
-def _certificates():
+def suite_lemma():
+    table = [("lemma-pieces", "each composite bracket equals its closed form", _lemma_pieces)]
+    return table, (
+        "lemma-piece-center-of-covariance",
+        "lemma-piece-expectation-of-product-centering",
+        "lemma-piece-product-of-centered-means",
+    )
+
+
+def suite_jacobi():
+    table = [
+        ("jacobi-identity", "the cyclic sum of composite brackets is the zero vector", _jacobi)
+    ]
+    return table, ("jacobi-identity",)
+
+
+def suite_eic_certificates():
     """A certificate check for each estimand of a catalog in X and Y; each
     binds X, or X and Y, of the drawn pair."""
     x, y = var("X"), var("Y")
@@ -222,10 +209,8 @@ def _certificates():
         ("product-of-means", E(x) * E(y)),
     ]
     statement = "exact tilt derivative equals the inner product with the score"
-    return [(f"gradient-certificate-{n}", statement, certificate(psi)[1]) for n, psi in catalog]
-
-
-suite_eic_certificates = _suite(_certificates)
+    table = [(f"gradient-certificate-{n}", statement, certificate(psi)[1]) for n, psi in catalog]
+    return table, ()
 
 
 SUITES = {
@@ -243,17 +228,23 @@ def available_suites() -> list[str]:
 
 
 def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
-    """Records of one suite, or of all.  The symbolic identity suite runs
-    once per call, and each suite takes its records from it by name; the
-    instances are drawn once per call, and every suite runs on them.
-    ``trials``, ``seed`` and ``max_outcomes`` are read as the
-    :class:`~eicalg.sampling.Corpus` reads them."""
+    """Records of one suite, or of all in :data:`SUITES` order: each suite's
+    checks, then its symbolic records.  One pass over the instances runs
+    every check, so each instance is drawn once per call, as the symbolic
+    identity suite runs once.  ``trials``, ``seed`` and ``max_outcomes`` are
+    read as the :class:`~eicalg.sampling.Corpus` reads them."""
     if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
     corpus = Corpus(("X", "Y"), trials, seed, max_outcomes)
     symbolic = {r.name: r for r in symbolic_identity_suite()}
-    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    suites = [suite() for suite in (SUITES.values() if name == "all" else [SUITES[name]])]
+    checks = [check for table, _ in suites for _, _, check in table]
+    results = iter(check_instances(checks, corpus, corpus.trials))
     records = []
-    for suite in suites:
-        records.extend(suite(corpus, symbolic))
+    for table, names in suites:
+        records += [
+            IdentityRecord(label, statement, "exact", found is None, found)
+            for (label, statement, _), (_, found) in zip(table, results)
+        ]
+        records += [symbolic[n] for n in names]
     return records

@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 from conftest import negate_first_centering
-from eicalg import brackets, measure, sampling, verify
+from eicalg import brackets, measure, parser, sampling, verify
 from eicalg.canon import canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.errors import EvaluationError
-from eicalg.expr import E, FuncConst, f_pow, var
+from eicalg.expr import E, FuncConst, FuncSum, f_pow, var
 from eicalg.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
 from workloads import grammar_expression
 
@@ -146,6 +146,22 @@ class TestParseCheck:
     def test_bad_expression(self, capsys):
         code, _, err = run_cli(capsys, "parse-check", "Var(3)")
         assert code == 2
+
+    def test_round_trip_compares_trees(self, capsys, monkeypatch):
+        """A printed form that parses to another tree with the same
+        rendering is unstable."""
+        calls = []
+
+        def second_differs(text):
+            calls.append(text)
+            tree = parse_expression(text)
+            return FuncSum((tree,)) if len(calls) == 2 else tree
+
+        monkeypatch.setattr(parser, "parse_expression", second_differs)
+        code, out, _ = run_cli(capsys, "parse-check", "E[X]")
+        assert calls == ["E[X]", "E[X]"]
+        assert code == 1
+        assert "parse: unstable" in out
 
     @pytest.mark.parametrize("text", ["(E[X]^2)^3", "E[(X^2)^3*Y]"])
     def test_power_of_a_power_round_trips(self, capsys, text):
@@ -630,7 +646,9 @@ class TestVerify:
 
     def test_one_space_per_trial_of_each_suite(self, capsys, monkeypatch):
         """One verify call draws one space per trial, and all six suites run
-        on it."""
+        on it in one pass: a budget for keeping instances between passes
+        would change nothing."""
+        monkeypatch.setattr(sampling, "KEEP_OUTCOMES", 20, raising=False)
         spaces = []
         draw = sampling.random_space
         monkeypatch.setattr(

@@ -18,6 +18,7 @@ from eicalg.expr import (
     EmbedFunc,
     FuncConst,
     FuncExpr,
+    FuncSum,
     IntPower,
     RvExpr,
     RvConst,
@@ -35,6 +36,7 @@ from eicalg.expr import (
     rv_pow,
     rv_product,
     rv_sum,
+    same_tree,
     var,
 )
 from eicalg.measure import FiniteProbSpace, center
@@ -338,3 +340,35 @@ class TestCachedHash:
             capture_output=True, env=env, check=True,
         ).stdout
         assert out == b"found\n"
+
+
+class TestSameTree:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_equality(self, seed):
+        from conftest import spliced_expression
+        from eicalg.parser import parse_expression
+
+        trees = [parse_expression(spliced_expression(seed + k)) for k in (0, 1)]
+        trees.append(parse_expression(spliced_expression(seed)))
+        for a in trees:
+            for b in trees:
+                assert same_tree(a, b) == (a == b)
+
+    def test_parts_that_differ(self):
+        x, y = var("X"), var("Y")
+        assert not same_tree(FuncSum((E(x),)), E(x))
+        assert not same_tree(E(x + y), E(x + y + 1))
+        assert not same_tree(E(x * y), E(y * x))
+        assert not same_tree(FuncConst(Q(1, 2)), FuncConst(Q(1, 3)))
+
+    def test_deeper_than_equality_reaches(self):
+        """At the deepest nesting the parser accepts, ``==`` runs out of stack."""
+        from eicalg.parser import MAX_NESTING, parse_expression
+
+        def nested(inner):
+            return parse_expression("E[X*" * MAX_NESTING + inner + "]" * MAX_NESTING)
+
+        with pytest.raises(RecursionError):
+            nested("X") == nested("X")
+        assert same_tree(nested("X"), nested("X"))
+        assert not same_tree(nested("X"), nested("Y"))
