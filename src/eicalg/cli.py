@@ -54,12 +54,12 @@ def _emit(doc, output):
 
 
 def cmd_parse_check(args) -> tuple[int, dict]:
-    from .expr import render_func, same_tree
+    from .expr import render_func
     from .parser import parse_expression
 
     tree = parse_expression(args.expression)
     printed = render_func(tree)
-    round_trip = same_tree(parse_expression(printed), tree)
+    round_trip = parse_expression(printed) == tree
     results = [{"parsed": printed, "round_trip": round_trip}]
     verdict = "parse: ok" if round_trip else "parse: unstable"
     doc = _document("parse-check", {"expression": args.expression}, results, [verdict], None)

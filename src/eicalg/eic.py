@@ -45,7 +45,8 @@ from .expr import (
     rv_sum,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
-from .sampling import Corpus, check_instances, format_values
+from .numerals import setting
+from .sampling import check_instances, draws, format_values
 
 __all__ = [
     "EicResult",
@@ -250,15 +251,15 @@ def certify_eic(
     seeded random instances, through :func:`~eicalg.sampling.check_instances`:
     a degenerate draw is skipped, ``checked`` counts the trials actually
     checked, and too few of them fail the report.  Failures are reported,
-    not raised.  ``trials``, ``seed`` and ``max_outcomes`` are read as the
-    :class:`~eicalg.sampling.Corpus` reads them.
+    not raised.  ``trials``, ``seed`` and ``max_outcomes`` are read as
+    :func:`~eicalg.sampling.draws` reads them.
     """
     names, check = certificate(psi, candidate)
-    corpus = Corpus(names, trials, seed, max_outcomes)
-    [(checked, counterexample)] = check_instances([check], corpus, corpus.trials)
+    instances = draws(names, trials, seed, max_outcomes)
+    [(checked, counterexample)] = check_instances([check], instances)
     return CertifyReport(
         estimand=render_func(psi),
-        trials=corpus.trials,
+        trials=setting("--trials", trials),
         checked=checked,
         passed=counterexample is None,
         counterexample=counterexample,

@@ -70,7 +70,6 @@ __all__ = [
     "evaluate_func_with",
     "to_float",
     "func_base_vars",
-    "same_tree",
     "render_rv",
     "render_func",
 ]
@@ -127,8 +126,19 @@ class _Operand:
     def __neg__(self):
         return _builders(self, self)[2](-1, self)
 
-    def __init_subclass__(cls):
-        cls.__hash__ = _Operand.__hash__  # so @dataclass keeps it
+    def __eq__(self, other):  # a loop over pairs of parts, not a recursion
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Operand):  # a dataclass: its fields, in order
+                pairs += [(a.__dict__[n], b.__dict__[n]) for n in a.__match_args__]
+            elif type(a) is tuple and len(a) == len(b):
+                pairs += zip(a, b)
+            elif type(a) is tuple or a != b:
+                return False
+        return True
 
     def __hash__(self):  # of the fields, once per node: a lookup, not a walk
         h = self.__dict__.get("_hash")
@@ -140,7 +150,7 @@ class _Operand:
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RvExpr(_Operand):
     """Base class for random-variable expressions."""
 
@@ -151,7 +161,7 @@ class RvExpr(_Operand):
         return render_rv(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncExpr(_Operand):
     """Base class for scalar-functional expressions."""
 
@@ -162,12 +172,12 @@ class FuncExpr(_Operand):
         return render_func(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseVar(RvExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RvConst(RvExpr):
     value: Fraction
 
@@ -175,17 +185,17 @@ class RvConst(RvExpr):
         object.__setattr__(self, "value", _coerce_const(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RvSum(RvExpr):
     terms: tuple[RvExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RvProduct(RvExpr):
     factors: tuple[RvExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntPower(RvExpr):
     base: RvExpr
     exponent: int
@@ -195,21 +205,21 @@ class IntPower(RvExpr):
             raise UsageError("integer power nodes require exponent >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbedFunc(RvExpr):
     """A scalar functional used as a constant function."""
 
     func: "FuncExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Moment(FuncExpr):
     """Expectation of a random-variable expression."""
 
     arg: RvExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncConst(FuncExpr):
     value: Fraction
 
@@ -217,17 +227,17 @@ class FuncConst(FuncExpr):
         object.__setattr__(self, "value", _coerce_const(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncSum(FuncExpr):
     terms: tuple[FuncExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncProduct(FuncExpr):
     factors: tuple[FuncExpr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuncPower(FuncExpr):
     base: FuncExpr
     exponent: int
@@ -237,12 +247,12 @@ class FuncPower(FuncExpr):
             raise UsageError("integer power nodes require exponent >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reciprocal(FuncExpr):
     arg: FuncExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Smooth(FuncExpr):
     """A registered smooth function applied to a functional (float mode only)."""
 
@@ -442,38 +452,18 @@ def inv(arg) -> FuncExpr:
 
 
 def func_base_vars(f) -> set[str]:
-    """Names of the base variables in an expression of either family."""
-    if isinstance(f, BaseVar):
-        return {f.name}
-    if isinstance(f, (RvConst, FuncConst)):
-        return set()
-    if isinstance(f, (RvSum, FuncSum)):
-        return set().union(*(func_base_vars(t) for t in f.terms))
-    if isinstance(f, (RvProduct, FuncProduct)):
-        return set().union(*(func_base_vars(x) for x in f.factors))
-    if isinstance(f, (IntPower, FuncPower)):
-        return func_base_vars(f.base)
-    if isinstance(f, EmbedFunc):
-        return func_base_vars(f.func)
-    if isinstance(f, (Moment, Reciprocal, Smooth)):
-        return func_base_vars(f.arg)
-    raise TypeError(f"not an expression: {f!r}")
-
-
-def same_tree(a, b) -> bool:
-    """``a == b`` for two expressions, by a loop over pairs of parts: ``==``
-    recurses at every level, past the default stack at the deepest nesting
-    that the parser accepts."""
-    pairs = [(a, b)]
-    while pairs:
-        a, b = pairs.pop()
-        if isinstance(a, _Operand) and type(a) is type(b):
-            pairs += zip(a.__getstate__().values(), b.__getstate__().values())
-        elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
-            pairs += zip(a, b)
-        elif isinstance(a, (_Operand, tuple)) or a != b:
-            return False
-    return True
+    """Names of the base variables in an expression of either family, by a
+    loop over the parts of its nodes."""
+    names, todo = set(), [f]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, BaseVar):
+            names.add(e.name)
+        elif not isinstance(e, _Operand):
+            raise TypeError(f"not an expression: {e!r}")
+        for part in map(e.__dict__.get, e.__match_args__):  # its fields
+            todo += part if type(part) is tuple else [part] if isinstance(part, _Operand) else []
+    return names
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "random_score",
     "random_binding",
     "draws",
-    "Corpus",
     "check_instances",
 ]
 
@@ -68,40 +67,35 @@ def format_values(v: RandVar) -> list[str]:
     return [str(x) for x in v.values]
 
 
-def draws(names, trials: int, seed: int, max_outcomes: int):
+def draws(names, trials, seed, max_outcomes):
     """Instances ``(index, space, binding, score)`` for ``index`` below
     ``trials``, each drawn when a loop reaches it: instance i draws a space
     from ``trial_rng(seed, i)``, one integer variable per name in name
-    order, then a score."""
-    for index in range(trials):
-        rng = trial_rng(seed, index)
-        space = random_space(rng, max_outcomes=max_outcomes)
-        binding = random_binding(rng, space, names)
-        yield index, space, binding, random_score(rng, space)
+    order, then a score.  The last three arguments are read as the settings
+    of their flags at the call, before anything is drawn."""
+    flags = ("--trials", "--seed", "--max-outcomes")
+    trials, seed, max_outcomes = map(setting, flags, (trials, seed, max_outcomes))
+
+    def instances():
+        for index in range(trials):
+            rng = trial_rng(seed, index)
+            space = random_space(rng, max_outcomes=max_outcomes)
+            binding = random_binding(rng, space, names)
+            yield index, space, binding, random_score(rng, space)
+
+    return instances()
 
 
-class Corpus:
-    """The instances of :func:`draws`, drawn afresh on each pass; the last
-    three arguments are read as the settings of their flags."""
-
-    def __init__(self, names, trials, seed, max_outcomes):
-        flags = ("--trials", "--seed", "--max-outcomes")
-        trials, seed, max_outcomes = map(setting, flags, (trials, seed, max_outcomes))
-        self.trials, self._draws = trials, (names, trials, seed, max_outcomes)
-
-    def __iter__(self):
-        return draws(*self._draws)
-
-
-def check_instances(checks, instances, trials: int):
+def check_instances(checks, instances):
     """``(checked, counterexample)`` of each check, in order, over
-    ``instances`` of ``trials``.  Each check with no counterexample yet is
-    called as ``check(space, *variables, score)`` and returns None or a
-    failure message.  One that raises :class:`EvaluationError` skips the
+    ``instances``.  Each check with no counterexample yet is called as
+    ``check(space, *variables, score)`` and returns None or a failure
+    message.  One that raises :class:`EvaluationError` skips the
     (degenerate) draw, and one that checked no instance, or fewer than half
-    its trials, fails.  No instance is taken once every check has failed."""
-    checked, found = [0] * len(checks), [None] * len(checks)
-    for index, space, binding, score in instances:
+    of the instances taken, fails.  No instance is taken once every check
+    has failed, so a check still open has seen every instance."""
+    checked, found, trials = [0] * len(checks), [None] * len(checks), 0
+    for trials, (index, space, binding, score) in enumerate(instances, 1):
         drawn = (*binding.values(), score)
         for k, check in enumerate(checks):
             if found[k]:

@@ -28,7 +28,7 @@ from .eic import certificate
 from .errors import UsageError
 from .expr import E, var
 from .measure import covariance, decompose, embed, expectation, inner
-from .sampling import Corpus, check_instances, format_values as _vec
+from .sampling import check_instances, draws, format_values as _vec
 
 __all__ = ["SUITES", "run_suite", "available_suites"]
 
@@ -232,14 +232,14 @@ def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     checks, then its symbolic records.  One pass over the instances runs
     every check, so each instance is drawn once per call, as the symbolic
     identity suite runs once.  ``trials``, ``seed`` and ``max_outcomes`` are
-    read as the :class:`~eicalg.sampling.Corpus` reads them."""
+    read as :func:`~eicalg.sampling.draws` reads them."""
     if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
-    corpus = Corpus(("X", "Y"), trials, seed, max_outcomes)
+    instances = draws(("X", "Y"), trials, seed, max_outcomes)
     symbolic = {r.name: r for r in symbolic_identity_suite()}
     suites = [suite() for suite in (SUITES.values() if name == "all" else [SUITES[name]])]
     checks = [check for table, _ in suites for _, _, check in table]
-    results = iter(check_instances(checks, corpus, corpus.trials))
+    results = iter(check_instances(checks, instances))
     records = []
     for table, names in suites:
         records += [

@@ -212,6 +212,33 @@ class TestNestingBound:
         assert code == 2
         assert f"nested more than {MAX_NESTING} deep" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "{}", "--data", "data.csv"],
+            ["estimate", "{}", "--data", "data.csv", "--mode", "float", "--split", "0.5"],
+            ["simulate", "--family", "bernoulli", "--p", "0.5", "--n", "20",
+             "--replicates", "2", "--estimand", "{}"],
+        ],
+    )
+    def test_deepest_subtree_twice_is_twice_the_subtree(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        """Two equal moments at the deepest nesting meet in one table of
+        moments; comparing them walks no deeper than the stack allows."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("X\n1\n2\n3\n")
+        deep = nested_text("product in expectation", MAX_NESTING)
+        docs = []
+        for text in (f"{deep} + {deep}", f"2*{deep}"):
+            code, out, err = run_cli(
+                capsys, "--output", "structured", *(text if a == "{}" else a for a in argv)
+            )
+            assert code == 0, err
+            doc = parse_structured(out)
+            docs.append((doc["results"], doc["verdicts"]))
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize("shape", list(NESTING_SHAPES))
     def test_very_deep_input_fails_fast(self, capsys, shape):
         start = time.perf_counter()

@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 
 from eicalg.errors import EvaluationError, ExactModeError
 from eicalg.expr import (
+    BaseVar,
     E,
     EmbedFunc,
     FuncConst,
     FuncExpr,
+    FuncPower,
+    FuncProduct,
     FuncSum,
     IntPower,
+    Moment,
+    Reciprocal,
     RvExpr,
     RvConst,
     RvProduct,
@@ -30,14 +35,15 @@ from eicalg.expr import (
     f_pow,
     f_product,
     f_sum,
+    func_base_vars,
     inv,
     render_func,
     rv_embed,
     rv_pow,
     rv_product,
     rv_sum,
-    same_tree,
     var,
+    _Operand,
 )
 from eicalg.measure import FiniteProbSpace, center
 
@@ -342,33 +348,99 @@ class TestCachedHash:
         assert out == b"found\n"
 
 
+def _same_tree(a, b) -> bool:
+    """The loop that compared two trees beside ``==`` (``expr.same_tree``),
+    kept verbatim as the reference for the one ``==``."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if isinstance(a, _Operand) and type(a) is type(b):
+            pairs += zip(a.__getstate__().values(), b.__getstate__().values())
+        elif type(a) is tuple and type(b) is tuple and len(a) == len(b):
+            pairs += zip(a, b)
+        elif isinstance(a, (_Operand, tuple)) or a != b:
+            return False
+    return True
+
+
+def _recursive_base_vars(f) -> set[str]:
+    """The recursive ``func_base_vars`` that the loop replaced, kept
+    verbatim as its reference."""
+    if isinstance(f, BaseVar):
+        return {f.name}
+    if isinstance(f, (RvConst, FuncConst)):
+        return set()
+    if isinstance(f, (RvSum, FuncSum)):
+        return set().union(*(_recursive_base_vars(t) for t in f.terms))
+    if isinstance(f, (RvProduct, FuncProduct)):
+        return set().union(*(_recursive_base_vars(x) for x in f.factors))
+    if isinstance(f, (IntPower, FuncPower)):
+        return _recursive_base_vars(f.base)
+    if isinstance(f, EmbedFunc):
+        return _recursive_base_vars(f.func)
+    if isinstance(f, (Moment, Reciprocal, Smooth)):
+        return _recursive_base_vars(f.arg)
+    raise TypeError(f"not an expression: {f!r}")
+
+
+def _spliced_trees(seed):
+    from conftest import spliced_expression
+    from eicalg.parser import parse_expression
+
+    trees = [parse_expression(spliced_expression(seed + k)) for k in (0, 1)]
+    return [*trees, parse_expression(spliced_expression(seed))]
+
+
 class TestSameTree:
+    """``==`` decides whether two trees are the same tree, by one loop over
+    pairs of their parts."""
+
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_equality(self, seed):
-        from conftest import spliced_expression
-        from eicalg.parser import parse_expression
-
-        trees = [parse_expression(spliced_expression(seed + k)) for k in (0, 1)]
-        trees.append(parse_expression(spliced_expression(seed)))
+        trees = _spliced_trees(seed)
         for a in trees:
             for b in trees:
-                assert same_tree(a, b) == (a == b)
+                assert (a == b) == _same_tree(a, b) == (not a != b)
+        assert trees[0] == trees[2] and trees[0] is not trees[2]
 
     def test_parts_that_differ(self):
         x, y = var("X"), var("Y")
-        assert not same_tree(FuncSum((E(x),)), E(x))
-        assert not same_tree(E(x + y), E(x + y + 1))
-        assert not same_tree(E(x * y), E(y * x))
-        assert not same_tree(FuncConst(Q(1, 2)), FuncConst(Q(1, 3)))
+        for a, b in [
+            (FuncSum((E(x),)), E(x)),
+            (E(x + y), E(x + y + 1)),
+            (E(x * y), E(y * x)),
+            (FuncConst(Q(1, 2)), FuncConst(Q(1, 3))),
+            (RvConst(Q(1)), FuncConst(Q(1))),
+        ]:
+            assert a != b and not _same_tree(a, b)
+        assert E(x) != "E[X]" and x != "X" and FuncConst(Q(1)) != 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_base_vars_agree_with_the_recursive_walk(self, seed):
+        for tree in _spliced_trees(seed):
+            assert func_base_vars(tree) == _recursive_base_vars(tree)
+            assert func_base_vars(rv_embed(tree)) == _recursive_base_vars(rv_embed(tree))
+
+    @pytest.mark.parametrize("bad", [3, "X", None, FuncSum((E(X), 3))])
+    def test_base_vars_of_a_non_expression(self, bad):
+        with pytest.raises(TypeError, match="not an expression"):
+            func_base_vars(bad)
 
     def test_deeper_than_equality_reaches(self):
-        """At the deepest nesting the parser accepts, ``==`` runs out of stack."""
+        """At the deepest nesting the parser accepts, past the depth that a
+        recursive ``==`` reaches, ``==``, ``hash`` and ``func_base_vars`` run
+        within the default recursion limit."""
         from eicalg.parser import MAX_NESTING, parse_expression
 
         def nested(inner):
             return parse_expression("E[X*" * MAX_NESTING + inner + "]" * MAX_NESTING)
 
-        with pytest.raises(RecursionError):
-            nested("X") == nested("X")
-        assert same_tree(nested("X"), nested("X"))
-        assert not same_tree(nested("X"), nested("Y"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert nested("X") == nested("X")
+            assert nested("X") != nested("Y")
+            assert hash(nested("X")) == hash(nested("X"))
+            assert func_base_vars(nested("Y")) == {"X", "Y"}
+        finally:
+            sys.setrecursionlimit(limit)

@@ -8,11 +8,10 @@ import pytest
 
 from eicalg import sampling, verify
 from eicalg.eic import certify_eic
-from eicalg.errors import EvaluationError, ExactModeError
+from eicalg.errors import EvaluationError, ExactModeError, UsageError
 from eicalg.expr import E, var
 from eicalg.measure import Decomposition
 from eicalg.sampling import (
-    Corpus,
     check_instances,
     draws,
     random_binding,
@@ -47,7 +46,7 @@ class TestDraws:
     @pytest.mark.parametrize("names", [(), ("X",), ("Y", "X"), ("X", "Y", "Z")])
     def test_space_then_variables_in_name_order_then_score(self, names):
         seen = []
-        assert check_instances([_recording(seen)], draws(names, 6, 11, 5), 6) == [(6, None)]
+        assert check_instances([_recording(seen)], draws(names, 6, 11, 5)) == [(6, None)]
         for index, (space, drawn) in enumerate(seen):
             rng = trial_rng(11, index)
             want_space = random_space(rng, max_outcomes=5)
@@ -58,7 +57,7 @@ class TestDraws:
 
     def test_every_check_sees_the_same_instances(self):
         first, second = [], []
-        check_instances([_recording(first), _recording(second)], draws("XY", 8, 2, 8), 8)
+        check_instances([_recording(first), _recording(second)], draws("XY", 8, 2, 8))
         assert first == second and len(first) == 8
 
 
@@ -70,7 +69,7 @@ class TestCounterexamples:
             calls.append(x)
             return "two" if len(calls) == 3 else None
 
-        results = check_instances([fails_at_two, _recording([])], draws("XY", 10, 0, 8), 10)
+        results = check_instances([fails_at_two, _recording([])], draws("XY", 10, 0, 8))
         assert len(calls) == 3  # never called after its counterexample
         assert results[1] == (10, None)
         checked, found = results[0]
@@ -84,7 +83,7 @@ class TestCounterexamples:
         )
 
     def test_no_variables(self):
-        [(checked, found)] = check_instances([lambda space, score: "bad"], draws((), 3, 0, 2), 3)
+        [(checked, found)] = check_instances([lambda space, score: "bad"], draws((), 3, 0, 2))
         assert checked == 1
         assert found.startswith("instance 0: weights=[") and found.endswith("]; bad")
 
@@ -95,7 +94,7 @@ class TestCounterexamples:
             seen.append(space)
             return "no"
 
-        assert check_instances([fails], draws("X", 1000, 0, 8), 1000)[0][0] == 1
+        assert check_instances([fails], draws("X", 1000, 0, 8))[0][0] == 1
         assert len(seen) == 1
 
     def test_other_errors_propagate(self):
@@ -103,12 +102,12 @@ class TestCounterexamples:
             raise ExactModeError("not exact")
 
         with pytest.raises(ExactModeError):
-            check_instances([raises], draws("X", 5, 0, 8), 5)
+            check_instances([raises], draws("X", 5, 0, 8))
 
 
 class TestTooFewChecked:
     def test_every_draw_degenerate(self):
-        assert check_instances([_skipping(lambda i: True)], draws("XY", 7, 0, 8), 7) == [
+        assert check_instances([_skipping(lambda i: True)], draws("XY", 7, 0, 8)) == [
             (0, "only 0 of 7 trials were checked; the other draws were degenerate")
         ]
 
@@ -118,7 +117,7 @@ class TestTooFewChecked:
     )
     def test_half_of_the_trials_must_be_checked(self, trials, skipped, passes):
         [(checked, found)] = check_instances(
-            [_skipping(lambda i: i < skipped)], draws("X", trials, 4, 8), trials
+            [_skipping(lambda i: i < skipped)], draws("X", trials, 4, 8)
         )
         assert checked == trials - skipped
         if passes:
@@ -147,18 +146,27 @@ def _fields(instances):
 
 
 class TestCorpus:
-    def test_every_pass_sees_the_draws(self):
-        corpus = Corpus("XY", 12, 5, 6)
-        want = _fields(draws("XY", 12, 5, 6))
-        assert _fields(corpus) == want and _fields(corpus) == want
+    """The instances of :func:`draws`, drawn as a loop reaches them."""
 
     def test_a_pass_that_stops_early_draws_no_further(self, monkeypatch):
         spaces = _counting_spaces(monkeypatch)
-        corpus = Corpus("XY", 1000, 0, 8)
-        for index, *_ in corpus:
+        for index, *_ in draws("XY", 1000, 0, 8):
             if index == 3:
                 break
         assert len(spaces) == 4
+
+    @pytest.mark.parametrize(
+        "trials, seed, max_outcomes, flag",
+        [(0, 0, 8, "--trials"), (5, "x", 8, "--seed"), (5, 0, 1, "--max-outcomes")],
+    )
+    def test_settings_are_read_at_the_call(self, monkeypatch, trials, seed, max_outcomes, flag):
+        spaces = _counting_spaces(monkeypatch)
+        with pytest.raises(UsageError, match=flag):
+            draws("XY", trials, seed, max_outcomes)
+        assert spaces == []
+
+    def test_settings_read_as_their_flags(self):
+        assert _fields(draws("XY", "12", "5", "6")) == _fields(draws("XY", 12, 5, 6))
 
     def test_certify_draws_lazily(self, monkeypatch):
         """A wrong candidate fails at its first instance, and no further
