@@ -55,7 +55,6 @@ from .expr import (
     f_recip,
     f_sum,
     render_func,
-    rv_embed,
     rv_pow,
     rv_product,
     rv_sum,
@@ -133,10 +132,6 @@ def _accumulate(out: Poly, terms) -> Poly:
         else:
             out.pop(mono, None)
     return out
-
-
-def _p_add(a: Poly, b: Poly) -> Poly:
-    return _accumulate(dict(a), b.items())
 
 
 def _p_scale(a: Poly, c: Fraction) -> Poly:
@@ -229,11 +224,11 @@ class CanonForm:
     __hash__ = None  # equality is up to cross-multiplication
 
     def __add__(self, other: "CanonForm") -> "CanonForm":
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
+        num = _accumulate(_p_mul(self.num, other.den), _p_mul(other.num, self.den).items())
         return CanonForm.make(num, _p_mul(self.den, other.den))
 
     def __sub__(self, other: "CanonForm") -> "CanonForm":
-        return self + other.scale(Fraction(-1))
+        return self + CanonForm.make(_p_scale(other.num, Fraction(-1)), other.den)
 
     def __mul__(self, other: "CanonForm") -> "CanonForm":
         return CanonForm.make(
@@ -242,9 +237,6 @@ class CanonForm:
 
     def __pow__(self, n: int) -> "CanonForm":
         return reduce(mul, [self] * bounded_exponent(n), CanonForm.one())
-
-    def scale(self, c: Fraction) -> "CanonForm":
-        return CanonForm.make(_p_scale(self.num, c), self.den)
 
     def reciprocal(self) -> "CanonForm":
         if self.is_zero:
@@ -343,33 +335,28 @@ def _base_mono_rv(mono: BaseMono) -> RvExpr:
     return rv_product(*(rv_pow(BaseVar(name), exp) for name, exp in mono))
 
 
-def _poly_to_expr(poly: Poly, atom_power, product, total):
+def _atom_node(atom: Atom):
+    """The node an atom stands for: a base variable, a moment, or the kept
+    scalar node."""
+    kind, payload = atom
+    if kind == "v":
+        return BaseVar(payload)
+    return Moment(_base_mono_rv(payload)) if kind == "m" else payload[1]
+
+
+def _poly_to_expr(poly: Poly, power, product, total):
     """Expression for a polynomial with its terms in canonical order, in the
-    family whose atom-power, product and sum constructors are passed (they
-    coerce the coefficient)."""
+    family whose power, product and sum constructors are passed (they
+    coerce the atom nodes and the coefficient)."""
     terms = []
     for mono, coeff in sorted(poly.items(), key=lambda item: _mono_key(item[0])):
         atoms = sorted(mono, key=lambda item: _atom_key(item[0]))
-        terms.append(product(coeff, *(atom_power(atom, exp) for atom, exp in atoms)))
+        terms.append(product(coeff, *(power(_atom_node(atom), exp) for atom, exp in atoms)))
     return total(*terms)
 
 
-def _func_atom_power(atom: Atom, exp: int) -> FuncExpr:
-    kind, payload = atom
-    if kind == "v":
-        raise NormalizationError("base variable in a scalar-functional polynomial")
-    node = Moment(_base_mono_rv(payload)) if kind == "m" else payload[1]
-    return f_pow(node, exp)
-
-
-def _rv_atom_power(atom: Atom, exp: int) -> RvExpr:
-    if atom[0] == "v":
-        return rv_pow(BaseVar(atom[1]), exp)
-    return rv_pow(rv_embed(_func_atom_power(atom, 1)), exp)
-
-
 def _poly_to_func(poly: Poly) -> FuncExpr:
-    return _poly_to_expr(poly, _func_atom_power, f_product, f_sum)
+    return _poly_to_expr(poly, f_pow, f_product, f_sum)
 
 
 def func_from_form(form: CanonForm) -> FuncExpr:
@@ -382,10 +369,10 @@ def func_from_form(form: CanonForm) -> FuncExpr:
 
 def rv_from_form(form: CanonForm) -> RvExpr:
     """Random-variable expression denoting the canonical form."""
-    num = _poly_to_expr(form.num, _rv_atom_power, rv_product, rv_sum)
+    num = _poly_to_expr(form.num, rv_pow, rv_product, rv_sum)
     if form.is_polynomial:
         return num
-    return rv_product(num, rv_embed(f_recip(_poly_to_func(form.den))))
+    return rv_product(num, f_recip(_poly_to_func(form.den)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +389,9 @@ def normalize_functional(f: FuncExpr) -> FuncExpr:
     """
     if isinstance(f, FuncConst):
         return f
-    if isinstance(f, Moment):
-        return func_from_form(expectation_of_form(canonicalize_rv(f.arg)))
+    if isinstance(f, Moment):  # a normal moment stays the same object
+        normal = func_from_form(expectation_of_form(canonicalize_rv(f.arg)))
+        return f if normal == f else normal
     if isinstance(f, FuncSum):
         return f_sum(*(normalize_functional(t) for t in f.terms))
     if isinstance(f, FuncProduct):

@@ -99,7 +99,7 @@ def _coerce_const(x) -> Fraction:
 
 
 class _Operand:
-    """Arithmetic shared by both families, one rule for every operator.
+    """Arithmetic and printing shared by both families, one rule per operator.
 
     The result is a random variable when either operand is one, and a
     functional otherwise; the builders coerce the other operand.
@@ -112,19 +112,27 @@ class _Operand:
         return _builders(self, other)[0](other, self)
 
     def __sub__(self, other):
-        return _builders(self, other)[1](self, other)
+        total, product = _builders(self, other)
+        return total(self, product(-1, other))
 
     def __rsub__(self, other):
-        return _builders(self, other)[1](other, self)
+        total, product = _builders(self, other)
+        return total(other, product(-1, self))
 
     def __mul__(self, other):
-        return _builders(self, other)[2](self, other)
+        return _builders(self, other)[1](self, other)
 
     def __rmul__(self, other):
-        return _builders(self, other)[2](other, self)
+        return _builders(self, other)[1](other, self)
 
     def __neg__(self):
-        return _builders(self, self)[2](-1, self)
+        return _builders(self, self)[1](-1, self)
+
+    def __pow__(self, n: int):  # stays in the operand's family
+        return (rv_pow if isinstance(self, RvExpr) else f_pow)(self, n)
+
+    def __str__(self):
+        return _render(self, 0)
 
     def __eq__(self, other):  # a loop over pairs of parts, not a recursion
         pairs = [(self, other)]
@@ -150,26 +158,26 @@ class _Operand:
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True, eq=False)
 class RvExpr(_Operand):
     """Base class for random-variable expressions."""
 
-    def __pow__(self, n: int):
-        return rv_pow(self, n)
 
-    def __str__(self):
-        return render_rv(self)
-
-
-@dataclass(frozen=True, eq=False)
 class FuncExpr(_Operand):
     """Base class for scalar-functional expressions."""
 
-    def __pow__(self, n: int):
-        return f_pow(self, n)
 
-    def __str__(self):
-        return render_func(self)
+def _checked_const(node):
+    object.__setattr__(node, "value", _coerce_const(node.value))
+
+
+def _checked_exponent(node):
+    if not isinstance(node.exponent, int) or node.exponent < 1:
+        raise UsageError("integer power nodes require exponent >= 1")
+
+
+def _checked_tag(node):
+    if node.tag not in SMOOTH_TABLE:
+        raise UsageError(f"unknown smooth function tag {node.tag!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +188,7 @@ class BaseVar(RvExpr):
 @dataclass(frozen=True, eq=False)
 class RvConst(RvExpr):
     value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _coerce_const(self.value))
+    __post_init__ = _checked_const
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,10 +205,7 @@ class RvProduct(RvExpr):
 class IntPower(RvExpr):
     base: RvExpr
     exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise UsageError("integer power nodes require exponent >= 1")
+    __post_init__ = _checked_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +225,7 @@ class Moment(FuncExpr):
 @dataclass(frozen=True, eq=False)
 class FuncConst(FuncExpr):
     value: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _coerce_const(self.value))
+    __post_init__ = _checked_const
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,10 +242,7 @@ class FuncProduct(FuncExpr):
 class FuncPower(FuncExpr):
     base: FuncExpr
     exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise UsageError("integer power nodes require exponent >= 1")
+    __post_init__ = _checked_exponent
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,10 +256,7 @@ class Smooth(FuncExpr):
 
     tag: str
     arg: FuncExpr
-
-    def __post_init__(self):
-        if self.tag not in SMOOTH_TABLE:
-            raise UsageError(f"unknown smooth function tag {self.tag!r}")
+    __post_init__ = _checked_tag
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +310,11 @@ def _as_func(x) -> FuncExpr:
     return FuncConst(_coerce_const(x))
 
 
-def _rv_difference(a, b) -> RvExpr:
-    return rv_sum(a, rv_product(-1, b))
-
-
-def _f_difference(a, b) -> FuncExpr:
-    return f_sum(a, f_product(-1, b))
-
-
 def _builders(a, b):
-    """Sum, difference and product builders of the family of ``a op b``."""
+    """Sum and product builders of the family of ``a op b``."""
     if isinstance(a, RvExpr) or isinstance(b, RvExpr):
-        return rv_sum, _rv_difference, rv_product
-    return f_sum, _f_difference, f_product
+        return rv_sum, rv_product
+    return f_sum, f_product
 
 
 def _fold_sum(terms, coerce, sum_cls, const_cls):

@@ -38,6 +38,7 @@ from eicalg.expr import (
     func_base_vars,
     inv,
     render_func,
+    render_rv,
     rv_embed,
     rv_pow,
     rv_product,
@@ -312,6 +313,14 @@ class TestOperatorOracle:
     @given(_operands.filter(lambda e: isinstance(e, _EXPRS)))
     def test_unary_minus(self, e):
         assert -e == _old("neg", e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operands.filter(lambda e: isinstance(e, _EXPRS)))
+    def test_power_and_str_follow_the_family(self, e):
+        is_rv = isinstance(e, RvExpr)
+        for n in range(4):
+            assert e**n == (rv_pow if is_rv else f_pow)(e, n), n
+        assert str(e) == (render_rv if is_rv else render_func)(e)
 
 
 class TestCachedHash:

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from eicalg.expr import E, inv, var
+from eicalg.expr import E, _Operand, inv, var
 from eicalg.mc import McConfig, resolve_sampler, run_mc
 
 X = var("X")
@@ -64,6 +64,19 @@ class TestSamplers:
 
 
 class TestRunMc:
+    def test_tree_comparisons_do_not_grow_with_replicates(self, monkeypatch):
+        """The gradient's moments are the estimand's own nodes, so the
+        compiled estimand finds them by identity on every replicate."""
+        compared = []
+        equal = _Operand.__eq__
+        monkeypatch.setattr(_Operand, "__eq__", lambda a, b: compared.append(a) or equal(a, b))
+        counts = []
+        for replicates in (3, 30):
+            compared.clear()
+            run_mc(bernoulli_config(estimand=VARIANCE, replicates=replicates))
+            counts.append(len(compared))
+        assert counts[0] == counts[1]
+
     def test_bernoulli_half_bound(self):
         report = run_mc(bernoulli_config())
         assert report.bound_exact == "1/4"

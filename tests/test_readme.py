@@ -50,7 +50,30 @@ EXIT_EXAMPLES = [
          "--span", "1e400"],
         3,
     ),
+    ('`"levle"`', ["simulate", "--config", "levle.json"], 2),
+    (
+        "`--mean 3` with `--family bernoulli`",
+        [*SIMULATE, "--family", "bernoulli", "--p", "0.5", "--mean", "3"],
+        2,
+    ),
+    ("`Var(X)` on a cell with 2,500 decimal places", ["estimate", "Var(X)", "--data", "long.csv"], 3),
+    (
+        "`--support 0.333...,1` with 2,500 decimal places",
+        [*SIMULATE, "--family", "discrete", "--support", f"0.{'3' * 2500},1",
+         "--weights", "0.5,0.5"],
+        3,
+    ),
 ]
+
+@pytest.fixture(autouse=True)
+def config_and_long_cell(tmp_path):
+    """The two files of the examples above that the test itself does not
+    write: a config with a misspelled key, and a cell of 2,500 decimals."""
+    (tmp_path / "levle.json").write_text(
+        '{"family": "bernoulli", "params": {"p": "0.5"}, "estimand": "E[X]", "n": 20,'
+        ' "replicates": 2, "seed": 0, "levle": 0.5}'
+    )
+    (tmp_path / "long.csv").write_text(f"X\n0.{'3' * 2500}\n1\n")
 
 
 def _library_example() -> str:
