@@ -6,21 +6,23 @@ and sums, products, powers, reciprocals, and registered smooth functions are
 handled by linearity, the Leibniz rule, and the chain rule.  The result is
 always exactly mean-zero.
 
-``pathwise_derivative_exact`` is the independent certificate: it tilts the
-weights along a mean-zero score direction and carries each subexpression of a
-rational functional of moments as an exact dual number (value, slope) over
-the rationals, so the derivative at zero comes out exactly.  For a correct
-gradient this must equal the inner product of the gradient with the score,
-with no tolerance.
+``pathwise_derivative_exact`` is the independent certificate: it carries
+each subexpression of a rational functional of moments as a
+:class:`~eicalg.measure.Dual`, its value with its influence vector over the
+rationals, by the first-order rules, so the derivative along a tilt of the
+weights by a mean-zero score is exactly the influence vector's inner product
+with the score.  For a correct gradient this must equal the inner product of
+the gradient with the score, with no tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .canon import CanonForm, expectation_of_form, normalize_functional
-from .errors import EvaluationError, ExactModeError, SpaceMismatchError, UsageError
+from .errors import ExactModeError, SpaceMismatchError, UsageError
 from .expr import (
     FuncConst,
     FuncExpr,
@@ -44,7 +46,7 @@ from .expr import (
     rv_product,
     rv_sum,
 )
-from .measure import FiniteProbSpace, RandVar, expectation, inner
+from .measure import Dual, FiniteProbSpace, RandVar, embed, expectation, inner
 from .numerals import setting
 from .sampling import check_instances, draws, format_values
 
@@ -156,39 +158,30 @@ class PathSpec:
 def pathwise_derivative_exact(
     psi: FuncExpr, path: PathSpec, binding: dict[str, RandVar]
 ) -> Fraction:
-    """d/deps of psi at the tilted law, evaluated exactly at eps = 0."""
-    return _tilt(normalize_functional(psi), path, binding)[1]
+    """d/deps of psi at the tilted law, evaluated exactly at eps = 0: the
+    inner product of psi's influence vector with the score."""
+    dual = _influence(normalize_functional(psi), path.space, binding)
+    return inner(path.space, dual.influence, path.score)
 
 
-def _tilt(f: FuncExpr, path: PathSpec, binding: dict[str, RandVar]):
-    """(value, slope) at eps = 0 of a normalized functional along the tilt.
+def _influence(f: FuncExpr, space: FiniteProbSpace, binding: dict[str, RandVar]) -> Dual:
+    """A normalized functional on one instance, as a :class:`Dual`.
 
-    Forward-mode dual numbers over Q: along the linear tilt a moment E[v] is
-    affine in eps with slope <v, s>, and sums, products, powers and
-    reciprocals carry the slope by their first-order rules.
+    A moment E[v] is ``Dual.mean`` of its argument's values; sums, products,
+    powers and reciprocals combine the Duals of their parts.
     """
     if isinstance(f, FuncConst):
-        return f.value, Fraction(0)
+        return Dual(f.value, embed(0, space))
     if isinstance(f, Moment):
-        values = evaluate_rv(f.arg, path.space, binding)
-        return expectation(path.space, values), inner(path.space, values, path.score)
+        return Dual.mean(space, evaluate_rv(f.arg, space, binding))
     if isinstance(f, FuncSum):
-        parts = [_tilt(t, path, binding) for t in f.terms]
-        return sum(v for v, _ in parts), sum(d for _, d in parts)
+        return sum(_influence(t, space, binding) for t in f.terms)
     if isinstance(f, FuncProduct):
-        value, slope = Fraction(1), Fraction(0)
-        for x in f.factors:
-            v, d = _tilt(x, path, binding)
-            value, slope = value * v, slope * v + value * d
-        return value, slope
+        return math.prod(_influence(x, space, binding) for x in f.factors)
     if isinstance(f, FuncPower):
-        v, d = _tilt(f.base, path, binding)
-        return v**f.exponent, f.exponent * v ** (f.exponent - 1) * d
+        return _influence(f.base, space, binding) ** f.exponent
     if isinstance(f, Reciprocal):
-        v, d = _tilt(f.arg, path, binding)
-        if v == 0:
-            raise EvaluationError("reciprocal of a functional evaluating to zero")
-        return 1 / v, -d / v**2
+        return _influence(f.arg, space, binding) ** -1
     if isinstance(f, Smooth):
         raise ExactModeError(f"no exact tilt slope for smooth functional {f.tag!r}")
     raise TypeError(f"not a functional expression: {f!r}")
@@ -225,7 +218,7 @@ def certificate(psi: FuncExpr, candidate: RvExpr | None = None):
     def check(space, *drawn):
         binding, score = dict(zip(names, drawn[:-1])), drawn[-1]
         eic_values = evaluate_rv(eic, space, binding)
-        path_side = _tilt(normalized, PathSpec(space, score), binding)[1]
+        path_side = inner(space, _influence(normalized, space, binding).influence, score)
         eic_mean = expectation(space, eic_values)
         if eic_mean != 0:
             return f"gradient mean {eic_mean} is not zero"

@@ -7,6 +7,8 @@ product is nondegenerate, and every identity can be checked with zero
 tolerance.  All arithmetic in this module is exact rational; no floats.
 Weights and values are integer numerators ``nums`` over one denominator
 ``den``, so each operation is one integer loop; scalar results are Fractions.
+A scalar functional of the law can also be carried with its influence
+vector, as a :class:`Dual`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, neg
 
-from .errors import SpaceMismatchError, UsageError
+from .errors import EvaluationError, SpaceMismatchError, UsageError
 from .numerals import read_rational
 
 __all__ = [
     "FiniteProbSpace",
     "RandVar",
     "Decomposition",
+    "Dual",
     "expectation",
     "embed",
     "center",
@@ -214,3 +217,85 @@ def covariance(space: FiniteProbSpace, f: RandVar, g: RandVar) -> Fraction:
     """E[(f - E f)(g - E g)], exact: the textbook definition, which shares no
     code with the expectation-product bracket it is checked against."""
     return expectation(space, center(space, f) * center(space, g))
+
+
+class Dual:
+    """A scalar functional of a finite law with its influence vector: the
+    derivative of the value as the weights tilt toward each outcome.
+
+    :meth:`mean` gives E[v] as ``Dual(E[v], v - E[v])``.  Sums, differences,
+    products and integer powers (a reciprocal is the power -1) combine Duals,
+    or a Dual and a rational, by the first-order rules.  A value is computed
+    at once, an influence vector only when it is read, since most scalars of
+    a bracket are read only for their value: until then a Dual keeps the
+    rule that makes its influence from those of its parts.
+    """
+
+    __slots__ = ("value", "_influence", "_rule", "_parts")
+
+    def __init__(self, value, influence: RandVar | None = None, rule=None, parts=()):
+        self.value, self._influence, self._rule, self._parts = value, influence, rule, parts
+
+    @staticmethod
+    def mean(space: FiniteProbSpace, f: RandVar) -> "Dual":
+        value = expectation(space, f)
+        return Dual(value, None, lambda: f - value)
+
+    @property
+    def influence(self) -> RandVar:
+        """Built at the first read, unread parts first, by a loop rather than
+        by recursion: a sum of many terms is a long chain of parts."""
+        todo = [self]
+        while todo:
+            dual = todo[-1]
+            if dual._influence is not None:
+                todo.pop()
+                continue
+            unread = [p for p in dual._parts if p._influence is None]
+            if unread:
+                todo += unread
+            else:
+                todo.pop()
+                dual._influence = dual._rule(*(p._influence for p in dual._parts))
+                dual._rule, dual._parts = None, ()
+        return self._influence
+
+    def __eq__(self, other):
+        if not isinstance(other, Dual):
+            return NotImplemented
+        return (self.value, self.influence) == (other.value, other.influence)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Dual({self.value!r}, {self.influence!r})"
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self.value + other.value, None, add, (self, other))
+        return Dual(self.value + other, None, lambda f: f, (self,))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.value, None, neg, (self,))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            a, b = self.value, other.value
+            return Dual(a * b, None, lambda f, g: f * b + g * a, (self, other))
+        return Dual(self.value * other, None, lambda f: f * other, (self,))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0 and self.value == 0:
+            raise EvaluationError("reciprocal of a functional evaluating to zero")
+        slope = n * self.value ** (n - 1) if n else 0
+        return Dual(self.value**n, None, lambda f: f * slope, (self,))

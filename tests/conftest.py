@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from eicalg import brackets
-from eicalg.measure import FiniteProbSpace, RandVar, covariance
+from eicalg.measure import FiniteProbSpace, RandVar
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -75,7 +75,11 @@ small_rationals = st.builds(
 
 def negate_first_centering(monkeypatch):
     """Inject a sign slip at one centering site: the covariance of the
-    centered coordinates in nested_T_P_prod sees its first one negated."""
-    monkeypatch.setattr(
-        brackets, "covariance", lambda space, x, y: covariance(space, -x, y)
-    )
+    centered coordinates in the first composite bracket sees its first one
+    negated."""
+
+    def first_composite(o, x, y):
+        tx, ty = o.bracket_T_P(x, y)
+        return o.T(o.bracket_P_prod(x, y)) - o.embed(o.bracket_P_prod(-tx, ty))
+
+    monkeypatch.setattr(brackets.Algebra, "nested_T_P_prod", first_composite)

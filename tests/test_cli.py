@@ -473,8 +473,21 @@ def _decomposition(constant_shift, centered_shift):
     return decompose
 
 
-# (suite, [(module, name, replacement)], {failing record: first counterexample})
-# at seed 0 and 20 trials; the faults patch the names the checks look up
+def _numeric_side(name, fault):
+    """A patch of the numeric model's side ``name``: its correct value plus
+    ``fault(model, x, y)``.  The symbolic model keeps the correct side."""
+    side = getattr(brackets.Algebra, name)
+    return brackets.Numeric, name, lambda o, x, y: side(o, x, y) + fault(o, x, y)
+
+
+# the first composite bracket less the covariance, so the cyclic sum is -Cov
+FIRST_PIECE_LESS_COV = _numeric_side(
+    "nested_T_P_prod", lambda o, x, y: -o.embed(o.bracket_P_prod(x, y))
+)
+
+# (suite, [(module or class, name, replacement)], {failing record: first
+# counterexample}) at seed 0 and 20 trials; the faults patch the names the
+# bracket functions and checks look up, so the symbolic records still pass
 INJECTED_FAULTS = [
     pytest.param(
         "decomposition", [(verify, "decompose", _decomposition(1, 0))],
@@ -502,20 +515,18 @@ INJECTED_FAULTS = [
     ),
     pytest.param(
         "brackets",
-        [(verify, "covariance", lambda s, x, y: 2 * measure.covariance(s, x, y))],
-        {"covariance-bracket": INSTANCE_0 + "bracket=2312/729 covariance=4624/729"},
+        [(brackets, "bracket_P_prod", lambda s, x, y: 2 * measure.covariance(s, x, y))],
+        {"covariance-bracket": INSTANCE_0 + "sides=4624/729 closed form=2312/729"},
         id="covariance-doubled",
     ),
     pytest.param(
-        "brackets",
-        [
-            (brackets, "pointwise_product", lambda f, g: f * g + f),
-            (verify, "covariance", lambda s, x, y: brackets.bracket_P_prod(s, x, y)),
-        ],
+        "brackets", [(brackets, "pointwise_product", lambda f, g: f * g + f * f)],
         {
-            "covariance-bracket": INSTANCE_0 + "bracket is not symmetric",
-            "product-centering-bracket":
-                INSTANCE_0 + "expectation of the bracket is not the covariance",
+            "covariance-bracket": INSTANCE_0 + "lhs=11087/729 rhs=15461/729",
+            "product-centering-bracket": INSTANCE_0
+            + "got=['10475/729', '30212/729', '18116/729', '2510/729', '2510/729',"
+            " '2726/729'] want=['3655/729', '14698/729', '6328/729', '-3068/729',"
+            " '-3068/729', '-368/729']",
         },
         id="product-not-symmetric",
     ),
@@ -548,8 +559,7 @@ INJECTED_FAULTS = [
         id="corollary-sides-off-the-closed-form",
     ),
     pytest.param(
-        "lemma",
-        [(brackets, "covariance", lambda s, x, y: 2 * measure.covariance(s, x, y))],
+        "lemma", [FIRST_PIECE_LESS_COV],
         {
             "lemma-pieces": INSTANCE_0
             + "first piece got=['-11462/729', '7600/729', '-10247/729', '-2876/729',"
@@ -559,8 +569,7 @@ INJECTED_FAULTS = [
         id="lemma-first-piece",
     ),
     pytest.param(
-        "lemma",
-        [(brackets, "bracket_P_prod", lambda s, x, y: measure.covariance(s, x, y) + 1)],
+        "lemma", [_numeric_side("nested_P_prod_T", lambda o, x, y: 1)],
         {
             "lemma-pieces": INSTANCE_0
             + "second piece got=['6224/729', '-23881/729', '2336/729', '4361/729',"
@@ -570,7 +579,7 @@ INJECTED_FAULTS = [
         id="lemma-second-piece",
     ),
     pytest.param(
-        "lemma", [(brackets, "pointwise_product", lambda f, g: f * g + 1)],
+        "lemma", [_numeric_side("nested_prod_T_P", lambda o, x, y: 1)],
         {
             "lemma-pieces": INSTANCE_0
             + "third piece got=['4384/729', '15427/729', '7057/729', '-2339/729',"
@@ -580,9 +589,8 @@ INJECTED_FAULTS = [
         id="lemma-third-piece",
     ),
     pytest.param(
-        "jacobi",
-        [(brackets, "covariance", lambda s, x, y: 2 * measure.covariance(s, x, y))],
-        {"jacobi-identity": INSTANCE_0 + "sum=" + str(["-2312/729"] * 6)},
+        "jacobi", [FIRST_PIECE_LESS_COV],
+        {"jacobi-identity": INSTANCE_0 + f"got={['-2312/729'] * 6} want={['0'] * 6}"},
         id="jacobi-sum-nonzero",
     ),
 ]
@@ -646,7 +654,9 @@ class TestVerify:
             + "got=['6760/729', '21448/729', '7246/729', '-6524/729', '-6524/729',"
             " '2008/729'] want=['3655/729', '14698/729', '6328/729', '-3068/729',"
             " '-3068/729', '-368/729']",
-            instance + "components differ from centered coordinates",
+            instance
+            + "got=['-4/27', '185/27', '104/27', '-31/27', '-31/27', '-85/27']"
+            " want=['-31/27', '158/27', '77/27', '-58/27', '-58/27', '-112/27']",
             None,
             None,
             None,
@@ -689,7 +699,7 @@ class TestVerify:
         def degenerate(*args):
             raise EvaluationError("every draw is degenerate")
 
-        monkeypatch.setattr(verify, "jacobi_sum", degenerate)
+        monkeypatch.setattr(brackets, "jacobi_sum", degenerate)
         code, out, _ = run_cli(
             capsys, "--output", "structured", "verify", "jacobi", "--trials", "20"
         )
@@ -717,7 +727,7 @@ class TestVerify:
         )
         assert code == 1
         assert parse_structured(out)["results"][0]["counterexample"] == (
-            INSTANCE_0 + "bracket=3041/729 covariance=2312/729"
+            INSTANCE_0 + "sides=3041/729 closed form=2312/729"
         )
 
     def test_unknown_suite_is_usage_error(self, capsys):

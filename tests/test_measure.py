@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_rationals, space_and_vars, spaces
-from eicalg.errors import SpaceMismatchError, UsageError
+from eicalg.errors import EvaluationError, SpaceMismatchError, UsageError
 from eicalg.measure import (
+    Dual,
     FiniteProbSpace,
     RandVar,
     center,
@@ -265,6 +266,56 @@ def lowest_terms(f: RandVar) -> bool:
 
 def mean(weights, values) -> Q:
     return sum((w * v for w, v in zip(weights, values)), Q(0))
+
+
+class TestDual:
+    def test_mean_carries_the_centered_vector(self):
+        space = thirds()
+        x = space.variable((3, 6))
+        assert Dual.mean(space, x) == Dual(Q(5), x - 5)
+
+    def test_rationals_combine_with_the_value_only(self):
+        space = halves()
+        mean = Dual.mean(space, space.variable((1, 2)))
+        assert 1 - 2 * mean + 1 == Dual(Q(-1), -2 * mean.influence)
+
+    @given(space_and_vars(count=3))
+    def test_slope_is_the_exact_tilt_derivative(self, sv):
+        """E[x]E[y] - E[xy]^2 is quadratic in the tilt, so the central
+        difference at any step is its exact derivative."""
+        space, x, y, s = sv
+        score, h = center(space, s), Q(1, 10**6)
+
+        def value(eps):
+            weights = [w * (1 + eps * v) for w, v in zip(space.weights, score.values)]
+            tilted = FiniteProbSpace(space.outcomes, weights)
+            tx, ty = RandVar(tilted, x.values), RandVar(tilted, y.values)
+            return expectation(tilted, tx) * expectation(tilted, ty) - expectation(tilted, tx * ty) ** 2
+
+        dual = Dual.mean(space, x) * Dual.mean(space, y) - Dual.mean(space, x * y) ** 2
+        assert dual.value == value(0)
+        assert inner(space, dual.influence, score) == (value(h) - value(-h)) / (2 * h)
+
+    def test_reciprocal_is_the_power_minus_one(self):
+        space = halves()
+        x = space.variable((1, 2))
+        inverse = Dual.mean(space, x) ** -1
+        assert inverse == Dual(Q(2, 3), (x - Q(3, 2)) * Q(-4, 9))
+        with pytest.raises(EvaluationError, match="reciprocal of a functional evaluating to zero"):
+            Dual.mean(space, space.variable((-1, 1))) ** -1
+
+    def test_long_chain_reads_without_recursion(self):
+        """A sum of many terms reads its influence in a loop, not by
+        recursing once per term."""
+        space = halves()
+        x = space.variable((1, 2))
+        total = sum(Dual.mean(space, x) for _ in range(5000))
+        assert total == Dual(Q(7500), (x - Q(3, 2)) * 5000)
+
+    def test_zeroth_power_of_a_zero_value_is_one(self):
+        space = halves()
+        zero = Dual.mean(space, space.variable((-1, 1)))
+        assert zero ** 0 == Dual(1, embed(0, space))
 
 
 class TestIntegerArithmeticOracle:
