@@ -15,11 +15,13 @@ type-check; :class:`Symbolic`, on trees, as :func:`~eicalg.eic.derive_eic`'s
 gradient.  The numeric checks take each row's side from the bracket
 functions (:class:`BracketFunctions`), the symbolic records from
 :class:`Symbolic`; each closed form is computed directly, on vectors or on
-canonical forms.
+canonical forms.  In one verify pass the bracket functions share one model
+per instance, which values each mean, centering and product once.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -85,24 +87,47 @@ class Algebra:
 
 
 class Numeric(Algebra):
-    """Exact vectors on one space, each scalar a Dual, each mean valued once."""
+    """Exact vectors on one space, each scalar a Dual; E, T and prod value a vector once."""
 
     def __init__(self, space: FiniteProbSpace):
-        self.space, self._means = space, {}
+        self.space, self._values = space, {}
+
+    def _once(self, op, *vs: RandVar):
+        """``op(space, *vs)``, kept under op and the vectors' (nums, den)."""
+        for v in vs:
+            if v.space is not self.space:
+                return op(self.space, *vs)  # unkept: measure refuses another space
+        key = (op, *[(v.nums, v.den) for v in vs])
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = op(self.space, *vs)
+        return value
 
     def E(self, v: RandVar) -> Dual:
-        if (v.nums, v.den) not in self._means:
-            self._means[v.nums, v.den] = Dual.mean(self.space, v)
-        return self._means[v.nums, v.den]
+        return self._once(Dual.mean, v)
 
     def T(self, v):
-        return v.influence if isinstance(v, Dual) else center(self.space, v)
+        return v.influence if isinstance(v, Dual) else self._once(center, v)
 
     def prod(self, f: RandVar, g: RandVar) -> RandVar:
-        return pointwise_product(f, g)
+        return self._once(self._product, f, g)
 
     def embed(self, a: Dual) -> RandVar:
         return embed(a.value, self.space)
+
+    _product = staticmethod(lambda space, f, g: pointwise_product(f, g))
+
+
+# in a verify pass, [the model of the space last asked for]
+_PASS: ContextVar[list | None] = ContextVar("eicalg.brackets.pass", default=None)
+
+
+def _numeric(space: FiniteProbSpace) -> Numeric:
+    """The pass's model of ``space``, new when the space changes; outside a pass, a new one."""
+    slot = _PASS.get() or [None]
+    if slot[0] is None or slot[0].space is not space:
+        slot[0] = Numeric(space)
+    return slot[0]
 
 
 class Symbolic(Algebra):
@@ -122,47 +147,47 @@ class Symbolic(Algebra):
 
 def bracket_P_prod(space: FiniteProbSpace, x: RandVar, y: RandVar) -> Fraction:
     """Expectation-product bracket: E[xy] - E[x]E[y], i.e. the covariance."""
-    return Numeric(space).bracket_P_prod(x, y).value
+    return _numeric(space).bracket_P_prod(x, y).value
 
 
 def bracket_prod_T(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Product-centering bracket: (Tx)(Ty) - T(xy)."""
-    return Numeric(space).bracket_prod_T(x, y)
+    return _numeric(space).bracket_prod_T(x, y)
 
 
 def bracket_T_P(space: FiniteProbSpace, x: RandVar, y: RandVar) -> tuple[RandVar, RandVar]:
     """Centering-expectation bracket: the pair of centered coordinates."""
-    return Numeric(space).bracket_T_P(x, y)
+    return _numeric(space).bracket_T_P(x, y)
 
 
 def nested_T_P_prod(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Centering applied to the covariance, minus the covariance of centerings."""
-    return Numeric(space).nested_T_P_prod(x, y)
+    return _numeric(space).nested_T_P_prod(x, y)
 
 
 def nested_P_prod_T(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Covariance minus the centered product, plus the product-of-means gradient."""
-    return Numeric(space).nested_P_prod_T(x, y)
+    return _numeric(space).nested_P_prod_T(x, y)
 
 
 def nested_prod_T_P(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Product of centerings minus the gradient of the product's mean."""
-    return Numeric(space).nested_prod_T_P(x, y)
+    return _numeric(space).nested_prod_T_P(x, y)
 
 
 def jacobi_sum(space: FiniteProbSpace, x: RandVar, y: RandVar) -> RandVar:
     """Cyclic sum of the three composite brackets; identically zero."""
-    return Numeric(space).jacobi_sum(x, y)
+    return _numeric(space).jacobi_sum(x, y)
 
 
 def corollary_leibniz(space: FiniteProbSpace, x: RandVar, y: RandVar) -> tuple[RandVar, RandVar]:
     """(Tx)(Ty) + gradient of E[x]E[y]  versus  gradient of E[xy] + Cov."""
-    return Numeric(space).corollary_leibniz(x, y)
+    return _numeric(space).corollary_leibniz(x, y)
 
 
 def corollary_cov(space: FiniteProbSpace, x: RandVar, y: RandVar) -> tuple[RandVar, RandVar]:
     """(Tx)(Ty)  versus  gradient of the covariance + Cov."""
-    return Numeric(space).corollary_cov(x, y)
+    return _numeric(space).corollary_cov(x, y)
 
 
 class BracketFunctions:

@@ -128,10 +128,11 @@ class RandVar:
             raise SpaceMismatchError("random variables live on different spaces")
         return other.nums, other.den
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, in one integer loop."""
         nums, e = self._operand(other)
-        sums = [a * e + b * self.den for a, b in zip(self.nums, nums)]
-        return _vector(self.space, sums, self.den * e)
+        d = sign * self.den
+        return _vector(self.space, [a * e + b * d for a, b in zip(self.nums, nums)], self.den * e)
 
     __radd__ = __add__
 
@@ -139,7 +140,7 @@ class RandVar:
         return _vector(self.space, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RandVar) else -_rational(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

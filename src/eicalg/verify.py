@@ -5,15 +5,17 @@ numeric route draws seeded random spaces and integer variables and compares
 each row of :func:`~eicalg.brackets.identities`, its sides computed by the
 bracket functions, with its closed form, computed with direct vector
 arithmetic, exactly; one call runs every check of its suites in one pass
-over the instances, each drawn once.  The symbolic route decides each row
-once at the canonical-form level.  A suite passes only if every comparison agrees.
+over the instances, each drawn once, and in the pass the bracket functions
+share one model per instance.  The symbolic route decides each row once at
+the canonical-form level.  A suite passes only if every comparison agrees.
 """
 
 from __future__ import annotations
 
+from contextvars import copy_context
 from functools import partial
 
-from .brackets import BracketFunctions, IdentityRecord, identities, symbolic_identity_suite
+from .brackets import _PASS, BracketFunctions, IdentityRecord, identities, symbolic_identity_suite
 from .eic import certificate
 from .errors import UsageError
 from .expr import E, var
@@ -106,7 +108,9 @@ def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     suites = [suite() for suite in (SUITES.values() if name == "all" else [SUITES[name]])]
     symbolic = {r.name: r for r in symbolic_identity_suite()} if any(n for _, n in suites) else {}
     checks = [check for table, _ in suites for _, _, check in table]
-    results = iter(check_instances(checks, instances))
+    context = copy_context()  # in it, the bracket functions share one model per instance
+    context.run(_PASS.set, [None])
+    results = iter(context.run(check_instances, checks, instances))
     records = []
     for table, names in suites:
         records += [IdentityRecord(label, statement, "exact", found is None, found)

@@ -5,11 +5,15 @@ evaluator (plain vector arithmetic over the finite space), which is the
 oracle of record for instance values.
 """
 
+import sys
+import threading
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given
 
 from conftest import negate_first_centering, small_rationals, space_and_vars
+from eicalg import brackets, measure, verify
 from eicalg.brackets import (
     bracket_P_prod,
     bracket_prod_T,
@@ -22,6 +26,7 @@ from eicalg.brackets import (
     nested_prod_T_P,
     symbolic_identity_suite,
 )
+from eicalg.errors import SpaceMismatchError
 from eicalg.measure import FiniteProbSpace, RandVar, covariance, embed, expectation
 
 SP = FiniteProbSpace(("a", "b"), (Q(1, 2), Q(1, 2)))
@@ -197,3 +202,85 @@ class TestFaultInjection:
 
     def test_clean_build_unaffected(self):
         assert jacobi_sum(SP, IND, FLIP).is_zero()
+
+
+NINE = (
+    bracket_P_prod, bracket_prod_T, bracket_T_P, nested_T_P_prod, nested_P_prod_T,
+    nested_prod_T_P, jacobi_sum, corollary_leibniz, corollary_cov,
+)
+
+
+class TestOneModelPerPass:
+    """Inside a verify pass the bracket functions share one model per space;
+    it keeps each mean, centering and product under the vector's numbers."""
+
+    @pytest.mark.parametrize("in_pass", [False, True], ids=["outside", "inside"])
+    @pytest.mark.parametrize("bracket", NINE, ids=lambda f: f.__name__)
+    def test_vector_of_another_space_refused(self, bracket, in_pass):
+        """The same numbers on another two-outcome space are not served
+        what the model keeps for IND."""
+        other = FiniteProbSpace(("a", "b"), (Q(1, 3), Q(2, 3))).variable(IND.values)
+        token = brackets._PASS.set([None] if in_pass else None)
+        try:
+            bracket(SP, IND, IND)
+            assert (brackets._numeric(SP) is brackets._numeric(SP)) == in_pass
+            with pytest.raises(SpaceMismatchError):
+                bracket(SP, IND, other)
+        finally:
+            brackets._PASS.reset(token)
+
+    def test_no_model_outlives_the_pass(self, monkeypatch):
+        seen, jacobi = [], brackets.jacobi_sum
+
+        def recording(space, x, y):
+            total = jacobi(space, x, y)
+            seen.append(brackets._PASS.get()[0].space is space)
+            return total
+
+        monkeypatch.setattr(brackets, "jacobi_sum", recording)
+        verify.run_suite("jacobi", 5, 0, 8)
+        assert seen == [True] * 5
+        assert brackets._PASS.get() is None
+
+        def broken(*args):
+            raise RuntimeError("a check that breaks off the pass")
+
+        monkeypatch.setattr(brackets, "jacobi_sum", broken)
+        with pytest.raises(RuntimeError):
+            verify.run_suite("jacobi", 5, 0, 8)
+        assert brackets._PASS.get() is None
+
+    def test_concurrent_passes_keep_apart(self):
+        """Passes on more threads than cores, switching often, each keep to
+        their own models: a model served to another pass is of another
+        space, so a check would raise or its record change."""
+        seeds = (3, 4, 5)
+        serial = [verify.run_suite("all", 50, seed, 8) for seed in seeds]
+        start, got = threading.Barrier(len(seeds)), {}
+
+        def run(seed):
+            start.wait()
+            got[seed] = verify.run_suite("all", 50, seed, 8)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [got[seed] for seed in seeds] == serial
+
+    def test_vectors_built_by_one_verify_call(self, monkeypatch):
+        """Each instance is valued once on the bracket route: 23,879 vectors
+        when every bracket call built its own model, 17,981 with one."""
+        calls, build = [], measure._vector
+        monkeypatch.setattr(
+            measure, "_vector", lambda *args: calls.append(1) or build(*args)
+        )
+        assert all(r.passed for r in verify.run_suite("all", 100, 1, 8))
+        assert len(calls) < 19_000

@@ -14,6 +14,8 @@ from eicalg.measure import (
     Dual,
     FiniteProbSpace,
     RandVar,
+    _rational,
+    _vector,
     center,
     covariance,
     decompose,
@@ -364,6 +366,56 @@ class TestIntegerArithmeticOracle:
         space, _, _ = sv
         assert math.gcd(space.den, *space.nums) == 1
         assert tuple(Q(n, space.den) for n in space.nums) == space.weights
+
+
+def old_add(self, other):
+    """``RandVar.__add__`` as it was, a scalar spread to a list of numerators."""
+    if isinstance(other, RandVar):
+        nums, e = other.nums, other.den
+    else:
+        c = _rational(other)
+        nums, e = [c.numerator] * len(self.nums), c.denominator
+    sums = [a * e + b * self.den for a, b in zip(self.nums, nums)]
+    return _vector(self.space, sums, self.den * e)
+
+
+def old_sub(self, other):
+    """``RandVar.__sub__`` as it was: a sum with the negated operand."""
+    return old_add(self, -other if isinstance(other, RandVar) else -_rational(other))
+
+
+scalars = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    rationals,
+    rationals.map(str),
+    st.decimals(-100, 100, places=3, allow_nan=False).map(str),
+)
+
+
+class TestScalarStepOracle:
+    """A scalar is added or subtracted in one integer loop, to the same
+    (nums, den) as the sum with the negated rational that it replaced."""
+
+    @given(space_and_rational_vars(), scalars)
+    def test_sums_and_differences_with_a_scalar(self, sv, c):
+        space, a, b = sv
+        f, g = RandVar(space, a), RandVar(space, b)
+        cases = [
+            (f + c, old_add(f, c)),
+            (c + f, old_add(f, c)),
+            (f - c, old_sub(f, c)),
+            (c - f, old_add(-f, c)),
+            (f - g, old_sub(f, g)),
+        ]
+        for got, want in cases:
+            assert (got.space, got.nums, got.den) == (want.space, want.nums, want.den)
+
+    def test_a_float_is_refused(self):
+        f = halves().variable((1, 2))
+        for op in (lambda: f + 0.5, lambda: 0.5 + f, lambda: f - 0.5, lambda: 0.5 - f):
+            with pytest.raises(TypeError, match="exact rational expected, got float"):
+                op()
 
 
 class TestIntegerRepresentation:
