@@ -6,13 +6,14 @@ power of ten, and each column is kept over the largest power of ten of its
 cells, so no cell is ever a binary float or a ``Fraction``.  A plug-in
 functional of moments and its gradient are rational in primitive moments
 E[X^a Y^b]: a call compiles the estimand once, in one mode, as a
-:class:`CompiledEstimand` of integer terms, which a law values over integer
-(numerator, denominator) pairs: one lazy pass per moment, one ``Fraction``
-per polynomial, each atom-free expectation kept by the law.  Results are
-exact; the empirical mean of a plug-in gradient is exactly zero.  Float
-mode rounds every embedded functional to a float as pointwise evaluation
-does, so both modes give the same numbers as evaluating row by row on
-:func:`empirical_space`, the independent route.
+:class:`CompiledEstimand`, and each estimator runs one flat program over
+integer (numerator, denominator) pairs: one step per distinct node, one
+``Fraction`` per result, power columns shared by a study's replicates.
+Results are exact; the empirical mean of a plug-in gradient is exactly
+zero.  Float mode rounds every embedded functional to a float as pointwise
+evaluation does, so both modes give the same numbers as evaluating row by
+row on :func:`empirical_space`, the independent route, which shares no
+evaluator with the programs.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ from statistics import NormalDist
 
 from .canon import canonicalize_rv, expectation_of_form
 from .eic import derive_eic
-from .errors import DataError, EvaluationError, UsageError
+from .errors import DataError, EicalgError, EvaluationError, ExactModeError, UsageError
 from .expr import (
-    FuncExpr,
-    RvExpr,
-    _checked_mode,
-    evaluate_func_with,
-    evaluate_rv,
-    func_base_vars,
-    to_float,
+    SMOOTH_TABLE, FuncConst, FuncExpr, FuncPower, FuncProduct, FuncSum, Moment, Reciprocal,
+    RvExpr, Smooth, _checked_mode, bounded_exponent, evaluate_rv, func_base_vars, to_float,
 )
 from .measure import FiniteProbSpace, RandVar, expectation, inner
 from .numerals import digit_limit, setting
@@ -70,7 +66,7 @@ class Dataset:
     def __init__(self, columns: dict, counts, total: int):
         self._columns, self._counts, self.n = columns, list(counts), total
         self._unit = self._counts.count(1) == len(self._counts)
-        self._pairs = {}
+        self._pairs, self._powers = {}, None
         if not self._counts:
             raise DataError("at least one row required")
         if any(len(ints) != len(self._counts) for _, ints in columns.values()):
@@ -97,43 +93,34 @@ class Dataset:
         }
         return Dataset(columns, counts, sum(counts))
 
+    def recount(self, counts, total: int) -> "Dataset":
+        """The law of these rows counted by ``counts`` over ``total``; it
+        and this law share their power columns."""
+        law = Dataset(self._columns, counts, total)
+        law._powers = self._powers = {} if self._powers is None else self._powers
+        return law
+
     def moment(self, mono) -> Fraction:
         """E[prod X^a] of a base monomial ((name, exponent), ...), by one
-        lazy integer pass over the rows that builds no list; the counts are
-        multiplied in only when one of them is not 1."""
+        lazy integer pass over the rows that builds no list but the power
+        columns that recounted laws share; the counts are multiplied in only
+        when one of them is not 1."""
         terms, scale = None if self._unit else self._counts, self.n
         for name, exponent in mono:
             column_scale, column = self._columns[name]
             factor = column if exponent == 1 else map(pow, column, repeat(exponent))
+            if exponent > 1 and self._powers is not None:
+                key = name, exponent
+                factor = self._powers[key] = self._powers.get(key) or [*factor]
             terms = factor if terms is None else map(mul, terms, factor)
             scale *= column_scale**exponent
         return Fraction(sum(self._counts if terms is None else terms), scale)
 
-    def value(self, poly, scalars: dict) -> Fraction:
-        """A polynomial compiled by :func:`_integer_terms` as one integer sum
-        and one ``Fraction``: each coefficient pair times each atom's
-        (numerator, denominator) pair, from ``scalars`` or this law's moments."""
-        monos, terms = poly
-        for mono in monos - self._pairs.keys():
+    def pair(self, mono) -> tuple[int, int]:
+        """E[prod X^a] as (numerator, denominator), valued once per law."""
+        if mono not in self._pairs:
             self._pairs[mono] = self.moment(mono).as_integer_ratio()
-        pairs, num, den = {**self._pairs, **scalars}, 0, 1
-        for n, d, atoms in terms:
-            for key, exp in atoms:
-                p, q = pairs[key]
-                n, d = n * p**exp, d * q**exp
-            g = math.gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den // g * d
-        return Fraction(num, den)
-
-
-def _integer_terms(poly) -> tuple:
-    """A polynomial over moment and opaque atoms as its base monomials and
-    its integer terms (numerator, denominator, ((key, exponent), ...)), an
-    atom keyed by its base monomial or, if opaque, by its rendering."""
-    return frozenset(k for m in poly for (t, k), _ in m if t == "m"), tuple(
-        (c.numerator, c.denominator, tuple((k if t == "m" else k[0], x) for (t, k), x in m))
-        for m, c in poly.items()
-    )
+        return self._pairs[mono]
 
 
 # A cell is the expression grammar's numeral with an optional sign, between
@@ -228,46 +215,156 @@ def empirical_space(data: Dataset) -> tuple[FiniteProbSpace, dict[str, RandVar]]
     return space, binding
 
 
+class _Program:
+    """Steps over integer (numerator, denominator) pairs, compiled from
+    functionals in the order the valuation walk meets their nodes, one step
+    per distinct node: a sum of terms (numerator, denominator, ((step,
+    exponent), ...)), a primitive moment of a law, a reciprocal checked for
+    zero, a float (rounded, or through a smooth function), or an error the
+    walk meets before reading data, which ends the steps."""
+
+    def __init__(self, mode: str, forms: dict):
+        self.steps, self.known, self.terms, self.forms = [], {}, {}, forms
+        self.float = mode == "float"
+
+    def add(self, kind: str, arg) -> int:
+        """The index of the step (kind, arg), appended the first time."""
+        if (kind, arg) not in self.known:
+            self.known[kind, arg] = len(self.steps)
+            self.steps.append((kind, arg))
+        return self.known[kind, arg]
+
+    def at(self, terms: list) -> int:
+        """The index of a step valued as the sum of ``terms``."""
+        if len(terms) == 1 and terms[0][:2] == (1, 1) and [e for _, e in terms[0][2]] == [1]:
+            return terms[0][2][0][0]
+        return self.add("sum", tuple(terms))
+
+    def func(self, f) -> tuple:
+        """Functional ``f`` as one term, its parts compiled first."""
+        if f in self.terms:
+            return self.terms[f]
+        if isinstance(f, FuncConst):
+            term = (*f.value.as_integer_ratio(), ())
+        elif isinstance(f, (FuncSum, Moment)):
+            terms = self.expect(f.arg, 0)[0] if isinstance(f, Moment) else map(self.func, f.terms)
+            term = (1, 1, ((self.at([*terms]), 1),))
+        elif isinstance(f, (FuncProduct, FuncPower)):
+            n, d, atoms = 1, 1, ()
+            for p, q, more in map(self.func, f.factors if isinstance(f, FuncProduct) else [f.base]):
+                n, d, atoms = n * p, d * q, atoms + more
+            k = bounded_exponent(f.exponent) if isinstance(f, FuncPower) else 1
+            term = (n**k, d**k, tuple((i, e * k) for i, e in atoms))
+        elif isinstance(f, Reciprocal) or isinstance(f, Smooth) and self.float:
+            arg = self.at([self.func(f.arg)])
+            kind = ("inv", arg) if isinstance(f, Reciprocal) else ("float", (f.tag, arg))
+            term = (1, 1, ((self.add(*kind), 1),))
+        else:
+            raise ExactModeError(f"smooth functional {f.tag!r} requires float mode")
+        self.terms[f] = term
+        return term
+
+    def embedded(self, f) -> int:
+        """The step of an embedded functional: in float mode, rounded."""
+        index = self.at([self.func(f)])
+        return self.add("float", (None, index)) if self.float else index
+
+    def expect(self, e, law: int, square=False) -> list:
+        """The terms of E[e], and of E[e^2] if ``square``, over primitive
+        moments of ``laws[law]`` and e's embedded functionals, compiled
+        first in walk order, cancelled or not."""
+        if (e, square) not in self.forms:
+            atoms: dict = {}
+            form = canonicalize_rv(e, atoms)
+            forms = [form, form * form] if square else [form]
+            self.forms[e, square] = atoms, [expectation_of_form(f).num for f in forms]
+        atoms, polys = self.forms[e, square]
+        index = {("s", (key, f)): self.embedded(f) for key, f in atoms.items()}
+        for mono in sorted({k for poly in polys for m in poly for (t, k), _ in m if t == "m"}):
+            index["m", mono] = self.add("moment", (law, mono))
+        return [  # sorted, so that no step follows the iteration order of a set
+            sorted((*c.as_integer_ratio(), tuple(sorted((index[a], x) for a, x in m)))
+                   for m, c in poly.items())
+            for poly in polys
+        ]
+
+    def run(self, laws) -> list:
+        """The value of every step under ``laws``, as integer pairs."""
+        values = []
+        for kind, arg in self.steps:
+            if kind == "sum":
+                num, den = 0, 1
+                for n, d, atoms in arg:
+                    for index, exponent in atoms:
+                        p, q = values[index]
+                        n, d = n * p**exponent, d * q**exponent
+                    g = math.gcd(den, d)
+                    num, den = num * (d // g) + n * (den // g), den // g * d
+                values.append((num, den))
+            elif kind == "moment":
+                values.append(laws[arg[0]].pair(arg[1]))
+            elif kind == "inv":
+                p, q = values[arg]
+                if p == 0:
+                    raise EvaluationError("reciprocal of a functional evaluating to zero")
+                values.append((q, p) if p > 0 else (-q, -p))
+            elif kind == "float":
+                x = to_float(Fraction(*values[arg[1]]))
+                values.append((SMOOTH_TABLE[arg[0]].at(x) if arg[0] else x).as_integer_ratio())
+            else:
+                raise arg.with_traceback(None)
+        return values
+
+
 class CompiledEstimand:
     """An estimand compiled once and valued on many laws.
 
-    Each moment argument, and the gradient, is canonicalized once to a form
-    P whose embedded functionals are opaque atoms, so E[P] (and E[P^2]) is
-    a fixed polynomial of integer terms in primitive moments and those
-    atoms.  A law values every atom met, cancelled or not, by the tree walk,
-    as pointwise evaluation does, and substitutes: one rational function,
-    same values.  The law keeps its primitive moments.
+    On first use each estimator compiles into a :class:`_Program`: the
+    estimand, the gradient g's E[g^2] - E[g]^2, or the estimand with g's
+    held-out mean.  Each moment argument, and g, is canonicalized once with
+    its embedded functionals as opaque atoms, each valued, cancelled or
+    not, as pointwise evaluation does.  A run takes one step per distinct
+    node and builds one ``Fraction`` per result; a study's replicates share
+    power columns (:meth:`Dataset.recount`).
     """
 
     def __init__(self, psi: FuncExpr, mode: str = "exact"):
-        self.psi, self.mode, self._forms = psi, _checked_mode(mode), {}
+        self.psi, self.mode = psi, _checked_mode(mode)
+        self._forms, self._programs = {}, {}
 
     @cached_property
     def eic(self) -> RvExpr:
         return derive_eic(self.psi, mode=self.mode).eic
 
-    def value(self, table: Dataset, f: FuncExpr | None = None):
-        """The estimand, or ``f``, under the law ``table``; as evaluate_func."""
-        expect = lambda arg: self.means(arg, table)[0]  # noqa: E731
-        return evaluate_func_with(f or self.psi, expect, self.mode)
+    def value(self, table: Dataset):
+        """The estimand under the law ``table``; a float in float mode."""
+        return self.run("value", table)
 
     def variance(self, table: Dataset) -> Fraction:
         """E[g^2] - E[g]^2 of the gradient g; as :func:`eic_variance`."""
-        mean, square = self.means(self.eic, table, square=True)
-        return square - mean * mean if mean else square
+        return self.run("variance", table)
 
-    def means(self, e: RvExpr, table, fit=None, square=False) -> list:
-        """E[e], and E[e^2] if ``square``, with moments under ``table`` and
-        embedded functionals under ``fit`` (by default ``table``)."""
-        key = e, square
-        if key not in self._forms:
-            atoms: dict = {}
-            form = canonicalize_rv(e, atoms)
-            forms = [form, form * form] if square else [form]
-            self._forms[key] = atoms, [_integer_terms(expectation_of_form(f).num) for f in forms]
-        atoms, polys = self._forms[key]
-        scalars = {k: self.value(fit or table, f).as_integer_ratio() for k, f in atoms.items()}
-        return [table.value(poly, scalars) for poly in polys]
+    def run(self, target: str, *laws):
+        """The ``value`` or ``variance`` under a law, or the ``onestep``
+        estimate under a fitted and a held-out law: the fitted estimand (in
+        float mode, its float) plus the held-out mean of its gradient."""
+        if target not in self._programs:
+            program = _Program(self.mode, self._forms)
+            try:
+                if target == "variance":
+                    mean, square = program.expect(self.eic, 0, square=True)
+                    result = program.at(square + [(-1, 1, ((program.at(mean), 2),))])
+                elif target == "onestep":
+                    fitted = (1, 1, ((program.embedded(self.psi), 1),))
+                    result = program.at([fitted, *program.expect(self.eic, 1)[0]])
+                else:
+                    result = program.at([program.func(self.psi)])
+            except EicalgError as exc:
+                result = program.add("raise", exc)
+            self._programs[target] = program, result
+        program, result = self._programs[target]
+        value = Fraction(*program.run(laws)[result])
+        return to_float(value) if self.mode == "float" and target != "variance" else value
 
 
 def _checked(psi: FuncExpr, data: Dataset) -> Dataset:
@@ -335,9 +432,7 @@ def onestep_estimate(
         return plugin_estimate(estimand, data)
     if k < 1 or k >= n:
         raise UsageError("fold too small to evaluate the functional")
-    fit, held = _checked(estimand.psi, data).subset(0, k), data.subset(k, n)
-    value = Fraction(estimand.value(fit)) + estimand.means(estimand.eic, held, fit)[0]
-    return to_float(value) if estimand.mode == "float" else value
+    return estimand.run("onestep", _checked(estimand.psi, data).subset(0, k), data.subset(k, n))
 
 
 # ---------------------------------------------------------------------------

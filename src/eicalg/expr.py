@@ -67,7 +67,6 @@ __all__ = [
     "bounded_exponent",
     "evaluate_rv",
     "evaluate_func",
-    "evaluate_func_with",
     "to_float",
     "func_base_vars",
     "render_rv",
@@ -270,6 +269,14 @@ class SmoothFunc:
     # derivative as a functional of the inner argument, e.g. log -> inv(arg)
     derivative: Callable[[FuncExpr], FuncExpr] = field(repr=False)
 
+    def at(self, x: float) -> float:
+        """The function at ``x``; where it is undefined or overflows it
+        raises :class:`EvaluationError`."""
+        try:
+            return self.evaluate(x)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{self.tag}({x}) is undefined or overflows") from exc
+
 
 def _d_exp(arg: FuncExpr) -> FuncExpr:
     return Smooth("exp", arg)
@@ -469,7 +476,7 @@ def evaluate_rv(
     the value of an embedded functional is carried exactly as the rational
     equal to its float.
     """
-    how = _pointwise(space, binding, _checked_mode(mode))
+    how = {}, space, binding, _checked_mode(mode)
     if not isinstance(e, RvExpr):
         raise TypeError(f"not a random-variable expression: {e!r}")
     value = _value(e, how)
@@ -488,17 +495,7 @@ def evaluate_func(
     nodes require float mode.  Each moment is the expectation of its
     argument evaluated pointwise on the space.
     """
-    return evaluate_func_with(f, _pointwise(space, binding, mode)[0], mode)
-
-
-def evaluate_func_with(f: FuncExpr, expect: Callable[[RvExpr], Fraction], mode: str):
-    """Value of a functional whose moments ``expect`` supplies.
-
-    ``expect`` maps the argument of a moment node to its exact expectation;
-    everything above the moments is evaluated here, so a law given pointwise
-    and a law given by a table of moments share one evaluator.
-    """
-    how = expect, None, None, _checked_mode(mode)
+    how = {}, space, binding, _checked_mode(mode)
     if not isinstance(f, FuncExpr):
         raise TypeError(f"not a functional expression: {f!r}")
     value = _value(f, how)
@@ -520,33 +517,21 @@ def _checked_mode(mode: str) -> str:
     return mode
 
 
-def _pointwise(space, binding, mode):
-    """The ``(expect, space, binding, mode)`` of :func:`_value`: ``expect``
-    maps the argument of a moment to its exact expectation on ``space``,
-    valuing each distinct one once."""
-    moments = {}
-
-    def expect(arg):
-        if arg not in moments:
-            value = _value(arg, how)
-            moments[arg] = expectation(space, value) if type(value) is RandVar else value
-        return moments[arg]
-
-    how = expect, space, binding, mode
-    return how
-
-
 def _value(e, how):
-    """The value of a node of either family under ``how``, as
-    :func:`_pointwise` makes it (a functional's walk needs only its
-    ``expect`` and ``mode``): a rational, or for a random variable not
-    constant on the space a :class:`RandVar`.  A sum or product combines its
-    rational parts as rationals and its vector parts as vectors, and joins
-    them with one vector operation unless the rational is the unit."""
+    """The value of a node of either family under ``how``, that is
+    ``(moments, space, binding, mode)`` where ``moments`` keeps the
+    expectation of each distinct moment argument valued: a rational, or for
+    a random variable not constant on the space a :class:`RandVar`.  A sum
+    or product combines its rational parts as rationals and its vector parts
+    as vectors, and joins them with one vector operation unless the rational
+    is the unit."""
     if isinstance(e, (RvConst, FuncConst)):
         return e.value
     if isinstance(e, Moment):
-        return how[0](e.arg)
+        if e.arg not in how[0]:
+            value = _value(e.arg, how)
+            how[0][e.arg] = expectation(how[1], value) if type(value) is RandVar else value
+        return how[0][e.arg]
     if isinstance(e, BaseVar):
         v = how[2].get(e.name)
         if v is None:
@@ -580,12 +565,7 @@ def _value(e, how):
     if isinstance(e, Smooth):
         if how[3] != "float":
             raise ExactModeError(f"smooth functional {e.tag!r} requires float mode")
-        x = to_float(_value(e.arg, how))
-        try:
-            y = SMOOTH_TABLE[e.tag].evaluate(x)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{e.tag}({x}) is undefined or overflows") from exc
-        return Fraction(y)
+        return Fraction(SMOOTH_TABLE[e.tag].at(to_float(_value(e.arg, how))))
     raise TypeError(f"not an expression: {e!r}")
 
 

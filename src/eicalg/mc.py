@@ -6,10 +6,12 @@ each replicate's empirical measure, and the report compares the empirical
 variance of the root-n scaled error against the gradient's variance under
 the true law, together with Wald interval coverage.  The estimand is
 compiled once (:class:`~eicalg.estimate.CompiledEstimand`) and the support
-scaled to integers once; the true law and every replicate are then one
+scaled to integers once.  The true law is one
 :class:`~eicalg.estimate.Dataset` over that column, counted by weight over
-the lcm of the weights' denominators (true law) or by multinomial count
-over n (replicate), and each moment is one power-sum pass over the support.
+the lcm of the weights' denominators; each replicate is that law recounted
+by its multinomial counts over n, so the replicates share the support's
+power columns.  A law runs the programs of the estimand and its gradient:
+one step per distinct node, one ``Fraction`` per result.
 
 Reproducibility contract: replicate ``r`` draws one multinomial count
 vector from ``numpy``'s PCG64 generator seeded with ``SeedSequence((seed,
@@ -163,7 +165,7 @@ def run_mc(config: McConfig) -> McReport:
             np.random.PCG64(np.random.SeedSequence((config.seed, r)))
         )
         counts = rng.multinomial(config.n, probs).tolist()
-        law = Dataset(column, counts, config.n)
+        law = truth_law.recount(counts, config.n)
         estimate_f = to_float(estimand.value(law))
         estimates.append(estimate_f)
         errors.append(sqrt_n * (estimate_f - truth_f))

@@ -21,7 +21,6 @@ from eicalg.expr import (
     IntPower,
     Smooth,
     evaluate_func,
-    evaluate_func_with,
     evaluate_rv,
     rv_pow,
     var,
@@ -69,7 +68,7 @@ CASES = [
         UsageError, "a gaussian grid needs at least three 'points'", id="gaussian-two-points",
     ),
     pytest.param(
-        lambda: evaluate_func_with(E(X), lambda arg: Fraction(1), "bogus"), UsageError,
+        lambda: evaluate_func(E(X), HALVES, {}, "bogus"), UsageError,
         "unknown mode 'bogus'", id="unknown-mode",
     ),
     pytest.param(

@@ -20,6 +20,7 @@ from eicalg.estimate import (
     onestep_estimate,
     plugin_estimate,
     read_delimited,
+    standard_error,
     wald_ci,
 )
 from eicalg.eic import derive_eic
@@ -42,6 +43,7 @@ from eicalg.expr import (
 from eicalg.measure import expectation
 from eicalg.parser import parse_expression
 from eicalg.sampling import trial_rng
+from workloads import derive_corpus
 
 X, Y = var("X"), var("Y")
 
@@ -226,9 +228,10 @@ def _random_decimal(rng) -> str:
     return f"{sign}{rng.randint(0, 30)}{fraction}"
 
 
-def _random_data(rng) -> Dataset:
-    """A few distinct rows, repeated: 1-3 columns of signed decimals."""
-    columns = ("X", "Y", "W")[: rng.randint(1, 3)]
+def _random_data(rng, columns=None) -> Dataset:
+    """A few distinct rows, repeated: ``columns``, by default 1-3 columns,
+    of signed decimals."""
+    columns = columns or ("X", "Y", "W")[: rng.randint(1, 3)]
     pool = [
         ",".join(_random_decimal(rng) for _ in columns)
         for _ in range(rng.randint(1, 5))
@@ -238,11 +241,12 @@ def _random_data(rng) -> Dataset:
 
 
 def _outcome(compute):
-    """The value, or the type of the error: both routes must agree on either."""
+    """The value, or the type and text of the error: both routes must agree
+    on either."""
     try:
         return compute()
     except ValueError as exc:  # every package error is a ValueError
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def _bind_embedded(e, value_of):
@@ -270,12 +274,14 @@ def bind_moments(e, space, binding, mode="exact"):
     return _bind_embedded(e, lambda f: Q(evaluate_func(f, space, binding, mode)))
 
 
-def _pointwise_onestep(psi, data, mode="exact"):
-    """The half-split one-step estimate, row by row on empirical spaces."""
+def _pointwise_onestep(psi, data, mode="exact", eic=None):
+    """The half-split one-step estimate, row by row on empirical spaces,
+    with ``eic`` the gradient of ``psi`` if it is given."""
     k = data.n // 2
     fit_space, fit_binding = empirical_space(data.subset(0, k))
     held_space, held_binding = empirical_space(data.subset(k, data.n))
-    fitted = bind_moments(derive_eic(psi, mode=mode).eic, fit_space, fit_binding, mode)
+    eic = derive_eic(psi, mode=mode).eic if eic is None else eic
+    fitted = bind_moments(eic, fit_space, fit_binding, mode)
     correction = expectation(
         held_space, evaluate_rv(fitted, held_space, held_binding)
     )
@@ -327,8 +333,57 @@ class TestMomentTableAgainstPointwise:
             _outcome(lambda: plugin_estimate(CompiledEstimand(psi, modes[0]), data))
             for data, psi, modes in self._cases(11)
         ]
-        evaluated = [v for v in values if not isinstance(v, type)]
+        evaluated = [v for v in values if not isinstance(v, tuple)]
         assert len(evaluated) > len(values) // 2
+
+    def test_derive_corpus(self):
+        """The 300 estimands of the derive corpus over X, Y and Z2, each
+        compiled once per mode and valued on two seeded laws."""
+        evaluated = errors = 0
+        for index, text in enumerate(derive_corpus()):
+            psi = parse_expression(text)
+            for mode in ("exact", "float"):
+                estimand = CompiledEstimand(psi, mode)
+                eic = _outcome(lambda: derive_eic(psi, mode=mode).eic)
+                for law in range(2):
+                    data = _random_data(trial_rng(13, 2 * index + law), ("X", "Y", "Z2"))
+                    space, binding = empirical_space(data)
+
+                    def gradient():  # derived once per mode, raised again here
+                        if isinstance(eic, tuple):
+                            raise eic[0](eic[1])
+                        return eic
+
+                    routes = (
+                        (lambda: plugin_estimate(estimand, data),
+                         lambda: evaluate_func(psi, space, binding, mode)),
+                        (lambda: eic_standard_error(estimand, data),
+                         lambda: standard_error(
+                             eic_variance(gradient(), space, binding, mode), data.n)),
+                        (lambda: onestep_estimate(estimand, data, Q(1, 2)),
+                         lambda: _pointwise_onestep(psi, data, mode, gradient())),
+                    )
+                    for table, pointwise in routes:
+                        got = _outcome(table)
+                        assert got == _outcome(pointwise), (text, mode, data)
+                        errors += isinstance(got, tuple)
+                        evaluated += not isinstance(got, tuple)
+        assert evaluated > 3 * errors
+
+    def test_cancelled_reciprocal_is_still_valued(self):
+        """inv(E[Y]) cancels in the normal forms of the estimand and of its
+        gradient, but both routes value it; E[Y] is 0 on the data and on
+        its fitted half."""
+        psi = parse_expression("E[X] + inv(E[Y]) - inv(E[Y])")
+        data = dataset(("X", "Y"), [(1, -1), (2, 1)] * 2)
+        space, binding = empirical_space(data)
+        message = "reciprocal of a functional evaluating to zero"
+        for mode in ("exact", "float"):
+            with pytest.raises(EvaluationError, match=message):
+                evaluate_func(psi, space, binding, mode)
+            for estimator in (plugin_estimate, eic_standard_error, onestep_estimate):
+                with pytest.raises(EvaluationError, match=message):
+                    estimator(CompiledEstimand(psi, mode), data)
 
     def test_cancelled_variable_is_unbound(self):
         psi = parse_expression("E[X + Z - Z]")
@@ -366,12 +421,10 @@ class TestCachesAreSafe:
     )
 
     def _values(self, estimand, law):
-        fit = read_delimited(self.TEXT).subset(0, 3)
         computations = (
             estimand.value,
             estimand.variance,
-            lambda law: estimand.means(estimand.eic, law, square=True)[1],
-            lambda law: estimand.means(estimand.eic, law, fit)[0],
+            lambda law: onestep_estimate(estimand, law, Q(1, 2)),
         )
         return [_outcome(lambda: _bits(compute(law))) for compute in computations]
 

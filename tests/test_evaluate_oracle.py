@@ -39,7 +39,6 @@ from eicalg.expr import (
     Smooth,
     bounded_exponent,
     evaluate_func,
-    evaluate_func_with,
     evaluate_rv,
     to_float,
 )
@@ -200,12 +199,9 @@ def func_outcome(evaluate, *args):
 
 
 def agree_func(f, space, binding, mode):
-    """evaluate_func, and evaluate_func_with given the oracle's moments,
-    against the functional walk."""
+    """evaluate_func against the functional walk."""
     want = func_outcome(oracle_evaluate_func, f, space, binding, mode)
     assert func_outcome(evaluate_func, f, space, binding, mode) == want, f
-    expect = oracle_expect(space, binding, mode)
-    assert func_outcome(evaluate_func_with, f, expect, mode) == want, f
     return want
 
 
@@ -325,8 +321,6 @@ class TestEntryPoints:
             evaluate_rv(Moment(BaseVar("X")), space, binding)
         with pytest.raises(TypeError, match="not a functional expression"):
             evaluate_func(BaseVar("X"), space, binding)
-        with pytest.raises(TypeError, match="not a functional expression"):
-            evaluate_func_with(RvConst(Fraction(1)), lambda arg: Fraction(0), "exact")
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_float_mode_rounds_each_embedded_value(self, mode):

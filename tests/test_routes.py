@@ -39,6 +39,32 @@ def test_verify_closed_forms_stay_vector_arithmetic():
     assert "canon" not in _package_imports("verify")
 
 
+POINTWISE_EVALUATORS = {"_value", "_pointwise", "evaluate_func"}
+
+
+def _names(module: str) -> set[str]:
+    """Every name ``module`` imports, loads or reads as an attribute."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", ["estimate", "mc"])
+def test_table_route_names_no_pointwise_evaluator(module):
+    """``estimate`` and ``simulate`` value laws by compiled programs, so the
+    pointwise oracles of the tests compare two routes that share no
+    evaluator."""
+    assert "to_float" in _names(module)  # the reader sees imported names
+    assert not _names(module) & POINTWISE_EVALUATORS
+
+
 def test_reader_finds_top_level_and_deferred_imports():
     """``cli`` imports ``errors`` at the top and ``verify`` inside a command."""
     assert {"errors", "verify"} <= _package_imports("cli")
