@@ -6,13 +6,13 @@ and sums, products, powers, reciprocals, and registered smooth functions are
 handled by linearity, the Leibniz rule, and the chain rule.  The result is
 always exactly mean-zero.
 
-``pathwise_derivative_exact`` is the independent certificate: it carries
-each subexpression of a rational functional of moments as a
-:class:`~eicalg.measure.Dual`, its value with its influence vector over the
-rationals, by the first-order rules, so the derivative along a tilt of the
-weights by a mean-zero score is exactly the influence vector's inner product
-with the score.  For a correct gradient this must equal the inner product of
-the gradient with the score, with no tolerance.
+The independent certificate carries each subexpression of a rational
+functional of moments as a :class:`~eicalg.measure.Dual`, its value with
+its influence vector over the rationals, by the first-order rules, so the
+derivative along a tilt of the weights by a mean-zero score is exactly the
+influence vector's inner product with the score
+(``pathwise_derivative_exact``).  A correct gradient must equal the
+influence vector at every outcome, with no tolerance.
 """
 
 from __future__ import annotations
@@ -202,12 +202,14 @@ class CertifyReport:
 
 def certificate(psi: FuncExpr, candidate: RvExpr | None = None):
     """The variables of ``psi`` in name order, and the check of one instance
-    (a space, those variables, a score) against the (derived or supplied)
-    gradient: it must have mean exactly zero under the instance's law, and
-    the exact tilt derivative must equal its inner product with the score.
-    The mean-zero check matters: scores are orthogonal to constants, so the
-    derivative identity alone cannot see a missing centering.  A zero
-    denominator raises :class:`EvaluationError`."""
+    (a space and those variables) against the (derived or supplied)
+    gradient: evaluated on the instance, it must equal psi's influence
+    vector at every outcome.  On a fully supported finite law the gradient
+    is the one mean-zero vector whose inner product with every score is the
+    tilt derivative along that score, and the influence vector is mean-zero
+    with exactly that inner product, so equality at every outcome is the
+    mean-zero check and the pathwise identity along every score at once.
+    A zero denominator raises :class:`EvaluationError`."""
     if candidate is None:
         derived = derive_eic(psi)
         normalized, eic = derived.estimand, derived.eic
@@ -215,19 +217,12 @@ def certificate(psi: FuncExpr, candidate: RvExpr | None = None):
         normalized, eic = normalize_functional(psi), candidate
     names = sorted(func_base_vars(psi))
 
-    def check(space, *drawn):
-        binding, score = dict(zip(names, drawn[:-1])), drawn[-1]
-        eic_values = evaluate_rv(eic, space, binding)
-        path_side = inner(space, _influence(normalized, space, binding).influence, score)
-        eic_mean = expectation(space, eic_values)
-        if eic_mean != 0:
-            return f"gradient mean {eic_mean} is not zero"
-        gradient_side = inner(space, eic_values, score)
-        if path_side != gradient_side:
-            return (
-                f"score={format_values(score)}"
-                f" path-derivative={path_side} inner-product={gradient_side}"
-            )
+    def check(space, *variables):
+        binding = dict(zip(names, variables))
+        gradient = evaluate_rv(eic, space, binding)
+        influence = _influence(normalized, space, binding).influence
+        if gradient != influence:
+            return f"gradient={format_values(gradient)} influence={format_values(influence)}"
         return None
 
     return names, check
@@ -240,13 +235,13 @@ def certify_eic(
     candidate: RvExpr | None = None,
     max_outcomes: int = 8,
 ) -> CertifyReport:
-    """Check the pathwise-derivative identity of :func:`certificate` on
-    seeded random instances, through :func:`~eicalg.sampling.check_instances`:
-    a degenerate draw is skipped, ``checked`` counts the trials actually
-    checked, and too few of them fail the report.  Failures are reported,
-    not raised.  ``trials``, ``seed`` and ``max_outcomes`` are read as
-    :func:`~eicalg.sampling.draws` reads them.
-    """
+    """Compare the gradient with psi's influence vector at every outcome,
+    as :func:`certificate` does, on seeded random instances (no score is
+    drawn), through :func:`~eicalg.sampling.check_instances`: a degenerate
+    draw is skipped, ``checked`` counts the trials actually checked, and too
+    few of them fail the report.  Failures are reported, not raised.
+    ``trials``, ``seed`` and ``max_outcomes`` are read as
+    :func:`~eicalg.sampling.draws` reads them."""
     names, check = certificate(psi, candidate)
     instances = draws(names, trials, seed, max_outcomes)
     [(checked, counterexample)] = check_instances([check], instances)

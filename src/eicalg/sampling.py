@@ -1,6 +1,7 @@
-"""Seeded generation of random spaces, variables, and score directions,
-and the one loop that runs every seeded check of the package: one verify
-call runs all the checks of its suites in a single pass over the draws.
+"""Seeded generation of random spaces, variables and tilt scores, and the
+one loop that runs every seeded check of the package over instances of a
+space and its variables (no score): one verify call runs all the checks of
+its suites in a single pass over the draws.
 
 Every fuzz corpus in the package derives per-instance generators
 deterministically from a root seed and an instance index, so corpora are
@@ -68,11 +69,11 @@ def format_values(v: RandVar) -> list[str]:
 
 
 def draws(names, trials, seed, max_outcomes):
-    """Instances ``(index, space, binding, score)`` for ``index`` below
-    ``trials``, each drawn when a loop reaches it: instance i draws a space
-    from ``trial_rng(seed, i)``, one integer variable per name in name
-    order, then a score.  The last three arguments are read as the settings
-    of their flags at the call, before anything is drawn."""
+    """Instances ``(index, space, binding)`` for ``index`` below ``trials``,
+    each drawn when a loop reaches it: instance i draws a space from
+    ``trial_rng(seed, i)``, then one integer variable per name in name
+    order.  The last three arguments are read as the settings of their
+    flags at the call, before anything is drawn."""
     flags = ("--trials", "--seed", "--max-outcomes")
     trials, seed, max_outcomes = map(setting, flags, (trials, seed, max_outcomes))
 
@@ -81,7 +82,7 @@ def draws(names, trials, seed, max_outcomes):
             rng = trial_rng(seed, index)
             space = random_space(rng, max_outcomes=max_outcomes)
             binding = random_binding(rng, space, names)
-            yield index, space, binding, random_score(rng, space)
+            yield index, space, binding
 
     return instances()
 
@@ -89,19 +90,18 @@ def draws(names, trials, seed, max_outcomes):
 def check_instances(checks, instances):
     """``(checked, counterexample)`` of each check, in order, over
     ``instances``.  Each check with no counterexample yet is called as
-    ``check(space, *variables, score)`` and returns None or a failure
-    message.  One that raises :class:`EvaluationError` skips the
-    (degenerate) draw, and one that checked no instance, or fewer than half
-    of the instances taken, fails.  No instance is taken once every check
+    ``check(space, *variables)`` and returns None or a failure message.
+    One that raises :class:`EvaluationError` skips the (degenerate) draw,
+    and one that checked no instance, or fewer than half of the instances
+    taken, fails.  No instance is taken once every check
     has failed, so a check still open has seen every instance."""
     checked, found, trials = [0] * len(checks), [None] * len(checks), 0
-    for trials, (index, space, binding, score) in enumerate(instances, 1):
-        drawn = (*binding.values(), score)
+    for trials, (index, space, binding) in enumerate(instances, 1):
         for k, check in enumerate(checks):
             if found[k]:
                 continue
             try:
-                failure = check(space, *drawn)
+                failure = check(space, *binding.values())
             except EvaluationError:
                 continue
             checked[k] += 1

@@ -25,7 +25,7 @@ from .sampling import check_instances, draws
 __all__ = ["SUITES", "run_suite", "available_suites"]
 
 
-def _decomposition(space, x, y, score):
+def _decomposition(space, x, y):
     parts = decompose(space, x)
     rebuilt = embed(parts.constant_part, space) + parts.centered_part
     if rebuilt != x:
@@ -42,7 +42,7 @@ def _decomposition(space, x, y, score):
 def _rows_hold(rows):
     """The check that each row's sides, on an instance, equal its closed form."""
 
-    def check(space, x, y, score):
+    def check(space, x, y):
         model, mean = BracketFunctions(space), partial(expectation, space)
         failures = (row.failure(row.side(model, x, y), row.closed(mean, x, y)) for row in rows)
         return next(filter(None, failures), None)

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import negate_first_centering
 from eicalg import brackets, measure, parser, sampling, verify
-from eicalg.canon import canonicalize_rv
+from eicalg.canon import CanonForm, canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.errors import EvaluationError
 from eicalg.expr import E, FuncConst, FuncSum, f_pow, var
@@ -304,14 +304,16 @@ class TestExponentBound:
 
 
 class TestLongSum:
-    def test_polynomial_terms_add_in_one_pass(self, capsys):
-        """A sum of polynomial terms adds their numerators in one pass: the
-        sum of E[Xi]*E[Yi] over i < 1000 took 11.4 s when every term was
-        folded into the running sum with its own normalization."""
+    def test_polynomial_terms_add_in_one_pass(self, capsys, monkeypatch):
+        """A sum of polynomial terms adds their numerators in one pass, with
+        no :class:`CanonForm` addition: folding each of the terms E[Xi]*E[Yi],
+        i < 1000, into the running sum with its own normalization made one
+        addition per term and took 11.4 s."""
+        adds, add = [], CanonForm.__add__
+        monkeypatch.setattr(CanonForm, "__add__", lambda a, b: adds.append(1) or add(a, b))
         text = "+".join(f"E[X{i}]*E[Y{i}]" for i in range(1000))
-        start = time.perf_counter()
         code, out, err = run_cli(capsys, "derive", text)
-        assert time.perf_counter() - start < 1
+        assert len(adds) == 0
         assert code == 0, err
         assert "X999*E[Y999] + " in out and "Y999*E[X999] - " in out
         assert "mean-zero: pass" in out

@@ -255,11 +255,10 @@ class TestPathwiseDerivative:
             assert float(numeric) == pytest.approx(gradient_side, rel=1e-9, abs=1e-12)
 
 
-# the first instance of seed 3 with its score, as a certificate prints it
+# the first instance of seed 3, as a certificate prints it
 INSTANCE_0_SEED_3 = (
     "instance 0: weights=['9/25', '2/25', '6/25', '2/25', '1/5', '1/25']"
-    " X=['1', '-1', '-3', '3', '4', '2'] Y=['-4', '2', '5', '-1', '3', '1'];"
-    " score=['2/25', '52/25', '-73/25', '77/25', '52/25', '-98/25'] "
+    " X=['1', '-1', '-3', '3', '4', '2'] Y=['-4', '2', '5', '-1', '3', '1']; "
 )
 
 
@@ -278,7 +277,7 @@ class TestCertify:
         assert not report.passed and report.checked == 1
         assert report.counterexample == (
             "instance 0: weights=['7/8', '1/8'] X=['-1', '5'];"
-            " gradient mean -1/4 is not zero"
+            " gradient=['-1', '5'] influence=['-3/4', '21/4']"
         )
 
     @pytest.mark.parametrize("name", sorted(RATIONAL_ESTIMANDS))
@@ -292,16 +291,29 @@ class TestCertify:
         report = certify_eic(psi, trials=50, seed=3, candidate=derive_eic(E(X * Y)).eic)
         assert not report.passed
         assert report.counterexample == INSTANCE_0_SEED_3 + (
-            "path-derivative=-79/36 inner-product=8752/625"
+            "gradient=['-26/25', '24/25', '-301/25', '-1/25', '374/25', '124/25']"
+            " influence=['-1075/18', '775/36', '2375/72', '-1375/72', '1525/24', '1225/72']"
         )
 
     def test_doubled_gradient_is_caught(self):
-        """The instance, its score and both sides of the identity are pinned."""
+        """The instance, the gradient and the influence vector are pinned."""
         doubled = 2 * derive_eic(E(X * Y)).eic
         report = certify_eic(E(X * Y), trials=50, seed=3, candidate=doubled)
         assert not report.passed and report.checked == 1
         assert report.counterexample == INSTANCE_0_SEED_3 + (
-            "path-derivative=8752/625 inner-product=17504/625"
+            "gradient=['-52/25', '48/25', '-602/25', '-2/25', '748/25', '248/25']"
+            " influence=['-26/25', '24/25', '-301/25', '-1/25', '374/25', '124/25']"
+        )
+
+    def test_doubled_gradient_on_a_zero_score_draw_is_caught(self):
+        """On this draw a centered integer score drawn after X is identically
+        zero, so a doubled gradient of E[X] agrees with the influence vector
+        along it; the full-vector comparison still sees the factor 2."""
+        report = certify_eic(E(X), trials=1, seed=19, max_outcomes=2, candidate=2 * (X - E(X)))
+        assert not report.passed and report.checked == 1
+        assert report.counterexample == (
+            "instance 0: weights=['4/7', '3/7'] X=['-4', '4'];"
+            " gradient=['-48/7', '64/7'] influence=['-24/7', '32/7']"
         )
 
     def test_degenerate_draws_are_skipped(self):
@@ -325,8 +337,9 @@ class TestCertify:
         psi = RATIONAL_ESTIMANDS["squared-correlation"]
         scaled = Q(11, 10) * derive_eic(psi, mode="float").eic
         report = certify_eic(psi, trials=50, seed=seed, candidate=scaled)
-        assert not report.passed
-        assert "path-derivative" in report.counterexample
+        assert not report.passed and report.checked == 1
+        assert report.counterexample.startswith("instance 0: weights=[")
+        assert "; gradient=[" in report.counterexample and "] influence=[" in report.counterexample
 
     def test_too_few_checked_trials_fail(self, monkeypatch):
         def degenerate(*args, **kwargs):

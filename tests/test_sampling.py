@@ -15,7 +15,6 @@ from eicalg.sampling import (
     check_instances,
     draws,
     random_binding,
-    random_score,
     random_space,
     trial_rng,
 )
@@ -45,6 +44,8 @@ def _skipping(skip):
 class TestDraws:
     @pytest.mark.parametrize("names", [(), ("X",), ("Y", "X"), ("X", "Y", "Z")])
     def test_space_then_variables_in_name_order_then_score(self, names):
+        """No score follows the variables: a check receives the space and
+        the variables only."""
         seen = []
         assert check_instances([_recording(seen)], draws(names, 6, 11, 5)) == [(6, None)]
         for index, (space, drawn) in enumerate(seen):
@@ -52,8 +53,17 @@ class TestDraws:
             want_space = random_space(rng, max_outcomes=5)
             binding = random_binding(rng, want_space, names)
             assert space == want_space
-            assert drawn == (*binding.values(), random_score(rng, want_space))
+            assert drawn == tuple(binding.values())
             assert list(binding) == sorted(names)
+
+    def test_no_check_draws_a_score(self, monkeypatch):
+        def no_score(*args):
+            raise AssertionError("a score was drawn")
+
+        monkeypatch.setattr(sampling, "random_score", no_score)
+        assert all(r.passed for r in run_suite("all", 20, 0, 8))
+        x = var("X")
+        assert certify_eic(E(x**2) - E(x) ** 2, 50, 3).passed
 
     def test_every_check_sees_the_same_instances(self):
         first, second = [], []
@@ -65,7 +75,7 @@ class TestCounterexamples:
     def test_format_and_first_failure_only(self):
         calls = []
 
-        def fails_at_two(space, x, y, score):
+        def fails_at_two(space, x, y):
             calls.append(x)
             return "two" if len(calls) == 3 else None
 
@@ -83,7 +93,7 @@ class TestCounterexamples:
         )
 
     def test_no_variables(self):
-        [(checked, found)] = check_instances([lambda space, score: "bad"], draws((), 3, 0, 2))
+        [(checked, found)] = check_instances([lambda space: "bad"], draws((), 3, 0, 2))
         assert checked == 1
         assert found.startswith("instance 0: weights=[") and found.endswith("]; bad")
 
@@ -140,8 +150,8 @@ def _counting_spaces(monkeypatch):
 
 def _fields(instances):
     return [
-        (index, space, [(n, v.nums, v.den) for n, v in binding.items()], score.nums, score.den)
-        for index, space, binding, score in instances
+        (index, space, [(n, v.nums, v.den) for n, v in binding.items()])
+        for index, space, binding in instances
     ]
 
 
