@@ -11,12 +11,13 @@ Each identity is written once: :class:`Algebra` states its operator side over
 its closed form.  :class:`Numeric`, the model on a finite space behind the
 nine bracket functions, reads T of a scalar (a :class:`~eicalg.measure.Dual`)
 as its influence vector, the only reading under which the composite brackets
-type-check; :class:`Symbolic`, on trees, as :func:`~eicalg.eic.derive_eic`'s
-gradient.  The numeric checks take each row's side from the bracket
-functions (:class:`BracketFunctions`), the symbolic records from
-:class:`Symbolic`; each closed form is computed directly, on vectors or on
-canonical forms.  In one verify pass the bracket functions share one model
-per instance, which values each mean, centering and product once.
+type-check, and T of a vector as the influence of its mean;
+:class:`Symbolic`, on trees, as :func:`~eicalg.eic.derive_eic`'s gradient.
+The numeric checks take each row's side from the bracket functions
+(:class:`BracketFunctions`), the symbolic records from :class:`Symbolic`;
+each closed form is computed directly, on vectors or on canonical forms.
+In one verify pass the bracket functions share one model per instance,
+which values each mean and product once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 from .canon import CanonForm, canonicalize_rv, expectation_of_form
 from .eic import derive_eic
 from .expr import E, FuncExpr, RvExpr, rv_embed, var
-from .measure import Dual, FiniteProbSpace, RandVar, center, embed, pointwise_product
+from .measure import Dual, FiniteProbSpace, RandVar, embed, pointwise_product
 from .sampling import format_values
 
 __all__ = [
@@ -87,7 +88,8 @@ class Algebra:
 
 
 class Numeric(Algebra):
-    """Exact vectors on one space, each scalar a Dual; E, T and prod value a vector once."""
+    """Exact vectors on one space, each scalar a Dual; E, T and prod value a
+    vector once, T of a vector as the influence of its memoized mean."""
 
     def __init__(self, space: FiniteProbSpace):
         self.space, self._values = space, {}
@@ -107,7 +109,7 @@ class Numeric(Algebra):
         return self._once(Dual.mean, v)
 
     def T(self, v):
-        return v.influence if isinstance(v, Dual) else self._once(center, v)
+        return (v if isinstance(v, Dual) else self.E(v)).influence
 
     def prod(self, f: RandVar, g: RandVar) -> RandVar:
         return self._once(self._product, f, g)

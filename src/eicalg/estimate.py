@@ -331,6 +331,9 @@ class CompiledEstimand:
     def __init__(self, psi: FuncExpr, mode: str = "exact"):
         self.psi, self.mode = psi, _checked_mode(mode)
         self._forms, self._programs = {}, {}
+        # from psi as written: expansion may cancel a variable (E[X + Z - Z])
+        # that a law still has to provide
+        self._names = frozenset(func_base_vars(psi))
 
     @cached_property
     def eic(self) -> RvExpr:
@@ -347,7 +350,12 @@ class CompiledEstimand:
     def run(self, target: str, *laws):
         """The ``value`` or ``variance`` under a law, or the ``onestep``
         estimate under a fitted and a held-out law: the fitted estimand (in
-        float mode, its float) plus the held-out mean of its gradient."""
+        float mode, its float) plus the held-out mean of its gradient.  A
+        law without a column of psi raises :class:`EvaluationError` first."""
+        for law in laws:
+            if not self._names <= law._columns.keys():
+                missing = self._names - law._columns.keys()
+                raise EvaluationError(f"unbound variable {min(missing)!r}")
         if target not in self._programs:
             program = _Program(self.mode, self._forms)
             try:
@@ -367,21 +375,9 @@ class CompiledEstimand:
         return to_float(value) if self.mode == "float" and target != "variance" else value
 
 
-def _checked(psi: FuncExpr, data: Dataset) -> Dataset:
-    """``data``, once every variable of ``psi`` is one of its columns.
-
-    The check comes before anything is expanded: expansion may cancel a
-    variable (``E[X + Z - Z]``) that the data still has to provide.
-    """
-    missing = func_base_vars(psi) - set(data.columns)
-    if missing:
-        raise EvaluationError(f"unbound variable {min(missing)!r}")
-    return data
-
-
 def plugin_estimate(estimand: CompiledEstimand, data: Dataset):
     """The estimand evaluated at the empirical measure."""
-    return estimand.value(_checked(estimand.psi, data))
+    return estimand.value(data)
 
 
 def eic_variance(
@@ -407,7 +403,7 @@ def standard_error(variance: Fraction, n: int) -> float:
 
 def eic_standard_error(estimand: CompiledEstimand, data: Dataset) -> float:
     """Standard error sqrt(Var_hat(gradient)/n) at the empirical measure."""
-    return standard_error(estimand.variance(_checked(estimand.psi, data)), data.n)
+    return standard_error(estimand.variance(data), data.n)
 
 
 def onestep_estimate(
@@ -432,7 +428,7 @@ def onestep_estimate(
         return plugin_estimate(estimand, data)
     if k < 1 or k >= n:
         raise UsageError("fold too small to evaluate the functional")
-    return estimand.run("onestep", _checked(estimand.psi, data).subset(0, k), data.subset(k, n))
+    return estimand.run("onestep", data.subset(0, k), data.subset(k, n))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, neg
+from operator import mul
 
 from .errors import EvaluationError, SpaceMismatchError, UsageError
 from .numerals import read_rational
@@ -226,40 +226,19 @@ class Dual:
 
     :meth:`mean` gives E[v] as ``Dual(E[v], v - E[v])``.  Sums, differences,
     products and integer powers (a reciprocal is the power -1) combine Duals,
-    or a Dual and a rational, by the first-order rules.  A value is computed
-    at once, an influence vector only when it is read, since most scalars of
-    a bracket are read only for their value: until then a Dual keeps the
-    rule that makes its influence from those of its parts.
+    or a Dual and a rational, by the first-order rules, each applied as the
+    Dual is built: a Dual holds its value and its vector, nothing else.
     """
 
-    __slots__ = ("value", "_influence", "_rule", "_parts")
+    __slots__ = ("value", "influence")
 
-    def __init__(self, value, influence: RandVar | None = None, rule=None, parts=()):
-        self.value, self._influence, self._rule, self._parts = value, influence, rule, parts
+    def __init__(self, value, influence: RandVar):
+        self.value, self.influence = value, influence
 
     @staticmethod
     def mean(space: FiniteProbSpace, f: RandVar) -> "Dual":
         value = expectation(space, f)
-        return Dual(value, None, lambda: f - value)
-
-    @property
-    def influence(self) -> RandVar:
-        """Built at the first read, unread parts first, by a loop rather than
-        by recursion: a sum of many terms is a long chain of parts."""
-        todo = [self]
-        while todo:
-            dual = todo[-1]
-            if dual._influence is not None:
-                todo.pop()
-                continue
-            unread = [p for p in dual._parts if p._influence is None]
-            if unread:
-                todo += unread
-            else:
-                todo.pop()
-                dual._influence = dual._rule(*(p._influence for p in dual._parts))
-                dual._rule, dual._parts = None, ()
-        return self._influence
+        return Dual(value, f - value)
 
     def __eq__(self, other):
         if not isinstance(other, Dual):
@@ -273,13 +252,13 @@ class Dual:
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.value + other.value, None, add, (self, other))
-        return Dual(self.value + other, None, lambda f: f, (self,))
+            return Dual(self.value + other.value, self.influence + other.influence)
+        return Dual(self.value + other, self.influence)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.value, None, neg, (self,))
+        return Dual(-self.value, -self.influence)
 
     def __sub__(self, other):
         return self + (-other)
@@ -290,8 +269,8 @@ class Dual:
     def __mul__(self, other):
         if isinstance(other, Dual):
             a, b = self.value, other.value
-            return Dual(a * b, None, lambda f, g: f * b + g * a, (self, other))
-        return Dual(self.value * other, None, lambda f: f * other, (self,))
+            return Dual(a * b, self.influence * b + other.influence * a)
+        return Dual(self.value * other, self.influence * other)
 
     __rmul__ = __mul__
 
@@ -299,4 +278,4 @@ class Dual:
         if n < 0 and self.value == 0:
             raise EvaluationError("reciprocal of a functional evaluating to zero")
         slope = n * self.value ** (n - 1) if n else 0
-        return Dual(self.value**n, None, lambda f: f * slope, (self,))
+        return Dual(self.value**n, self.influence * slope)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 
 from conftest import negate_first_centering, small_rationals, space_and_vars
-from eicalg import brackets, measure, verify
+from eicalg import brackets, verify
 from eicalg.brackets import (
     bracket_P_prod,
     bracket_prod_T,
@@ -275,12 +275,18 @@ class TestOneModelPerPass:
         assert not any(thread.is_alive() for thread in threads)
         assert [got[seed] for seed in seeds] == serial
 
-    def test_vectors_built_by_one_verify_call(self, monkeypatch):
-        """Each instance is valued once on the bracket route: 23,879 vectors
-        when every bracket call built its own model, 17,981 with one."""
-        calls, build = [], measure._vector
+    def test_models_built_by_one_verify_call(self, monkeypatch):
+        """Each instance is valued by one model on the bracket route: 100
+        models for 100 instances, 1,300 when every bracket call built its own."""
+        built, init = [], brackets.Numeric.__init__
         monkeypatch.setattr(
-            measure, "_vector", lambda *args: calls.append(1) or build(*args)
+            brackets.Numeric, "__init__", lambda model, space: built.append(1) or init(model, space)
         )
         assert all(r.passed for r in verify.run_suite("all", 100, 1, 8))
-        assert len(calls) < 19_000
+        assert len(built) == 100
+
+    def test_T_of_a_vector_is_the_influence_of_its_mean(self):
+        """T centers each vector once, by its memoized mean."""
+        model = brackets.Numeric(SP)
+        assert model.T(IND) is model.E(IND).influence
+        assert model.T(IND) == IND - Q(1, 2)

@@ -639,9 +639,11 @@ class TestVerify:
     ):
         """The counterexample text, rational weights and values included, is
         pinned byte for byte: it is recorded output, not just a verdict."""
-        monkeypatch.setattr(
-            brackets, "center", lambda space, f: f - measure.expectation(space, f) + 1
-        )
+        def shifted_mean(space, f):
+            value = measure.expectation(space, f)
+            return measure.Dual(value, f - value + 1)
+
+        monkeypatch.setattr(measure.Dual, "mean", staticmethod(shifted_mean))
         code, out, _ = run_cli(
             capsys, "--output", "structured", "verify", "brackets", "--trials", "5"
         )

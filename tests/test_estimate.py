@@ -395,6 +395,21 @@ class TestMomentTableAgainstPointwise:
             with pytest.raises(EvaluationError, match="unbound variable 'Z'"):
                 estimator(CompiledEstimand(psi), data)
 
+    @pytest.mark.parametrize("psi", ["E[Z]", "E[X + Z - Z]", "E[X] * exp(E[Z])"])
+    def test_compiled_estimand_checks_its_columns(self, psi):
+        """Each entry of a compiled estimand refuses a law without a column
+        of psi as written, in either mode, before it values anything."""
+        data = read_delimited("X\n1\n2\n")
+        for mode in ("exact", "float"):
+            estimand = CompiledEstimand(parse_expression(psi), mode)
+            for entry in (
+                estimand.value,
+                estimand.variance,
+                lambda law: estimand.run("onestep", law, law),
+            ):
+                with pytest.raises(EvaluationError, match="^unbound variable 'Z'$"):
+                    entry(data)
+
     def test_standard_error_overflow(self):
         data = dataset(("X",), [(10,), (20,)])
         with pytest.raises(EvaluationError):

@@ -307,8 +307,8 @@ class TestDual:
             Dual.mean(space, space.variable((-1, 1))) ** -1
 
     def test_long_chain_reads_without_recursion(self):
-        """A sum of many terms reads its influence in a loop, not by
-        recursing once per term."""
+        """A sum of many terms is built one addition at a time, each Dual
+        whole when built, so nothing recurses once per term."""
         space = halves()
         x = space.variable((1, 2))
         total = sum(Dual.mean(space, x) for _ in range(5000))
