@@ -17,7 +17,8 @@ The numeric checks take each row's side from the bracket functions
 (:class:`BracketFunctions`), the symbolic records from :class:`Symbolic`;
 each closed form is computed directly, on vectors or on canonical forms.
 In one verify pass the bracket functions share one model per instance,
-which values each mean and product once.
+which keeps each mean, product and side, so a composite bracket reuses the
+elementary ones it nests; the closed forms keep their means apart (:class:`Means`).
 """
 
 from __future__ import annotations
@@ -87,49 +88,61 @@ class Algebra:
         return self.prod(self.T(self.E(x)), self.T(self.E(y))), self.T(cov) + self.embed(cov)
 
 
-class Numeric(Algebra):
-    """Exact vectors on one space, each scalar a Dual; E, T and prod value a
-    vector once, T of a vector as the influence of its memoized mean."""
+class _Kept:
+    """Values on one space, each kept under a name and its arguments' (nums,
+    den); with no space, or a vector of another space, computed unkept."""
 
-    def __init__(self, space: FiniteProbSpace):
+    def __init__(self, space: FiniteProbSpace | None):
         self.space, self._values = space, {}
 
-    def _once(self, op, *vs: RandVar):
-        """``op(space, *vs)``, kept under op and the vectors' (nums, den)."""
+    def _once(self, name, op, *vs):
         for v in vs:
-            if v.space is not self.space:
-                return op(self.space, *vs)  # unkept: measure refuses another space
-        key = (op, *[(v.nums, v.den) for v in vs])
+            if self.space is None or v.space is not self.space:
+                return op(self, *vs)  # unkept: forms, or a vector measure refuses
+        key = (name, *[(v.nums, v.den) for v in vs])
         value = self._values.get(key)
         if value is None:
-            value = self._values[key] = op(self.space, *vs)
+            value = self._values[key] = op(self, *vs)
         return value
 
+
+class Numeric(_Kept, Algebra):
+    """Exact vectors on one space, each scalar a Dual; E, prod and the nine
+    sides kept (a side is Algebra's, looked up when called, so a patched one
+    is kept), T of a vector the influence of its mean."""
+
     def E(self, v: RandVar) -> Dual:
-        return self._once(Dual.mean, v)
+        return self._once("E", lambda model, v: Dual.mean(model.space, v), v)
 
     def T(self, v):
         return (v if isinstance(v, Dual) else self.E(v)).influence
 
     def prod(self, f: RandVar, g: RandVar) -> RandVar:
-        return self._once(self._product, f, g)
+        return self._once("prod", lambda model, f, g: pointwise_product(f, g), f, g)
 
     def embed(self, a: Dual) -> RandVar:
         return embed(a.value, self.space)
 
-    _product = staticmethod(lambda space, f, g: pointwise_product(f, g))
+
+def _kept(name):
+    return lambda model, x, y: model._once(name, getattr(Algebra, name), x, y)
+
+
+for _name in [name for name in vars(Algebra) if not name.startswith("_")]:
+    setattr(Numeric, _name, _kept(_name))
+
+
+def _in_pass(var: ContextVar, build, space: FiniteProbSpace):
+    """The pass's ``build(space)``, new when the space changes; outside a pass, a new one."""
+    slot = var.get() or [None]
+    if slot[0] is None or slot[0].space is not space:
+        slot[0] = build(space)
+    return slot[0]
 
 
 # in a verify pass, [the model of the space last asked for]
 _PASS: ContextVar[list | None] = ContextVar("eicalg.brackets.pass", default=None)
-
-
-def _numeric(space: FiniteProbSpace) -> Numeric:
-    """The pass's model of ``space``, new when the space changes; outside a pass, a new one."""
-    slot = _PASS.get() or [None]
-    if slot[0] is None or slot[0].space is not space:
-        slot[0] = Numeric(space)
-    return slot[0]
+_numeric = partial(_in_pass, _PASS, Numeric)
 
 
 class Symbolic(Algebra):
@@ -230,12 +243,27 @@ class Row:
         return None
 
 
+class Means(_Kept):
+    """The closed forms' ``mean``, ``m(v)``, and centred product
+    ``m.centered(x, y)``: kept on a space, of vectors; with none, of forms."""
+
+    def __init__(self, mean, space: FiniteProbSpace | None = None):
+        super().__init__(space)
+        self.mean = mean
+
+    def __call__(self, v):
+        return self._once("E", lambda m, v: m.mean(v), v)
+
+    def centered(self, x, y):
+        return self._once("centered", _centered, x, y)
+
+
 def _centered(m, x, y):  # (x - E x)(y - E y), and its mean, the covariance
     return (x - m(x)) * (y - m(y))
 
 
 def _covariance(m, x, y):
-    return m(_centered(m, x, y))
+    return m(m.centered(x, y))
 
 
 def identities():
@@ -255,7 +283,7 @@ def identities():
             Row("product-centering-bracket",
                 "(TX)(TY) - T(XY) written via gradients equals its closed form",
                 lambda o, x, y: o.bracket_prod_T(x, y),
-                lambda m, x, y: _centered(m, x, y) - (x * y - m(x * y))),
+                lambda m, x, y: m.centered(x, y) - (x * y - m(x * y))),
         ]),
         ("brackets", "centering-expectation-bracket",
          "the pair bracket returns the centered coordinates, both mean-zero", [
@@ -274,23 +302,23 @@ def identities():
         ("corollaries", "corollary-covariance-gradient",
          "T(PX)T(PY) equals T(Cov) + Cov, both equal (X-PX)(Y-PY)", [
             Row("corollary-covariance-gradient", "T(PX)T(PY) equals T(Cov) + Cov",
-                lambda o, x, y: o.corollary_cov(x, y), _centered),
+                lambda o, x, y: o.corollary_cov(x, y), lambda m, x, y: m.centered(x, y)),
         ]),
         ("lemma", "lemma-pieces", "each composite bracket equals its closed form", [
             Row("lemma-piece-center-of-covariance",
                 "first composite bracket equals (TX)(TY) - 2 Cov",
                 lambda o, x, y: o.nested_T_P_prod(x, y),
-                lambda m, x, y: _centered(m, x, y) - _covariance(m, x, y) - _covariance(m, x, y),
+                lambda m, x, y: m.centered(x, y) - _covariance(m, x, y) - _covariance(m, x, y),
                 "first piece "),
             Row("lemma-piece-expectation-of-product-centering",
                 "second composite bracket equals Cov - (TX)(TY) + Leibniz expansion",
                 lambda o, x, y: o.nested_P_prod_T(x, y),
-                lambda m, x, y: _covariance(m, x, y) - _centered(m, x, y)
+                lambda m, x, y: _covariance(m, x, y) - m.centered(x, y)
                 + ((x - m(x)) * m(y) + m(x) * (y - m(y))), "second piece "),
             Row("lemma-piece-product-of-centered-means",
                 "third composite bracket equals (TX)(TY) - (XY - E[XY])",
                 lambda o, x, y: o.nested_prod_T_P(x, y),
-                lambda m, x, y: _centered(m, x, y) - (x * y - m(x * y)), "third piece "),
+                lambda m, x, y: m.centered(x, y) - (x * y - m(x * y)), "third piece "),
         ]),
         ("jacobi", "jacobi-identity", "the cyclic sum of composite brackets is the zero vector", [
             Row("jacobi-identity", "the cyclic sum of the three composite brackets is zero",
@@ -312,10 +340,11 @@ def symbolic_identity_suite() -> list[IdentityRecord]:
     """Prove every named identity once: each side, in the symbolic model, has
     the canonical form of the closed form, which is computed on the forms of
     X and Y with :func:`~eicalg.canon.expectation_of_form` as the mean."""
-    model, x, y = Symbolic(), CanonForm.from_atom(("v", "X")), CanonForm.from_atom(("v", "Y"))
+    model, m = Symbolic(), Means(expectation_of_form)
+    x, y = CanonForm.from_atom(("v", "X")), CanonForm.from_atom(("v", "Y"))
     form = lambda e: canonicalize_rv(e if isinstance(e, RvExpr) else rv_embed(e))  # noqa: E731
     rows = [row for *_, rows in identities() for row in rows]
     sides = [row.side(model, var("X"), var("Y")) for row in rows]
-    closed = [row.closed(expectation_of_form, x, y) for row in rows]
+    closed = [row.closed(m, x, y) for row in rows]
     msgs = [row.failure(s, c, form) for row, s, c in zip(rows, sides, closed)]
     return [IdentityRecord(r.record, r.statement, "symbolic", not f, f) for r, f in zip(rows, msgs)]

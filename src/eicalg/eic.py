@@ -8,18 +8,18 @@ always exactly mean-zero.
 
 The independent certificate carries each subexpression of a rational
 functional of moments as a :class:`~eicalg.measure.Dual`, its value with
-its influence vector over the rationals, by the first-order rules, so the
-derivative along a tilt of the weights by a mean-zero score is exactly the
-influence vector's inner product with the score
-(``pathwise_derivative_exact``).  A correct gradient must equal the
-influence vector at every outcome, with no tolerance.
+its influence vector over the rationals, by the first-order rules, and
+compares whole vectors: a correct gradient must equal the influence vector
+at every outcome, with no tolerance.  That is the tilt derivative along
+every mean-zero score at once (``pathwise_derivative_exact`` takes one).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .canon import CanonForm, expectation_of_form, normalize_functional
 from .errors import ExactModeError, SpaceMismatchError, UsageError
@@ -164,24 +164,24 @@ def pathwise_derivative_exact(
     return inner(path.space, dual.influence, path.score)
 
 
-def _influence(f: FuncExpr, space: FiniteProbSpace, binding: dict[str, RandVar]) -> Dual:
+def _influence(f: FuncExpr, space: FiniteProbSpace, binding: dict, part=False) -> Dual:
     """A normalized functional on one instance, as a :class:`Dual`.
 
     A moment E[v] is ``Dual.mean`` of its argument's values; sums, products,
-    powers and reciprocals combine the Duals of their parts.
+    powers and reciprocals combine their parts, a constant ``part`` as a value.
     """
     if isinstance(f, FuncConst):
-        return Dual(f.value, embed(0, space))
+        return f.value if part else Dual(f.value, embed(0, space))
     if isinstance(f, Moment):
         return Dual.mean(space, evaluate_rv(f.arg, space, binding))
     if isinstance(f, FuncSum):
-        return sum(_influence(t, space, binding) for t in f.terms)
+        return sum(_influence(t, space, binding, True) for t in f.terms)
     if isinstance(f, FuncProduct):
-        return math.prod(_influence(x, space, binding) for x in f.factors)
+        return reduce(mul, [_influence(x, space, binding, True) for x in f.factors])
     if isinstance(f, FuncPower):
-        return _influence(f.base, space, binding) ** f.exponent
+        return _influence(f.base, space, binding, True) ** f.exponent
     if isinstance(f, Reciprocal):
-        return _influence(f.arg, space, binding) ** -1
+        return _influence(f.arg, space, binding, True) ** -1
     if isinstance(f, Smooth):
         raise ExactModeError(f"no exact tilt slope for smooth functional {f.tag!r}")
     raise TypeError(f"not a functional expression: {f!r}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from .errors import EvaluationError, SpaceMismatchError, UsageError
@@ -123,7 +124,7 @@ class RandVar:
         """(nums, den) of a variable on this space, or of a scalar on each outcome."""
         if not isinstance(other, RandVar):
             c = _rational(other)
-            return [c.numerator] * len(self.nums), c.denominator
+            return repeat(c.numerator), c.denominator
         if self.space is not other.space and self.space != other.space:
             raise SpaceMismatchError("random variables live on different spaces")
         return other.nums, other.den

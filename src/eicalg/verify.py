@@ -12,10 +12,11 @@ the canonical-form level.  A suite passes only if every comparison agrees.
 
 from __future__ import annotations
 
-from contextvars import copy_context
+from contextvars import ContextVar, copy_context
 from functools import partial
 
-from .brackets import _PASS, BracketFunctions, IdentityRecord, identities, symbolic_identity_suite
+from .brackets import _PASS, BracketFunctions, IdentityRecord, Means, _in_pass, identities
+from .brackets import symbolic_identity_suite
 from .eic import certificate
 from .errors import UsageError
 from .expr import E, var
@@ -39,11 +40,17 @@ def _decomposition(space, x, y):
     return None
 
 
+# in a verify pass, [the closed forms' means, kept apart from any model, on
+# the space last checked]
+_MEANS: ContextVar[list | None] = ContextVar("eicalg.verify.means", default=None)
+
+
 def _rows_hold(rows):
     """The check that each row's sides, on an instance, equal its closed form."""
 
     def check(space, x, y):
-        model, mean = BracketFunctions(space), partial(expectation, space)
+        model = BracketFunctions(space)
+        mean = _in_pass(_MEANS, lambda space: Means(partial(expectation, space), space), space)
         failures = (row.failure(row.side(model, x, y), row.closed(mean, x, y)) for row in rows)
         return next(filter(None, failures), None)
 
@@ -108,8 +115,9 @@ def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     suites = [suite() for suite in (SUITES.values() if name == "all" else [SUITES[name]])]
     symbolic = {r.name: r for r in symbolic_identity_suite()} if any(n for _, n in suites) else {}
     checks = [check for table, _ in suites for _, _, check in table]
-    context = copy_context()  # in it, the bracket functions share one model per instance
+    context = copy_context()  # in it, one model and one store of means per instance
     context.run(_PASS.set, [None])
+    context.run(_MEANS.set, [None])
     results = iter(context.run(check_instances, checks, instances))
     records = []
     for table, names in suites:

@@ -5,9 +5,12 @@ evaluator (plain vector arithmetic over the finite space), which is the
 oracle of record for instance values.
 """
 
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -192,6 +195,48 @@ class TestSymbolicSuite:
         assert any(n.startswith("lemma-piece-") for n in names)
 
 
+# in a fresh interpreter: the vectors that measure builds and the
+# expectations it takes (in every module that holds ``expectation``) in one
+# verify all call at 100 trials and seed 1
+COUNT_SCRIPT = """
+import sys
+from eicalg import measure, verify
+counts = {}
+def counted(f):
+    def call(*args):
+        counts[f.__name__] = counts.get(f.__name__, 0) + 1
+        return f(*args)
+    return call
+measure._vector, mean = counted(measure._vector), measure.expectation
+for module in [m for name, m in sys.modules.items() if name.startswith("eicalg")]:
+    if getattr(module, "expectation", None) is mean:
+        module.expectation = counted(mean)
+assert all(r.passed for r in verify.run_suite("all", 100, 1, 8))
+print(counts["_vector"], counts["expectation"])
+"""
+
+
+class TestVerifyCost:
+    """Cost counts of one verify call, which no machine load moves: each
+    mean, product and bracket side is valued once per instance in the model,
+    and each mean and centred product once in the closed forms."""
+
+    def test_vector_and_expectation_counts_bounded_under_two_hash_seeds(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(brackets.__file__).parent.parent)}
+        counts = []
+        for hash_seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", COUNT_SCRIPT],
+                capture_output=True, text=True, env={**env, "PYTHONHASHSEED": hash_seed},
+            )
+            assert done.returncode == 0, done.stderr
+            counts.append(tuple(map(int, done.stdout.split())))
+        assert counts[0] == counts[1]
+        vectors, expectations = counts[0]
+        assert vectors <= 12_370  # 20,875 when each composite bracket rebuilt its parts
+        assert expectations <= 3_291  # 6,392 with no means kept in the closed forms
+
+
 class TestFaultInjection:
     def test_negated_centering_breaks_jacobi(self, monkeypatch):
         negate_first_centering(monkeypatch)
@@ -284,6 +329,31 @@ class TestOneModelPerPass:
         )
         assert all(r.passed for r in verify.run_suite("all", 100, 1, 8))
         assert len(built) == 100
+
+    def test_fault_in_a_nested_side_reaches_every_check_that_nests_it(self, monkeypatch):
+        """The model keeps each side, but looks it up on ``Algebra`` when it
+        is called: the patched first composite bracket fails its lemma piece
+        and the Jacobi sum that nests it, in both routes."""
+        negate_first_centering(monkeypatch)
+        failed = [(r.name, r.mode) for r in verify.run_suite("all", 20, 0, 8) if not r.passed]
+        assert failed == [
+            ("lemma-pieces", "exact"),
+            ("lemma-piece-center-of-covariance", "symbolic"),
+            ("jacobi-identity", "exact"),
+            ("jacobi-identity", "symbolic"),
+        ]
+
+    def test_each_side_kept_for_the_instance(self):
+        """A side asked for twice, and the elementary sides a composite one
+        nests, are the values the model kept."""
+        model = brackets.Numeric(SP)
+        jacobi = model.jacobi_sum(IND, FLIP)
+        assert model.jacobi_sum(IND, FLIP) is jacobi
+        assert model.bracket_T_P(IND, FLIP) is model.bracket_T_P(IND, FLIP)
+        assert model._values.keys() >= {
+            (name, (IND.nums, IND.den), (FLIP.nums, FLIP.den))
+            for name in ("bracket_P_prod", "bracket_T_P", "nested_T_P_prod", "jacobi_sum")
+        }
 
     def test_T_of_a_vector_is_the_influence_of_its_mean(self):
         """T centers each vector once, by its memoized mean."""

@@ -71,7 +71,7 @@ def test_reader_finds_top_level_and_deferred_imports():
 
 
 # the numeric model, the nine bracket functions, the model of the numeric
-# checks, and the rows with their closed forms
+# checks, and the rows with their closed forms and the forms' kept means
 NUMERIC_ROUTE = (
     "Numeric",
     "bracket_P_prod",
@@ -86,6 +86,7 @@ NUMERIC_ROUTE = (
     "BracketFunctions",
     "identities",
     "Row",
+    "Means",
     "_centered",
     "_covariance",
 )
