@@ -15,10 +15,10 @@ type-check, and T of a vector as the influence of its mean;
 :class:`Symbolic`, on trees, as :func:`~eicalg.eic.derive_eic`'s gradient.
 The numeric checks take each row's side from the bracket functions
 (:class:`BracketFunctions`), the symbolic records from :class:`Symbolic`;
-each closed form is computed directly, on vectors or on canonical forms.
-In one verify pass the bracket functions share one model per instance,
-which keeps each mean, product and side, so a composite bracket reuses the
-elementary ones it nests; the closed forms keep their means apart (:class:`Means`).
+each closed form reads the instance's :class:`Pieces`, built once over
+vectors or canonical forms.  In one verify pass the bracket functions share
+one model per instance, which keeps each mean, product and side, so a
+composite bracket reuses the elementary ones it nests.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import is_, mul
 from typing import Callable
 
 from .canon import CanonForm, canonicalize_rv, expectation_of_form
@@ -88,28 +88,24 @@ class Algebra:
         return self.prod(self.T(self.E(x)), self.T(self.E(y))), self.T(cov) + self.embed(cov)
 
 
-class _Kept:
-    """Values on one space, each kept under a name and its arguments' (nums,
-    den); with no space, or a vector of another space, computed unkept."""
+class Numeric(Algebra):
+    """Exact vectors on one space, each scalar a Dual; E, prod and the nine
+    sides kept under a name and each argument's (nums, den) (a side is
+    Algebra's, looked up when called, so a patched one is kept), T of a
+    vector the influence of its mean."""
 
-    def __init__(self, space: FiniteProbSpace | None):
+    def __init__(self, space: FiniteProbSpace):
         self.space, self._values = space, {}
 
     def _once(self, name, op, *vs):
         for v in vs:
-            if self.space is None or v.space is not self.space:
-                return op(self, *vs)  # unkept: forms, or a vector measure refuses
+            if v.space is not self.space:
+                return op(self, *vs)  # unkept: a vector of another space, which measure refuses
         key = (name, *[(v.nums, v.den) for v in vs])
         value = self._values.get(key)
         if value is None:
             value = self._values[key] = op(self, *vs)
         return value
-
-
-class Numeric(_Kept, Algebra):
-    """Exact vectors on one space, each scalar a Dual; E, prod and the nine
-    sides kept (a side is Algebra's, looked up when called, so a patched one
-    is kept), T of a vector the influence of its mean."""
 
     def E(self, v: RandVar) -> Dual:
         return self._once("E", lambda model, v: Dual.mean(model.space, v), v)
@@ -132,11 +128,12 @@ for _name in [name for name in vars(Algebra) if not name.startswith("_")]:
     setattr(Numeric, _name, _kept(_name))
 
 
-def _in_pass(var: ContextVar, build, space: FiniteProbSpace):
-    """The pass's ``build(space)``, new when the space changes; outside a pass, a new one."""
-    slot = var.get() or [None]
-    if slot[0] is None or slot[0].space is not space:
-        slot[0] = build(space)
+def _in_pass(slot_var: ContextVar, build, *key):
+    """The pass's ``build(*key)``, new when any part of the key is another
+    object; outside a pass, a new one."""
+    slot = slot_var.get() or [None]
+    if slot[0] is None or not all(map(is_, slot[1:], key)):
+        slot[:] = build(*key), *key
     return slot[0]
 
 
@@ -222,7 +219,7 @@ class BracketFunctions:
 class Row:
     """One identity: its record and statement; ``side(model, X, Y)``, one
     side or two that must agree, over the model's brackets only;
-    ``closed(mean, X, Y)``, the closed form; a failure's ``label``."""
+    ``closed(pieces)``, the closed form, of :class:`Pieces`; a failure's ``label``."""
 
     record: str
     statement: str
@@ -243,27 +240,20 @@ class Row:
         return None
 
 
-class Means(_Kept):
-    """The closed forms' ``mean``, ``m(v)``, and centred product
-    ``m.centered(x, y)``: kept on a space, of vectors; with none, of forms."""
+class Pieces:
+    """What every closed form is written in, for X and Y, each built once:
+    E X, E Y (E X's value when Y equals X), XY, E[XY], the centred
+    coordinates, their product and its mean, the covariance.  ``mean`` is
+    ``expectation`` on the instance's space, or ``expectation_of_form``."""
 
-    def __init__(self, mean, space: FiniteProbSpace | None = None):
-        super().__init__(space)
-        self.mean = mean
-
-    def __call__(self, v):
-        return self._once("E", lambda m, v: m.mean(v), v)
-
-    def centered(self, x, y):
-        return self._once("centered", _centered, x, y)
-
-
-def _centered(m, x, y):  # (x - E x)(y - E y), and its mean, the covariance
-    return (x - m(x)) * (y - m(y))
-
-
-def _covariance(m, x, y):
-    return m(m.centered(x, y))
+    def __init__(self, mean, x, y):
+        self.ex = mean(x)
+        self.ey = self.ex if y == x else mean(y)
+        self.xy = x * y
+        self.exy = mean(self.xy)
+        self.cx, self.cy = x - self.ex, y - self.ey
+        self.centered = self.cx * self.cy
+        self.cov = mean(self.centered)
 
 
 def identities():
@@ -273,56 +263,53 @@ def identities():
          "expectation-product bracket equals the covariance and is symmetric", [
             Row("covariance-bracket",
                 "expectation of product minus product of expectations is the covariance",
-                lambda o, x, y: (o.bracket_P_prod(x, y), o.bracket_P_prod(y, x)), _covariance),
+                lambda o, x, y: (o.bracket_P_prod(x, y), o.bracket_P_prod(y, x)), lambda c: c.cov),
             Row("covariance-centering-invariance",
                 "the covariance of the centered coordinates is the covariance",
-                lambda o, x, y: o.bracket_P_prod(*o.bracket_T_P(x, y)), _covariance),
+                lambda o, x, y: o.bracket_P_prod(*o.bracket_T_P(x, y)), lambda c: c.cov),
         ]),
         ("brackets", "product-centering-bracket",
          "(TX)(TY) - T(XY) matches its closed form; its mean is the covariance", [
             Row("product-centering-bracket",
                 "(TX)(TY) - T(XY) written via gradients equals its closed form",
-                lambda o, x, y: o.bracket_prod_T(x, y),
-                lambda m, x, y: m.centered(x, y) - (x * y - m(x * y))),
+                lambda o, x, y: o.bracket_prod_T(x, y), lambda c: c.centered - (c.xy - c.exy)),
         ]),
         ("brackets", "centering-expectation-bracket",
          "the pair bracket returns the centered coordinates, both mean-zero", [
             Row("centering-expectation-bracket-first",
                 "gradient of E[X] equals the centered coordinate",
-                lambda o, x, y: o.bracket_T_P(x, y)[0], lambda m, x, y: x - m(x)),
+                lambda o, x, y: o.bracket_T_P(x, y)[0], lambda c: c.cx),
             Row("centering-expectation-bracket-second",
                 "gradient of E[Y] equals the centered coordinate",
-                lambda o, x, y: o.bracket_T_P(x, y)[1], lambda m, x, y: y - m(y)),
+                lambda o, x, y: o.bracket_T_P(x, y)[1], lambda c: c.cy),
         ]),
         ("corollaries", "corollary-product-of-gradients",
          "T(PX)T(PY) + T(PX*PY) equals T(P(XY)) + Cov, both equal XY - PX*PY", [
             Row("corollary-product-of-gradients", "T(PX)T(PY) + T(PX*PY) equals T(P(XY)) + Cov",
-                lambda o, x, y: o.corollary_leibniz(x, y), lambda m, x, y: x * y - m(x) * m(y)),
+                lambda o, x, y: o.corollary_leibniz(x, y), lambda c: c.xy - c.ex * c.ey),
         ]),
         ("corollaries", "corollary-covariance-gradient",
          "T(PX)T(PY) equals T(Cov) + Cov, both equal (X-PX)(Y-PY)", [
             Row("corollary-covariance-gradient", "T(PX)T(PY) equals T(Cov) + Cov",
-                lambda o, x, y: o.corollary_cov(x, y), lambda m, x, y: m.centered(x, y)),
+                lambda o, x, y: o.corollary_cov(x, y), lambda c: c.centered),
         ]),
         ("lemma", "lemma-pieces", "each composite bracket equals its closed form", [
             Row("lemma-piece-center-of-covariance",
                 "first composite bracket equals (TX)(TY) - 2 Cov",
                 lambda o, x, y: o.nested_T_P_prod(x, y),
-                lambda m, x, y: m.centered(x, y) - _covariance(m, x, y) - _covariance(m, x, y),
-                "first piece "),
+                lambda c: c.centered - c.cov - c.cov, "first piece "),
             Row("lemma-piece-expectation-of-product-centering",
                 "second composite bracket equals Cov - (TX)(TY) + Leibniz expansion",
                 lambda o, x, y: o.nested_P_prod_T(x, y),
-                lambda m, x, y: _covariance(m, x, y) - m.centered(x, y)
-                + ((x - m(x)) * m(y) + m(x) * (y - m(y))), "second piece "),
+                lambda c: c.cov - c.centered + (c.cx * c.ey + c.ex * c.cy), "second piece "),
             Row("lemma-piece-product-of-centered-means",
                 "third composite bracket equals (TX)(TY) - (XY - E[XY])",
                 lambda o, x, y: o.nested_prod_T_P(x, y),
-                lambda m, x, y: m.centered(x, y) - (x * y - m(x * y)), "third piece "),
+                lambda c: c.centered - (c.xy - c.exy), "third piece "),
         ]),
         ("jacobi", "jacobi-identity", "the cyclic sum of composite brackets is the zero vector", [
             Row("jacobi-identity", "the cyclic sum of the three composite brackets is zero",
-                lambda o, x, y: o.jacobi_sum(x, y), lambda m, x, y: x - x),
+                lambda o, x, y: o.jacobi_sum(x, y), lambda c: c.cx - c.cx),
         ]),
     ]
 
@@ -340,11 +327,11 @@ def symbolic_identity_suite() -> list[IdentityRecord]:
     """Prove every named identity once: each side, in the symbolic model, has
     the canonical form of the closed form, which is computed on the forms of
     X and Y with :func:`~eicalg.canon.expectation_of_form` as the mean."""
-    model, m = Symbolic(), Means(expectation_of_form)
-    x, y = CanonForm.from_atom(("v", "X")), CanonForm.from_atom(("v", "Y"))
+    model, x, y = Symbolic(), CanonForm.from_atom(("v", "X")), CanonForm.from_atom(("v", "Y"))
+    pieces = Pieces(expectation_of_form, x, y)
     form = lambda e: canonicalize_rv(e if isinstance(e, RvExpr) else rv_embed(e))  # noqa: E731
     rows = [row for *_, rows in identities() for row in rows]
     sides = [row.side(model, var("X"), var("Y")) for row in rows]
-    closed = [row.closed(m, x, y) for row in rows]
+    closed = [row.closed(pieces) for row in rows]
     msgs = [row.failure(s, c, form) for row, s, c in zip(rows, sides, closed)]
     return [IdentityRecord(r.record, r.statement, "symbolic", not f, f) for r, f in zip(rows, msgs)]

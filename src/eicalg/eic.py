@@ -6,20 +6,18 @@ and sums, products, powers, reciprocals, and registered smooth functions are
 handled by linearity, the Leibniz rule, and the chain rule.  The result is
 always exactly mean-zero.
 
-The independent certificate carries each subexpression of a rational
-functional of moments as a :class:`~eicalg.measure.Dual`, its value with
-its influence vector over the rationals, by the first-order rules, and
-compares whole vectors: a correct gradient must equal the influence vector
-at every outcome, with no tolerance.  That is the tilt derivative along
-every mean-zero score at once (``pathwise_derivative_exact`` takes one).
+The independent certificate values a rational functional of moments by the
+valuation walk with ``Dual.mean`` as its moment rule: each subexpression is
+a :class:`~eicalg.measure.Dual`, its value with its influence vector, and a
+correct gradient must equal the influence vector at every outcome, with no
+tolerance.  That is the tilt derivative along every mean-zero score at once
+(``pathwise_derivative_exact`` takes one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .canon import CanonForm, expectation_of_form, normalize_functional
 from .errors import ExactModeError, SpaceMismatchError, UsageError
@@ -36,6 +34,7 @@ from .expr import (
     Smooth,
     SMOOTH_TABLE,
     _checked_mode,
+    _value,
     evaluate_rv,
     f_pow,
     f_recip,
@@ -164,27 +163,13 @@ def pathwise_derivative_exact(
     return inner(path.space, dual.influence, path.score)
 
 
-def _influence(f: FuncExpr, space: FiniteProbSpace, binding: dict, part=False) -> Dual:
-    """A normalized functional on one instance, as a :class:`Dual`.
-
-    A moment E[v] is ``Dual.mean`` of its argument's values; sums, products,
-    powers and reciprocals combine their parts, a constant ``part`` as a value.
-    """
-    if isinstance(f, FuncConst):
-        return f.value if part else Dual(f.value, embed(0, space))
-    if isinstance(f, Moment):
-        return Dual.mean(space, evaluate_rv(f.arg, space, binding))
-    if isinstance(f, FuncSum):
-        return sum(_influence(t, space, binding, True) for t in f.terms)
-    if isinstance(f, FuncProduct):
-        return reduce(mul, [_influence(x, space, binding, True) for x in f.factors])
-    if isinstance(f, FuncPower):
-        return _influence(f.base, space, binding, True) ** f.exponent
-    if isinstance(f, Reciprocal):
-        return _influence(f.arg, space, binding, True) ** -1
-    if isinstance(f, Smooth):
-        raise ExactModeError(f"no exact tilt slope for smooth functional {f.tag!r}")
-    raise TypeError(f"not a functional expression: {f!r}")
+def _influence(f: FuncExpr, space: FiniteProbSpace, binding: dict) -> Dual:
+    """A normalized functional on one instance as a :class:`Dual`: the
+    valuation walk with ``Dual.mean`` as its moment rule.  Normalized, each
+    moment argument is a polynomial in base variables, so no vector meets a
+    Dual; a constant has the zero vector."""
+    value = _value(f, ({}, space, binding, "exact", Dual.mean))
+    return value if isinstance(value, Dual) else Dual(value, embed(0, space))
 
 
 # ---------------------------------------------------------------------------

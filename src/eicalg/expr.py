@@ -476,7 +476,7 @@ def evaluate_rv(
     the value of an embedded functional is carried exactly as the rational
     equal to its float.
     """
-    how = {}, space, binding, _checked_mode(mode)
+    how = {}, space, binding, _checked_mode(mode), expectation
     if not isinstance(e, RvExpr):
         raise TypeError(f"not a random-variable expression: {e!r}")
     value = _value(e, how)
@@ -495,7 +495,7 @@ def evaluate_func(
     nodes require float mode.  Each moment is the expectation of its
     argument evaluated pointwise on the space.
     """
-    how = {}, space, binding, _checked_mode(mode)
+    how = {}, space, binding, _checked_mode(mode), expectation
     if not isinstance(f, FuncExpr):
         raise TypeError(f"not a functional expression: {f!r}")
     value = _value(f, how)
@@ -519,18 +519,18 @@ def _checked_mode(mode: str) -> str:
 
 def _value(e, how):
     """The value of a node of either family under ``how``, that is
-    ``(moments, space, binding, mode)`` where ``moments`` keeps the
-    expectation of each distinct moment argument valued: a rational, or for
-    a random variable not constant on the space a :class:`RandVar`.  A sum
-    or product combines its rational parts as rationals and its vector parts
-    as vectors, and joins them with one vector operation unless the rational
-    is the unit."""
+    ``(moments, space, binding, mode, mean)``: ``moments`` keeps the value of
+    each distinct moment argument valued, a rational, or ``mean(space, v)``
+    for a vector ``v`` not constant on the space (``expectation``, or
+    ``Dual.mean`` for a functional's influence).  A sum or product combines
+    its scalar parts as scalars and its vector parts as vectors, and joins
+    them with one vector operation unless the scalar is the unit."""
     if isinstance(e, (RvConst, FuncConst)):
         return e.value
     if isinstance(e, Moment):
         if e.arg not in how[0]:
             value = _value(e.arg, how)
-            how[0][e.arg] = expectation(how[1], value) if type(value) is RandVar else value
+            how[0][e.arg] = how[4](how[1], value) if type(value) is RandVar else value
         return how[0][e.arg]
     if isinstance(e, BaseVar):
         v = how[2].get(e.name)
@@ -559,9 +559,9 @@ def _value(e, how):
         return Fraction(to_float(value)) if how[3] == "float" else value
     if isinstance(e, Reciprocal):
         v = _value(e.arg, how)
-        if v == 0:
+        if v == 0:  # a Dual is never 0 and raises on its own zero value
             raise EvaluationError("reciprocal of a functional evaluating to zero")
-        return 1 / v
+        return v**-1
     if isinstance(e, Smooth):
         if how[3] != "float":
             raise ExactModeError(f"smooth functional {e.tag!r} requires float mode")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextvars import ContextVar, copy_context
 from functools import partial
 
-from .brackets import _PASS, BracketFunctions, IdentityRecord, Means, _in_pass, identities
+from .brackets import _PASS, BracketFunctions, IdentityRecord, Pieces, _in_pass, identities
 from .brackets import symbolic_identity_suite
 from .eic import certificate
 from .errors import UsageError
@@ -40,9 +40,10 @@ def _decomposition(space, x, y):
     return None
 
 
-# in a verify pass, [the closed forms' means, kept apart from any model, on
-# the space last checked]
-_MEANS: ContextVar[list | None] = ContextVar("eicalg.verify.means", default=None)
+# in a verify pass, [the closed forms' pieces of the instance last checked,
+# that instance's space, X and Y], kept apart from any model
+_PIECES: ContextVar[list | None] = ContextVar("eicalg.verify.pieces", default=None)
+_pieces = partial(_in_pass, _PIECES, lambda space, x, y: Pieces(partial(expectation, space), x, y))
 
 
 def _rows_hold(rows):
@@ -50,8 +51,8 @@ def _rows_hold(rows):
 
     def check(space, x, y):
         model = BracketFunctions(space)
-        mean = _in_pass(_MEANS, lambda space: Means(partial(expectation, space), space), space)
-        failures = (row.failure(row.side(model, x, y), row.closed(mean, x, y)) for row in rows)
+        pieces = _pieces(space, x, y)
+        failures = (row.failure(row.side(model, x, y), row.closed(pieces)) for row in rows)
         return next(filter(None, failures), None)
 
     return check
@@ -84,7 +85,7 @@ def suite_eic_certificates():
         ("covariance", E(x * y) - E(x) * E(y)),
         ("product-of-means", E(x) * E(y)),
     ]
-    statement = "exact tilt derivative equals the inner product with the score"
+    statement = "the derived gradient equals psi's influence vector at every outcome"
     table = [(f"gradient-certificate-{n}", statement, certificate(f)[1]) for n, f in catalog]
     return table, ()
 
@@ -115,9 +116,9 @@ def run_suite(name, trials, seed, max_outcomes) -> list[IdentityRecord]:
     suites = [suite() for suite in (SUITES.values() if name == "all" else [SUITES[name]])]
     symbolic = {r.name: r for r in symbolic_identity_suite()} if any(n for _, n in suites) else {}
     checks = [check for table, _ in suites for _, _, check in table]
-    context = copy_context()  # in it, one model and one store of means per instance
+    context = copy_context()  # in it, one model and one record of pieces per instance
     context.run(_PASS.set, [None])
-    context.run(_MEANS.set, [None])
+    context.run(_PIECES.set, [None])
     results = iter(context.run(check_instances, checks, instances))
     records = []
     for table, names in suites:

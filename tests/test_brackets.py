@@ -219,7 +219,7 @@ print(counts["_vector"], counts["expectation"])
 class TestVerifyCost:
     """Cost counts of one verify call, which no machine load moves: each
     mean, product and bracket side is valued once per instance in the model,
-    and each mean and centred product once in the closed forms."""
+    and each piece of the closed forms once per instance."""
 
     def test_vector_and_expectation_counts_bounded_under_two_hash_seeds(self):
         env = {**os.environ, "PYTHONPATH": str(Path(brackets.__file__).parent.parent)}
@@ -233,7 +233,9 @@ class TestVerifyCost:
             counts.append(tuple(map(int, done.stdout.split())))
         assert counts[0] == counts[1]
         vectors, expectations = counts[0]
-        assert vectors <= 12_370  # 20,875 when each composite bracket rebuilt its parts
+        # 20,875 when each composite bracket rebuilt its parts, 12,370 when the
+        # closed forms rebuilt the centred coordinates
+        assert vectors <= 11_570
         assert expectations <= 3_291  # 6,392 with no means kept in the closed forms
 
 
@@ -360,3 +362,23 @@ class TestOneModelPerPass:
         model = brackets.Numeric(SP)
         assert model.T(IND) is model.E(IND).influence
         assert model.T(IND) == IND - Q(1, 2)
+
+    def test_pieces_kept_for_the_instance_only(self):
+        """The closed forms' pieces are kept for the instance they were built
+        for, and never served for other variables of the same space."""
+        token = verify._PIECES.set([None])
+        try:
+            pieces = verify._pieces(SP, IND, FLIP)
+            assert verify._pieces(SP, IND, FLIP) is pieces
+            swapped = verify._pieces(SP, FLIP, IND)
+            assert swapped is not pieces
+            assert (swapped.cx, swapped.cy) == (pieces.cy, pieces.cx)
+            assert verify._pieces(SP, IND, SP.variable((0, 1))) is not swapped
+        finally:
+            verify._PIECES.reset(token)
+
+    def test_pieces_value_one_mean_when_X_equals_Y(self):
+        means = []
+        pieces = brackets.Pieces(lambda v: means.append(v) or expectation(SP, v), IND, IND)
+        assert len(means) == 3  # E X, E[XY] and the covariance
+        assert (pieces.ey, pieces.cov) == (Q(1, 2), Q(1, 4))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import negate_first_centering
-from eicalg import brackets, measure, parser, sampling, verify
+from eicalg import brackets, canon, measure, parser, sampling, verify
 from eicalg.canon import CanonForm, canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.errors import EvaluationError
@@ -248,21 +248,52 @@ class TestNestingBound:
         assert "nested more than" in err
 
 
+def _capped(monkeypatch, owner, name, cap):
+    """The list of calls of ``owner.name`` from now on; a call past ``cap``
+    of them raises instead, so a run whose count runs away stops there."""
+    calls, call = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > cap:
+            raise AssertionError(f"{name} called more than {cap} times")
+        return call(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# (text, column of its exponent): each power above the bound
+REFUSED_POWERS = [
+    ("E[X]^99999999", 6), ("E[X^20000]", 5), ("E[(X+Y)^1001]", 9), ("inv(E[X])^1001", 11),
+]
+
+
 class TestExponentBound:
     """A power of anything but a number has an exponent of at most
     ``MAX_EXPONENT``; a larger one is an expression error (exit 2) at the
-    exponent's column, raised before anything is expanded."""
+    exponent's column, raised before anything is expanded.  Each wall-clock
+    bound has a count twin, which no machine load moves: a refused exponent
+    makes no product of canonical polynomials (``canon._p_mul``) and builds
+    no vector (``measure._vector``), and a counter's cap stops a run that
+    expands the power."""
 
-    @pytest.mark.parametrize(
-        "text, column",
-        [("E[X]^99999999", 6), ("E[X^20000]", 5), ("E[(X+Y)^1001]", 9), ("inv(E[X])^1001", 11)],
-    )
+    @pytest.mark.parametrize("text, column", REFUSED_POWERS)
     @pytest.mark.parametrize("command", [["parse-check"], ["derive"]])
     def test_larger_exponent_fails_fast(self, capsys, command, text, column):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *command, text)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
+        assert err == f"error: exponent above {MAX_EXPONENT} (column {column})\n"
+
+    @pytest.mark.parametrize("text, column", REFUSED_POWERS)
+    @pytest.mark.parametrize("command", [["parse-check"], ["derive"]])
+    def test_larger_exponent_expands_nothing(self, capsys, monkeypatch, command, text, column):
+        products = _capped(monkeypatch, canon, "_p_mul", 0)
+        vectors = _capped(monkeypatch, measure, "_vector", 0)
+        code, out, err = run_cli(capsys, *command, text)
+        assert (code, out, products, vectors) == (2, "", [], [])
         assert err == f"error: exponent above {MAX_EXPONENT} (column {column})\n"
 
     @pytest.mark.parametrize("text", [f"E[X^{MAX_EXPONENT}]", f"E[X]*2^{MAX_EXPONENT + 1}"])
@@ -301,6 +332,37 @@ class TestExponentBound:
         assert plugin_estimate(CompiledEstimand(FuncPower(E(X), MAX_EXPONENT)), data) == (
             Fraction(3, 2) ** MAX_EXPONENT
         )
+
+    def test_tree_built_through_the_api_expands_nothing(self, monkeypatch):
+        from eicalg.errors import NormalizationError
+        from eicalg.expr import FuncPower
+
+        products = _capped(monkeypatch, canon, "_p_mul", 0)
+        with pytest.raises(NormalizationError, match="exponent"):
+            canon.canonicalize_func(FuncPower(E(X), 99999999))
+        assert products == []
+
+    def test_tree_evaluated_through_the_api_expands_nothing(self, monkeypatch):
+        """The plug-in estimate makes one moment pass, for the E[X] it meets
+        before the refused power, and none for the E[Y] after it; pointwise
+        evaluation builds no vector.  X is 1 and -1 here, so a walk that
+        took the power would reach the vector cap at once."""
+        from eicalg.errors import NormalizationError
+        from eicalg.estimate import CompiledEstimand, Dataset, plugin_estimate, read_delimited
+        from eicalg.expr import FuncPower, IntPower, evaluate_rv
+        from eicalg.measure import FiniteProbSpace, RandVar
+
+        space = FiniteProbSpace(("a", "b"), (Fraction(1, 3), Fraction(2, 3)))
+        binding = {"X": RandVar(space, (1, -1))}
+        data = read_delimited("X,Y\n1,2\n2,3\n")
+        passes = _capped(monkeypatch, Dataset, "moment", 1)
+        vectors = _capped(monkeypatch, measure, "_vector", 0)
+        with pytest.raises(NormalizationError, match=f"^exponent 100000000 above {MAX_EXPONENT}$"):
+            plugin_estimate(CompiledEstimand(FuncPower(E(X), 10**8) + E(Y)), data)
+        with pytest.raises(NormalizationError, match="exponent"):
+            evaluate_rv(IntPower(X, 10**8), space, binding)
+        assert [mono for _, mono in passes] == [(("X", 1),)]
+        assert vectors == []
 
 
 class TestLongSum:

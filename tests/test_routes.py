@@ -3,6 +3,7 @@ closed forms that the verify suites and certificates compare against must
 not share the symbolic code under test."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -71,7 +72,7 @@ def test_reader_finds_top_level_and_deferred_imports():
 
 
 # the numeric model, the nine bracket functions, the model of the numeric
-# checks, and the rows with their closed forms and the forms' kept means
+# checks, and the rows with their closed forms and the pieces they read
 NUMERIC_ROUTE = (
     "Numeric",
     "bracket_P_prod",
@@ -86,26 +87,38 @@ NUMERIC_ROUTE = (
     "BracketFunctions",
     "identities",
     "Row",
-    "Means",
-    "_centered",
-    "_covariance",
+    "Pieces",
 )
 
 
-def _reached_modules(module: str, roots) -> set[str]:
-    """The package modules whose imported names the functions and classes
-    ``roots`` of ``module`` reach: through the names their bodies and bases
-    load, following the module's own functions and classes."""
+@functools.cache
+def _top_level(module: str):
+    """The functions, classes and assigned names of ``module``, each with its
+    node, and its package-relative imports, each name as (module, name)."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     defs = {
         node.name: node for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+    assigned = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    defs.update(
+        (target.id, node) for node in assigned
+        for target in getattr(node, "targets", None) or [node.target]
+        if isinstance(target, ast.Name)
+    )
     imported = {
-        alias.asname or alias.name: node.module.split(".")[0]
+        alias.asname or alias.name: (node.module.split(".")[0], alias.name)
         for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
     }
+    return defs, imported
+
+
+def _reached_modules(module: str, roots) -> set[str]:
+    """The package modules whose imported names the functions, classes and
+    assigned names ``roots`` of ``module`` reach: through the names their
+    bodies and bases load, following the module's own top-level names."""
+    defs, imported = _top_level(module)
     seen, todo, reached = set(), list(roots), set()
     while todo:
         name = todo.pop()
@@ -117,8 +130,29 @@ def _reached_modules(module: str, roots) -> set[str]:
                 if node.id in defs:
                     todo.append(node.id)
                 elif node.id in imported:
-                    reached.add(imported[node.id])
+                    reached.add(imported[node.id][0])
     return reached
+
+
+def _reached_names(module: str, roots) -> set[tuple[str, str]]:
+    """Every (module, name) that the top-level names ``roots`` of ``module``
+    reach, following the package's imports from module to module."""
+    seen, todo = set(), [(module, root) for root in roots]
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in seen:
+            continue
+        seen.add((module, name))
+        defs, imported = _top_level(module)
+        if name not in defs:  # imported in turn from another package module
+            todo.append(imported[name])
+            continue
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append((module, node.id))
+            elif isinstance(node, ast.Name) and node.id in imported:
+                todo.append(imported[node.id])
+    return seen
 
 
 def test_numeric_bracket_route_reaches_no_symbolic_module():
@@ -135,6 +169,25 @@ def test_verify_numeric_checks_reach_only_the_numeric_route():
 
 def test_route_reader_follows_the_symbolic_model():
     assert {"eic", "expr"} <= _reached_modules("brackets", ["Symbolic"])
+
+
+def test_influence_walk_shares_nothing_with_the_derivation():
+    """The certificate's influence of psi is the valuation walk of ``expr``
+    over the Duals of ``measure``: no function it reaches derives or
+    normalizes, so the gradient it is compared with is computed apart."""
+    assert _reached_modules("eic", ["_influence"]) == {"expr", "measure"}
+    reached = {name for _, name in _reached_names("eic", ["_influence"])}
+    assert {"_value", "Dual"} <= reached
+    assert not reached & {"_gradient", "derive_eic", "normalize_functional"}
+
+
+def test_name_reader_follows_imports_across_modules():
+    """``derive_eic`` reaches the normalizer in ``canon`` and the rules in
+    ``eic``; the brackets' symbolic model reaches it through ``eic``."""
+    assert {("canon", "normalize_functional"), ("eic", "_gradient")} <= _reached_names(
+        "eic", ["derive_eic"]
+    )
+    assert ("eic", "derive_eic") in _reached_names("brackets", ["Symbolic"])
 
 
 def _derive_calls(statements: str) -> str:
