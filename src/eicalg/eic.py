@@ -6,18 +6,20 @@ and sums, products, powers, reciprocals, and registered smooth functions are
 handled by linearity, the Leibniz rule, and the chain rule.  The result is
 always exactly mean-zero.
 
-The independent certificate values a rational functional of moments by the
-valuation walk with ``Dual.mean`` as its moment rule: each subexpression is
-a :class:`~eicalg.measure.Dual`, its value with its influence vector, and a
-correct gradient must equal the influence vector at every outcome, with no
-tolerance.  That is the tilt derivative along every mean-zero score at once
-(``pathwise_derivative_exact`` takes one).
+The independent certificate values a rational functional of moments by a
+compiled run of ``expr`` with ``Dual.mean`` as its moment rule: each
+subexpression is a :class:`~eicalg.measure.Dual`, its value with its
+influence vector, and a correct gradient must equal the influence vector at
+every outcome, with no tolerance.  That is the tilt derivative along every
+mean-zero score at once (``pathwise_derivative_exact`` takes one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import is_
 
 from .canon import CanonForm, expectation_of_form, normalize_functional
 from .errors import ExactModeError, SpaceMismatchError, UsageError
@@ -34,8 +36,9 @@ from .expr import (
     Smooth,
     SMOOTH_TABLE,
     _checked_mode,
-    _value,
-    evaluate_rv,
+    _compiled,
+    _raised,
+    _run,
     f_pow,
     f_recip,
     func_base_vars,
@@ -164,12 +167,17 @@ def pathwise_derivative_exact(
 
 
 def _influence(f: FuncExpr, space: FiniteProbSpace, binding: dict) -> Dual:
-    """A normalized functional on one instance as a :class:`Dual`: the
-    valuation walk with ``Dual.mean`` as its moment rule.  Normalized, each
-    moment argument is a polynomial in base variables, so no vector meets a
-    Dual; a constant has the zero vector."""
-    value = _value(f, ({}, space, binding, "exact", Dual.mean))
-    return value if isinstance(value, Dual) else Dual(value, embed(0, space))
+    """A normalized functional on one instance as a :class:`Dual`."""
+    return _raised(_influences(_compiled([f]), space, binding)[0])
+
+
+def _influences(program, space: FiniteProbSpace, binding: dict) -> list:
+    """Each root of a program of normalized functionals on one instance as a
+    :class:`Dual`, or the error its walk meets: a run with ``Dual.mean`` as
+    its moment rule.  Normalized, each moment argument is a polynomial in
+    base variables, so no vector meets a Dual; a constant has the zero vector."""
+    values = _run(program, space, binding, "exact", Dual.mean)
+    return [v if isinstance(v, (Dual, Exception)) else Dual(v, embed(0, space)) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +193,38 @@ class CertifyReport:
     counterexample: str | None
 
 
-def certificate(psi: FuncExpr, candidate: RvExpr | None = None):
-    """The variables of ``psi`` in name order, and the check of one instance
-    (a space and those variables) against the (derived or supplied)
-    gradient: evaluated on the instance, it must equal psi's influence
-    vector at every outcome.  On a fully supported finite law the gradient
-    is the one mean-zero vector whose inner product with every score is the
-    tilt derivative along that score, and the influence vector is mean-zero
-    with exactly that inner product, so equality at every outcome is the
+def certificate(catalog):
+    """The variables of the estimands of ``catalog``, pairs of psi and a
+    supplied gradient (None for the derived one), in name order, and the
+    check of each on one instance (a space and those variables): evaluated
+    on the instance, the gradient must equal psi's influence vector at every
+    outcome.  On a fully supported finite law the gradient is the one
+    mean-zero vector whose inner product with every score is the tilt
+    derivative along that score, and the influence vector is mean-zero with
+    exactly that inner product, so equality at every outcome is the
     mean-zero check and the pathwise identity along every score at once.
-    A zero denominator raises :class:`EvaluationError`."""
-    if candidate is None:
-        derived = derive_eic(psi)
-        normalized, eic = derived.estimand, derived.eic
-    else:
-        normalized, eic = normalize_functional(psi), candidate
-    names = sorted(func_base_vars(psi))
+    The gradients are one program and the normalized psi another, each run
+    once per instance for every check.  A zero denominator raises
+    :class:`EvaluationError` in its own estimand's check."""
+    derived = [derive_eic(psi) if candidate is None else
+               EicResult(normalize_functional(psi), candidate, ()) for psi, candidate in catalog]
+    names = sorted(set().union(*(func_base_vars(psi) for psi, _ in catalog)))
+    programs = _compiled([d.eic for d in derived]), _compiled([d.estimand for d in derived])
+    runs = [None]  # both runs of the instance last checked, its space and its variables
 
-    def check(space, *variables):
-        binding = dict(zip(names, variables))
-        gradient = evaluate_rv(eic, space, binding)
-        influence = _influence(normalized, space, binding).influence
+    def check(k, space, *variables):
+        if runs[0] is None or not all(map(is_, runs[1:], (space, *variables))):
+            binding = dict(zip(names, variables))
+            gradients = _run(programs[0], space, binding, "exact", expectation)
+            runs[:] = (gradients, _influences(programs[1], space, binding)), space, *variables
+        gradient = _raised(runs[0][0][k])
+        gradient = gradient if isinstance(gradient, RandVar) else embed(gradient, space)
+        influence = _raised(runs[0][1][k]).influence
         if gradient != influence:
             return f"gradient={format_values(gradient)} influence={format_values(influence)}"
         return None
 
-    return names, check
+    return names, [partial(check, k) for k in range(len(catalog))]
 
 
 def certify_eic(
@@ -227,7 +241,7 @@ def certify_eic(
     few of them fail the report.  Failures are reported, not raised.
     ``trials``, ``seed`` and ``max_outcomes`` are read as
     :func:`~eicalg.sampling.draws` reads them."""
-    names, check = certificate(psi, candidate)
+    names, [check] = certificate([(psi, candidate)])
     instances = draws(names, trials, seed, max_outcomes)
     [(checked, counterexample)] = check_instances([check], instances)
     return CertifyReport(

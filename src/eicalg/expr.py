@@ -19,8 +19,10 @@ products, fold constants, and drop neutral elements; they do not attempt any
 deeper simplification (that is the canonicalizer's job).  The two families
 share one implementation per job: one set of operators, one builder each for
 sums, products and powers, parameterized by the family's node classes, one
-base-variable walker, one valuation walk, and one renderer that dispatches
-on node type (no node type belongs to both families).
+base-variable walker, one evaluator, and one renderer that dispatches on
+node type (no node type belongs to both families).  The evaluator compiles
+trees once into a program, a step per distinct node, and runs it on each
+instance: every root of one program is valued in one run.
 """
 
 from __future__ import annotations
@@ -476,10 +478,10 @@ def evaluate_rv(
     the value of an embedded functional is carried exactly as the rational
     equal to its float.
     """
-    how = {}, space, binding, _checked_mode(mode), expectation
+    mode = _checked_mode(mode)
     if not isinstance(e, RvExpr):
         raise TypeError(f"not a random-variable expression: {e!r}")
-    value = _value(e, how)
+    value = _raised(_run(_compiled([e]), space, binding, mode, expectation)[0])
     return value if isinstance(value, RandVar) else embed(value, space)
 
 
@@ -495,10 +497,10 @@ def evaluate_func(
     nodes require float mode.  Each moment is the expectation of its
     argument evaluated pointwise on the space.
     """
-    how = {}, space, binding, _checked_mode(mode), expectation
+    mode = _checked_mode(mode)
     if not isinstance(f, FuncExpr):
         raise TypeError(f"not a functional expression: {f!r}")
-    value = _value(f, how)
+    value = _raised(_run(_compiled([f]), space, binding, mode, expectation)[0])
     return to_float(value) if mode == "float" else value
 
 
@@ -517,56 +519,94 @@ def _checked_mode(mode: str) -> str:
     return mode
 
 
-def _value(e, how):
-    """The value of a node of either family under ``how``, that is
-    ``(moments, space, binding, mode, mean)``: ``moments`` keeps the value of
-    each distinct moment argument valued, a rational, or ``mean(space, v)``
-    for a vector ``v`` not constant on the space (``expectation``, or
-    ``Dual.mean`` for a functional's influence).  A sum or product combines
-    its scalar parts as scalars and its vector parts as vectors, and joins
-    them with one vector operation unless the scalar is the unit."""
-    if isinstance(e, (RvConst, FuncConst)):
-        return e.value
-    if isinstance(e, Moment):
-        if e.arg not in how[0]:
-            value = _value(e.arg, how)
-            how[0][e.arg] = how[4](how[1], value) if type(value) is RandVar else value
-        return how[0][e.arg]
-    if isinstance(e, BaseVar):
-        v = how[2].get(e.name)
-        if v is None:
-            raise EvaluationError(f"unbound variable {e.name!r}")
-        if v.space != how[1]:
-            raise EvaluationError(f"binding for {e.name!r} lives on another space")
-        return v
-    if isinstance(e, (RvSum, FuncSum, RvProduct, FuncProduct)):
-        is_sum = isinstance(e, (RvSum, FuncSum))
-        op, unit, parts = (add, 0, e.terms) if is_sum else (mul, 1, e.factors)
-        scalar = vector = None
-        for part in parts:
-            part = _value(part, how)
-            if type(part) is RandVar:
-                vector = part if vector is None else op(vector, part)
+def _compiled(roots) -> tuple[list, list]:
+    """Trees of either family as one program for :func:`_run`: a step
+    ``(kind, arg, operands)`` per distinct node, equal subtrees merged, in
+    the post-order the valuation walk visits them, and each root's step.
+    Nothing is checked here; each step checks its node as it runs."""
+    steps, known = [], {}
+
+    def step(e):
+        if e not in known:
+            arg, parts = None, ()
+            if isinstance(e, (RvSum, FuncSum, RvProduct, FuncProduct)):
+                is_sum = isinstance(e, (RvSum, FuncSum))
+                kind, arg, parts = (add, 0, e.terms) if is_sum else (mul, 1, e.factors)
+            elif isinstance(e, (RvConst, FuncConst, BaseVar)):
+                kind, arg = (BaseVar, e.name) if isinstance(e, BaseVar) else (RvConst, e.value)
+            elif isinstance(e, (IntPower, FuncPower)):
+                kind, arg, parts = IntPower, e.exponent, (e.base,)
+            elif isinstance(e, (Moment, Reciprocal, Smooth, EmbedFunc)):
+                kind = next(k for k in (Moment, Reciprocal, Smooth, EmbedFunc) if isinstance(e, k))
+                arg, parts = getattr(e, "tag", None), (e.func if kind is EmbedFunc else e.arg,)
             else:
-                scalar = part if scalar is None else op(scalar, part)
-        if vector is None:
-            return Fraction(unit) if scalar is None else scalar
-        return vector if scalar is None or scalar == unit else op(vector, scalar)
-    if isinstance(e, (IntPower, FuncPower)):
-        return _value(e.base, how) ** bounded_exponent(e.exponent)
-    if isinstance(e, EmbedFunc):  # in float mode, rounded through a float
-        value = _value(e.func, how)
-        return Fraction(to_float(value)) if how[3] == "float" else value
-    if isinstance(e, Reciprocal):
-        v = _value(e.arg, how)
-        if v == 0:  # a Dual is never 0 and raises on its own zero value
-            raise EvaluationError("reciprocal of a functional evaluating to zero")
-        return v**-1
-    if isinstance(e, Smooth):
-        if how[3] != "float":
-            raise ExactModeError(f"smooth functional {e.tag!r} requires float mode")
-        return Fraction(SMOOTH_TABLE[e.tag].at(to_float(_value(e.arg, how))))
-    raise TypeError(f"not an expression: {e!r}")
+                kind, arg = TypeError, f"not an expression: {e!r}"
+            steps.append((kind, arg, [step(part) for part in parts]))
+            known[e] = len(steps) - 1
+        return known[e]
+
+    return steps, [step(root) for root in roots]
+
+
+def _run(program, space, binding, mode, mean) -> list:
+    """The value of each root of a compiled program on ``space`` under
+    ``binding``; ``mean(space, v)`` is the moment of a vector ``v`` not
+    constant on the space (``expectation``, or ``Dual.mean`` for an
+    influence).  A sum or product joins its scalar and its vector parts
+    with one vector operation unless the scalar is the unit.  A failed step
+    keeps its error as its value, and a step reading failed operands takes
+    the first, so a root's value is what its own walk gives or raises."""
+    steps, roots = program
+    values, failed = [], {}
+    for kind, arg, operands in steps:
+        try:
+            if kind is Smooth and mode != "float":
+                raise ExactModeError(f"smooth functional {arg!r} requires float mode")
+            if failed and not failed.keys().isdisjoint(operands):
+                raise failed[next(i for i in operands if i in failed)]
+            value = values[operands[0]] if operands else arg
+            if kind is add or kind is mul:
+                scalar = vector = None
+                for part in map(values.__getitem__, operands):
+                    if type(part) is RandVar:
+                        vector = part if vector is None else kind(vector, part)
+                    else:
+                        scalar = part if scalar is None else kind(scalar, part)
+                if vector is None:
+                    value = Fraction(arg) if scalar is None else scalar
+                else:
+                    value = vector if scalar is None or scalar == arg else kind(vector, scalar)
+            elif kind is BaseVar:
+                value = binding.get(arg)
+                if value is None:
+                    raise EvaluationError(f"unbound variable {arg!r}")
+                if value.space is not space and value.space != space:
+                    raise EvaluationError(f"binding for {arg!r} lives on another space")
+            elif kind is Moment:
+                value = mean(space, value) if type(value) is RandVar else value
+            elif kind is IntPower:
+                value = value ** bounded_exponent(arg)
+            elif kind is EmbedFunc:  # in float mode, rounded through a float
+                value = Fraction(to_float(value)) if mode == "float" else value
+            elif kind is Reciprocal:
+                if value == 0:  # a Dual is never 0 and raises on its own zero value
+                    raise EvaluationError("reciprocal of a functional evaluating to zero")
+                value = value**-1
+            elif kind is Smooth:
+                value = Fraction(SMOOTH_TABLE[arg].at(to_float(value)))
+            elif kind is TypeError:
+                raise TypeError(arg)
+        except Exception as exc:  # kept, and raised by each root that reads it
+            value = failed[len(values)] = exc
+        values.append(value)
+    return [values[root] for root in roots]
+
+
+def _raised(value):
+    """A root's value from :func:`_run`, or the error kept in its place, raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ numeric route draws seeded random spaces and integer variables and compares
 each row of :func:`~eicalg.brackets.identities`, its sides computed by the
 bracket functions, with its closed form, computed with direct vector
 arithmetic, exactly; one call runs every check of its suites in one pass
-over the instances, each drawn once, and in the pass the bracket functions
-share one model per instance.  The symbolic route decides each row once at
-the canonical-form level.  A suite passes only if every comparison agrees.
+over the instances, each drawn once, and per instance the bracket functions
+share one model and the certificates one run of each route.  The symbolic
+route decides each row once at the canonical-form level.  A suite passes
+only if every comparison agrees.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def suite_eic_certificates():
         ("product-of-means", E(x) * E(y)),
     ]
     statement = "the derived gradient equals psi's influence vector at every outcome"
-    table = [(f"gradient-certificate-{n}", statement, certificate(f)[1]) for n, f in catalog]
-    return table, ()
+    _, checks = certificate([(f, None) for _, f in catalog])
+    return [(f"gradient-certificate-{n}", statement, c) for (n, _), c in zip(catalog, checks)], ()
 
 
 SUITES = {

@@ -5,6 +5,7 @@ evaluator (plain vector arithmetic over the finite space), which is the
 oracle of record for instance values.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -200,43 +201,60 @@ class TestSymbolicSuite:
 # verify all call at 100 trials and seed 1
 COUNT_SCRIPT = """
 import sys
-from eicalg import measure, verify
-counts = {}
+from eicalg import expr, measure, verify
+counts = {"_compiled": 0, "evaluate_rv": 0}
 def counted(f):
     def call(*args):
         counts[f.__name__] = counts.get(f.__name__, 0) + 1
         return f(*args)
     return call
-measure._vector, mean = counted(measure._vector), measure.expectation
-for module in [m for name, m in sys.modules.items() if name.startswith("eicalg")]:
-    if getattr(module, "expectation", None) is mean:
-        module.expectation = counted(mean)
+measure._vector = counted(measure._vector)
+for f in (measure.expectation, expr._compiled, expr.evaluate_rv):
+    for module in [m for name, m in sys.modules.items() if name.startswith("eicalg")]:
+        if getattr(module, f.__name__, None) is f:
+            setattr(module, f.__name__, counted(f))
 assert all(r.passed for r in verify.run_suite("all", 100, 1, 8))
-print(counts["_vector"], counts["expectation"])
+print(counts["_vector"], counts["expectation"], counts["_compiled"], counts["evaluate_rv"])
 """
+
+
+@functools.cache
+def verify_counts() -> list[tuple[int, ...]]:
+    """The counts of :data:`COUNT_SCRIPT` under hash seeds 0 and 1."""
+    env = {**os.environ, "PYTHONPATH": str(Path(brackets.__file__).parent.parent)}
+    counts = []
+    for hash_seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", COUNT_SCRIPT],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": hash_seed},
+        )
+        assert done.returncode == 0, done.stderr
+        counts.append(tuple(map(int, done.stdout.split())))
+    return counts
 
 
 class TestVerifyCost:
     """Cost counts of one verify call, which no machine load moves: each
     mean, product and bracket side is valued once per instance in the model,
-    and each piece of the closed forms once per instance."""
+    each piece of the closed forms once per instance, and each node of the
+    certificates' trees once per instance on each route."""
 
     def test_vector_and_expectation_counts_bounded_under_two_hash_seeds(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(brackets.__file__).parent.parent)}
-        counts = []
-        for hash_seed in ("0", "1"):
-            done = subprocess.run(
-                [sys.executable, "-c", COUNT_SCRIPT],
-                capture_output=True, text=True, env={**env, "PYTHONHASHSEED": hash_seed},
-            )
-            assert done.returncode == 0, done.stderr
-            counts.append(tuple(map(int, done.stdout.split())))
+        counts = verify_counts()
         assert counts[0] == counts[1]
-        vectors, expectations = counts[0]
+        vectors, expectations, *_ = counts[0]
         # 20,875 when each composite bracket rebuilt its parts, 12,370 when the
-        # closed forms rebuilt the centred coordinates
-        assert vectors <= 11_570
-        assert expectations <= 3_291  # 6,392 with no means kept in the closed forms
+        # closed forms rebuilt the centred coordinates, 11,570 when each
+        # certificate walked its own trees
+        assert vectors <= 10_176
+        # 6,392 with no means kept in the closed forms, 3,291 with no moment
+        # shared across the certificates' estimands
+        assert expectations <= 2_291
+
+    def test_two_certificate_programs_and_no_tree_walk(self):
+        """One program of the five gradients and one of the five normalized
+        psi, compiled once per call; no tree is valued by ``evaluate_rv``."""
+        assert [counts[2:] for counts in verify_counts()] == [(2, 0), (2, 0)]
 
 
 class TestFaultInjection:

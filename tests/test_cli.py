@@ -12,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from conftest import negate_first_centering
-from eicalg import brackets, canon, measure, parser, sampling, verify
+from eicalg import brackets, canon, eic, measure, parser, sampling, verify
 from eicalg.canon import CanonForm, canonicalize_rv
 from eicalg.cli import MAX_OUTCOMES, main
 from eicalg.errors import EvaluationError
-from eicalg.expr import E, FuncConst, FuncSum, f_pow, var
+from eicalg.expr import (
+    E, FuncConst, FuncPower, FuncSum, f_pow, rv_embed, rv_pow, rv_product, var,
+)
 from eicalg.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
 from workloads import grammar_expression
 
@@ -549,9 +551,30 @@ FIRST_PIECE_LESS_COV = _numeric_side(
     "nested_T_P_prod", lambda o, x, y: -o.embed(o.bracket_P_prod(x, y))
 )
 
+_GRADIENT = eic._gradient
+
+
+def _power_rule_off_by_one(f, trace, mode):
+    """``eic._gradient`` with n + 1 for n as the power rule's coefficient:
+    a fault on the certificate's gradient route."""
+    if isinstance(f, FuncPower):
+        base = _GRADIENT(f.base, trace, mode)
+        return rv_product(f.exponent + 1, rv_pow(rv_embed(f.base), f.exponent - 1), base)
+    return _GRADIENT(f, trace, mode)
+
+
+def _half_product_rule(self, other):
+    """``Dual.__mul__`` that drops the other factor's influence from the
+    product rule: a fault on the certificate's influence route."""
+    if isinstance(other, measure.Dual):
+        return measure.Dual(self.value * other.value, self.influence * other.value)
+    return measure.Dual(self.value * other, self.influence * other)
+
+
 # (suite, [(module or class, name, replacement)], {failing record: first
 # counterexample}) at seed 0 and 20 trials; the faults patch the names the
-# bracket functions and checks look up, so the symbolic records still pass
+# bracket functions and checks look up, so the symbolic records still pass,
+# and a fault on one certificate route fails only the estimands it touches
 INJECTED_FAULTS = [
     pytest.param(
         "decomposition", [(verify, "decompose", _decomposition(1, 0))],
@@ -656,6 +679,30 @@ INJECTED_FAULTS = [
         "jacobi", [FIRST_PIECE_LESS_COV],
         {"jacobi-identity": INSTANCE_0 + f"got={['-2312/729'] * 6} want={['0'] * 6}"},
         id="jacobi-sum-nonzero",
+    ),
+    pytest.param(
+        "eic-certificates", [(eic, "_gradient", _power_rule_off_by_one)],
+        {
+            "gradient-certificate-variance": INSTANCE_0
+            + "gradient=['-2666/243', '6784/243', '-182/243', '-2072/243', '-2072/243',"
+            " '574/243'] influence=['-7285/729', '16718/729', '-2317/729', '-4882/729',"
+            " '-4882/729', '4298/729']"
+        },
+        id="gradient-power-rule-off",
+    ),
+    pytest.param(
+        "eic-certificates", [(measure.Dual, "__mul__", _half_product_rule)],
+        {
+            "gradient-certificate-covariance": INSTANCE_0
+            + "gradient=['-6838/729', '12224/729', '-5623/729', '1748/729', '1748/729',"
+            " '-24712/729'] influence=['-10196/729', '10108/729', '-4634/729', '3358/729',"
+            " '3358/729', '-29312/729']",
+            "gradient-certificate-product-of-means": INSTANCE_0
+            + "gradient=['-1343/729', '-12386/729', '-4016/729', '5380/729', '5380/729',"
+            " '2680/729'] influence=['2015/729', '-10270/729', '-5005/729', '3770/729',"
+            " '3770/729', '7280/729']",
+        },
+        id="influence-product-rule-off",
     ),
 ]
 

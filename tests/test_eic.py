@@ -342,10 +342,13 @@ class TestCertify:
         assert "; gradient=[" in report.counterexample and "] influence=[" in report.counterexample
 
     def test_too_few_checked_trials_fail(self, monkeypatch):
+        """Every draw is degenerate when the moment rule of the gradient's
+        run raises, as a zero denominator would."""
+
         def degenerate(*args, **kwargs):
             raise EvaluationError("every draw is degenerate")
 
-        monkeypatch.setattr(eic, "evaluate_rv", degenerate)
+        monkeypatch.setattr(eic, "expectation", degenerate)
         report = certify_eic(E(X), trials=20, seed=7)
         assert report.checked == 0
         assert not report.passed

@@ -1,13 +1,13 @@
-"""Differential oracle for the valuation walk in ``expr``: the vector-only
-walk ``evaluate_rv`` replaced, and the functional walk (``_eval_func``) that
+"""Differential oracle for the evaluator in ``expr``: the vector-only walk
+``evaluate_rv`` replaced, and the functional walk (``_eval_func``) that
 valued functionals beside it, both kept verbatim, against seeded expression
 trees.
 
 The oracle embeds every constant and functional as a vector, starts each
 sum from ``embed(0)`` and each product from ``embed(1)``, and values a
-moment each time it appears.  The walk under test keeps constant parts as
-rationals, values each distinct moment once, and values both families in
-one function; it must give equal ``RandVar`` fields or equal functional
+moment each time it appears.  The evaluator under test keeps constant parts
+as rationals, values each distinct node once, and values both families in
+one program; it must give equal ``RandVar`` fields or equal functional
 values, or raise the same error type with the same message.  The one edit
 to the copied code is the message for a smooth node in exact mode, which is
 now the one ``derive`` gives."""

@@ -1,8 +1,8 @@
 """The recursive influence walk of the certificate, kept verbatim as an oracle.
 
-``_influence`` below is the walk ``eic._influence`` was before it became the
-valuation walk of ``evaluate_func`` with ``Dual.mean`` as its moment rule:
-its own recursion over a normalized functional, which carries each
+``_influence`` below is the walk ``eic._influence`` was before it became a
+run of ``expr``'s evaluator with ``Dual.mean`` as its moment rule: its own
+recursion over a normalized functional, which carries each
 subexpression as a :class:`~eicalg.measure.Dual`.  Both are exact, so on
 every seeded draw they must give the same whole Dual, value and influence
 vector, or both find a zero denominator.

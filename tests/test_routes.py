@@ -40,7 +40,7 @@ def test_verify_closed_forms_stay_vector_arithmetic():
     assert "canon" not in _package_imports("verify")
 
 
-POINTWISE_EVALUATORS = {"_value", "_pointwise", "evaluate_func"}
+POINTWISE_EVALUATORS = {"_compiled", "_run", "_pointwise", "evaluate_func"}
 
 
 def _names(module: str) -> set[str]:
@@ -92,10 +92,10 @@ NUMERIC_ROUTE = (
 
 
 @functools.cache
-def _top_level(module: str):
+def _top_level(module: str, package: Path = PACKAGE):
     """The functions, classes and assigned names of ``module``, each with its
     node, and its package-relative imports, each name as (module, name)."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
     defs = {
         node.name: node for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -106,53 +106,149 @@ def _top_level(module: str):
         for target in getattr(node, "targets", None) or [node.target]
         if isinstance(target, ast.Name)
     )
-    imported = {
-        alias.asname or alias.name: (node.module.split(".")[0], alias.name)
+    imported = {  # a module imported whole as (module, None)
+        alias.asname or alias.name:
+            (node.module.split(".")[0], alias.name) if node.module else (alias.name, None)
         for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
     }
     return defs, imported
 
 
-def _reached_modules(module: str, roots) -> set[str]:
+# the nodes that open a scope of their own: their parameters, targets and
+# stored names shadow the module's names inside them
+_SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def _bound(scope) -> set[str]:
+    """The names that a function, lambda or comprehension binds in its own
+    scope: parameters, targets, stored names and nested definitions."""
+    names, todo = set(), list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return names
+
+
+def _reads(node, bound=frozenset()):
+    """(name, attribute) for each name that ``node`` loads from its module's
+    scope, that is, not bound in a scope around the load; ``attribute`` is
+    the attribute read from the name (``expr.name``), or None."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound(node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            if child.id not in bound:
+                yield child.id, node.attr if isinstance(node, ast.Attribute) else None
+        else:
+            yield from _reads(child, bound)
+
+
+def _reached_modules(module: str, roots, package: Path = PACKAGE) -> set[str]:
     """The package modules whose imported names the functions, classes and
     assigned names ``roots`` of ``module`` reach: through the names their
     bodies and bases load, following the module's own top-level names."""
-    defs, imported = _top_level(module)
+    defs, imported = _top_level(module, package)
     seen, todo, reached = set(), list(roots), set()
     while todo:
         name = todo.pop()
         if name in seen:
             continue
         seen.add(name)
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Name):
-                if node.id in defs:
-                    todo.append(node.id)
-                elif node.id in imported:
-                    reached.add(imported[node.id][0])
+        for read, _ in _reads(defs[name]):
+            if read in defs:
+                todo.append(read)
+            elif read in imported:
+                reached.add(imported[read][0])
     return reached
 
 
-def _reached_names(module: str, roots) -> set[tuple[str, str]]:
+def _reached_names(module: str, roots, package: Path = PACKAGE) -> set[tuple[str, str]]:
     """Every (module, name) that the top-level names ``roots`` of ``module``
-    reach, following the package's imports from module to module."""
+    reach, following the package's imports from module to module, and the
+    attributes read from a module imported whole."""
     seen, todo = set(), [(module, root) for root in roots]
     while todo:
         module, name = todo.pop()
         if (module, name) in seen:
             continue
         seen.add((module, name))
-        defs, imported = _top_level(module)
+        defs, imported = _top_level(module, package)
         if name not in defs:  # imported in turn from another package module
             todo.append(imported[name])
             continue
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Name) and node.id in defs:
-                todo.append((module, node.id))
-            elif isinstance(node, ast.Name) and node.id in imported:
-                todo.append(imported[node.id])
+        for read, attribute in _reads(defs[name]):
+            if read in defs:
+                todo.append((module, read))
+            elif read in imported:
+                source, imported_name = imported[read]
+                if imported_name or attribute:
+                    todo.append((source, imported_name or attribute))
     return seen
+
+
+# a package of three modules: ``a`` imports the function ``b.var`` and the
+# module ``c``, and reaches each only where a name of its own scope is read
+FIXTURE = {
+    "a": """
+from .b import var
+from . import c
+
+
+def shadowed_by_a_parameter(var):
+    return var + 1
+
+
+def shadowed_by_a_local():
+    var = 2
+    return [var for var in range(var)]
+
+
+def through_a_module_attribute():
+    return c.helper()
+
+
+def through_a_comprehension():
+    return [c for c in range(3)] + [var(i) for i in range(3)]
+""",
+    "b": "def var(i):\n    return i\n",
+    "c": "def helper():\n    return 1\n",
+}
+
+
+@pytest.fixture
+def fixture_package(tmp_path):
+    for module, text in FIXTURE.items():
+        (tmp_path / f"{module}.py").write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("root", ["shadowed_by_a_parameter", "shadowed_by_a_local"])
+def test_a_parameter_or_local_is_not_a_reach_of_the_name_it_shadows(fixture_package, root):
+    assert _reached_modules("a", [root], fixture_package) == set()
+    assert _reached_names("a", [root], fixture_package) == {("a", root)}
+
+
+def test_a_module_attribute_is_a_reach_of_that_module(fixture_package):
+    root = "through_a_module_attribute"
+    assert _reached_modules("a", [root], fixture_package) == {"c"}
+    assert ("c", "helper") in _reached_names("a", [root], fixture_package)
+
+
+def test_a_comprehension_variable_shadows_only_inside_it(fixture_package):
+    root = "through_a_comprehension"
+    assert _reached_modules("a", [root], fixture_package) == {"b"}
+    assert _reached_names("a", [root], fixture_package) == {("a", root), ("b", "var")}
 
 
 def test_numeric_bracket_route_reaches_no_symbolic_module():
@@ -172,12 +268,13 @@ def test_route_reader_follows_the_symbolic_model():
 
 
 def test_influence_walk_shares_nothing_with_the_derivation():
-    """The certificate's influence of psi is the valuation walk of ``expr``
-    over the Duals of ``measure``: no function it reaches derives or
-    normalizes, so the gradient it is compared with is computed apart."""
-    assert _reached_modules("eic", ["_influence"]) == {"expr", "measure"}
-    reached = {name for _, name in _reached_names("eic", ["_influence"])}
-    assert {"_value", "Dual"} <= reached
+    """The certificate's influence of psi is a compiled run of ``expr`` over
+    the Duals of ``measure``: no function it reaches derives or normalizes,
+    so the gradient it is compared with is computed apart."""
+    route = ["_influence", "_influences"]
+    assert _reached_modules("eic", route) == {"expr", "measure"}
+    reached = {name for _, name in _reached_names("eic", route)}
+    assert {"_compiled", "_run", "Dual"} <= reached
     assert not reached & {"_gradient", "derive_eic", "normalize_functional"}
 
 
