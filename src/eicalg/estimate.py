@@ -8,8 +8,8 @@ functional of moments and its gradient are rational in primitive moments
 E[X^a Y^b]: a call compiles the estimand once, in one mode, as a
 :class:`CompiledEstimand`, and each estimator runs one flat program over
 integer (numerator, denominator) pairs: one step per distinct node, one
-``Fraction`` per result, power columns shared by a study's replicates.
-Results are exact; the empirical mean of a plug-in gradient is exactly
+``Fraction`` per result; a Monte Carlo replicate is one run on its moment
+pairs.  Results are exact; the empirical mean of a plug-in gradient is exactly
 zero.  Float mode rounds every embedded functional to a float as pointwise
 evaluation does, so both modes give the same numbers as evaluating row by
 row on :func:`empirical_space`, the independent route, which shares no
@@ -55,9 +55,9 @@ class Dataset:
 
     ``columns`` maps each name to ``(scale, ints)``: row ``i`` holds the
     value ``ints[i] / scale``.  The law puts mass ``counts[i] / total`` on
-    row ``i`` (data rows count one each, a Monte Carlo replicate counts its
-    draws) and ``n`` is the total, so a primitive moment E[prod_j X_j^a_j]
-    is the single integer sum ``sum_i c_i prod_j x_ij^a_j`` divided by
+    row ``i`` and ``n`` is the total, so a primitive moment E[prod_j X_j^a_j]
+    is the integer sum ``sum_i c_i prod_j x_ij^a_j``, the counts times the
+    column of :meth:`powers` (as for each Monte Carlo replicate), divided by
     ``total * prod_j scale_j^a_j``.  The law decides once whether every
     count is 1, and keeps each moment it has valued as a pair, so
     estimators valued on it share one pass per moment.
@@ -66,7 +66,7 @@ class Dataset:
     def __init__(self, columns: dict, counts, total: int):
         self._columns, self._counts, self.n = columns, list(counts), total
         self._unit = self._counts.count(1) == len(self._counts)
-        self._pairs, self._powers = {}, None
+        self._pairs = {}
         if not self._counts:
             raise DataError("at least one row required")
         if any(len(ints) != len(self._counts) for _, ints in columns.values()):
@@ -93,28 +93,22 @@ class Dataset:
         }
         return Dataset(columns, counts, sum(counts))
 
-    def recount(self, counts, total: int) -> "Dataset":
-        """The law of these rows counted by ``counts`` over ``total``; it
-        and this law share their power columns."""
-        law = Dataset(self._columns, counts, total)
-        law._powers = self._powers = {} if self._powers is None else self._powers
-        return law
-
-    def moment(self, mono) -> Fraction:
-        """E[prod X^a] of a base monomial ((name, exponent), ...), by one
-        lazy integer pass over the rows that builds no list but the power
-        columns that recounted laws share; the counts are multiplied in only
-        when one of them is not 1."""
-        terms, scale = None if self._unit else self._counts, self.n
+    def powers(self, mono) -> tuple:
+        """The lazy column of ints prod_j x_ij^a_j of a base monomial ((name,
+        exponent), ...), and its scale prod_j scale_j^a_j."""
+        terms, scale = None, 1
         for name, exponent in mono:
             column_scale, column = self._columns[name]
             factor = column if exponent == 1 else map(pow, column, repeat(exponent))
-            if exponent > 1 and self._powers is not None:
-                key = name, exponent
-                factor = self._powers[key] = self._powers.get(key) or [*factor]
             terms = factor if terms is None else map(mul, terms, factor)
             scale *= column_scale**exponent
-        return Fraction(sum(self._counts if terms is None else terms), scale)
+        return repeat(1, len(self._counts)) if terms is None else terms, scale
+
+    def moment(self, mono) -> Fraction:
+        """E[prod X^a] of a base monomial, by one lazy integer pass that builds
+        no list; the counts are multiplied in only when one is not 1."""
+        terms, scale = self.powers(mono)
+        return Fraction(sum(terms if self._unit else map(mul, self._counts, terms)), self.n * scale)
 
     def pair(self, mono) -> tuple[int, int]:
         """E[prod X^a] as (numerator, denominator), valued once per law."""
@@ -289,7 +283,7 @@ class _Program:
         ]
 
     def run(self, laws) -> list:
-        """The value of every step under ``laws``, as integer pairs."""
+        """Every step's value as an integer pair; ``laws[i](mono)`` is a moment."""
         values = []
         for kind, arg in self.steps:
             if kind == "sum":
@@ -302,14 +296,14 @@ class _Program:
                     num, den = num * (d // g) + n * (den // g), den // g * d
                 values.append((num, den))
             elif kind == "moment":
-                values.append(laws[arg[0]].pair(arg[1]))
+                values.append(laws[arg[0]](arg[1]))
             elif kind == "inv":
                 p, q = values[arg]
                 if p == 0:
                     raise EvaluationError("reciprocal of a functional evaluating to zero")
                 values.append((q, p) if p > 0 else (-q, -p))
             elif kind == "float":
-                x = to_float(Fraction(*values[arg[1]]))
+                x = to_float(*values[arg[1]])
                 values.append((SMOOTH_TABLE[arg[0]].at(x) if arg[0] else x).as_integer_ratio())
             else:
                 raise arg.with_traceback(None)
@@ -324,8 +318,8 @@ class CompiledEstimand:
     held-out mean.  Each moment argument, and g, is canonicalized once with
     its embedded functionals as opaque atoms, each valued, cancelled or
     not, as pointwise evaluation does.  A run takes one step per distinct
-    node and builds one ``Fraction`` per result; a study's replicates share
-    power columns (:meth:`Dataset.recount`).
+    node and builds one ``Fraction`` per result; a Monte Carlo replicate is
+    one run of the ``study`` program, of both, on moment pairs (:meth:`sampled`).
     """
 
     def __init__(self, psi: FuncExpr, mode: str = "exact"):
@@ -356,23 +350,39 @@ class CompiledEstimand:
             if not self._names <= law._columns.keys():
                 missing = self._names - law._columns.keys()
                 raise EvaluationError(f"unbound variable {min(missing)!r}")
-        if target not in self._programs:
-            program = _Program(self.mode, self._forms)
-            try:
-                if target == "variance":
-                    mean, square = program.expect(self.eic, 0, square=True)
-                    result = program.at(square + [(-1, 1, ((program.at(mean), 2),))])
-                elif target == "onestep":
-                    fitted = (1, 1, ((program.embedded(self.psi), 1),))
-                    result = program.at([fitted, *program.expect(self.eic, 1)[0]])
-                else:
-                    result = program.at([program.func(self.psi)])
-            except EicalgError as exc:
-                result = program.add("raise", exc)
-            self._programs[target] = program, result
-        program, result = self._programs[target]
-        value = Fraction(*program.run(laws)[result])
+        program, results = self._program(target)
+        value = Fraction(*program.run([law.pair for law in laws])[results[0]])
         return to_float(value) if self.mode == "float" and target != "variance" else value
+
+    def reads(self) -> list:
+        """The base monomials whose moments the ``study`` program reads."""
+        return [arg[1] for kind, arg in self._program("study")[0].steps if kind == "moment"]
+
+    def sampled(self, moments: dict, n: int) -> tuple[float, float]:
+        """The float estimate and standard error under ``n`` draws whose moments
+        of :meth:`reads` are the pairs ``moments``, by one run: the floats and
+        errors of :meth:`value`, then :meth:`variance` and :func:`standard_error`."""
+        program, results = self._program("study")
+        (p, q), (v, w) = map(program.run([moments.__getitem__]).__getitem__, results)
+        return to_float(p, q), math.sqrt(to_float(v, w * n))
+
+    def _program(self, target: str) -> tuple:
+        """The program of ``target`` (``study``: value, then variance) and its results."""
+        if target not in self._programs:
+            program, results = _Program(self.mode, self._forms), []
+            try:
+                if target in ("value", "study"):
+                    results.append(program.at([program.func(self.psi)]))
+                if target in ("variance", "study"):
+                    mean, square = program.expect(self.eic, 0, square=True)
+                    results.append(program.at(square + [(-1, 1, ((program.at(mean), 2),))]))
+                if target == "onestep":
+                    fitted = (1, 1, ((program.embedded(self.psi), 1),))
+                    results.append(program.at([fitted, *program.expect(self.eic, 1)[0]]))
+            except EicalgError as exc:
+                results = [program.add("raise", exc)] * 2
+            self._programs[target] = program, results
+        return self._programs[target]
 
 
 def plugin_estimate(estimand: CompiledEstimand, data: Dataset):

@@ -504,11 +504,11 @@ def evaluate_func(
     return to_float(value) if mode == "float" else value
 
 
-def to_float(value: Fraction) -> float:
-    """The float nearest an exact value; beyond the float range it raises
-    :class:`EvaluationError`, a data error, not an internal one."""
+def to_float(value, den: int = 1) -> float:
+    """The float nearest an exact value, or the int ``value`` over ``den``;
+    beyond the float range an :class:`EvaluationError`, a data error."""
     try:
-        return float(value)
+        return float(value) if den == 1 else value / den
     except OverflowError as exc:
         raise EvaluationError("value overflows a float") from exc
 

@@ -8,10 +8,10 @@ the true law, together with Wald interval coverage.  The estimand is
 compiled once (:class:`~eicalg.estimate.CompiledEstimand`) and the support
 scaled to integers once.  The true law is one
 :class:`~eicalg.estimate.Dataset` over that column, counted by weight over
-the lcm of the weights' denominators; each replicate is that law recounted
-by its multinomial counts over n, so the replicates share the support's
-power columns.  A law runs the programs of the estimand and its gradient:
-one step per distinct node, one ``Fraction`` per result.
+the lcm of the weights' denominators.  A replicate's moments are its
+multinomial counts times the true law's power columns, over n: a block of
+replicates makes one exact integer product, and a replicate is one run of
+one program for its estimate and standard error.
 
 Reproducibility contract: replicate ``r`` draws one multinomial count
 vector from ``numpy``'s PCG64 generator seeded with ``SeedSequence((seed,
@@ -26,11 +26,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UsageError
-from .estimate import CompiledEstimand, Dataset, normal_quantile, standard_error
+from .estimate import CompiledEstimand, Dataset, normal_quantile
 from .expr import FuncExpr, func_base_vars, to_float
 from .numerals import FAMILIES, exact_string, setting
 
 __all__ = ["McConfig", "McReport", "resolve_sampler", "run_mc"]
+
+BLOCK_CELLS = 1 << 16  # count cells a block holds: memory does not grow with replicates
 
 
 @dataclass(frozen=True)
@@ -157,21 +159,24 @@ def run_mc(config: McConfig) -> McReport:
     truth_f = to_float(truth)
     sqrt_n = math.sqrt(config.n)
 
-    estimates: list[float] = []
-    errors: list[float] = []
-    covered = 0
-    for r in range(config.replicates):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((config.seed, r)))
-        )
-        counts = rng.multinomial(config.n, probs).tolist()
-        law = truth_law.recount(counts, config.n)
-        estimate_f = to_float(estimand.value(law))
-        estimates.append(estimate_f)
-        errors.append(sqrt_n * (estimate_f - truth_f))
-        se = standard_error(estimand.variance(law), config.n)
-        if abs(estimate_f - truth_f) <= z * se:
-            covered += 1
+    # counts are >= 0 and sum to n: int64 sums are exact if n * |power| fits
+    monos = estimand.reads()
+    powers = [truth_law.powers(mono) for mono in monos]
+    table = np.array([[*c] for c, _ in powers], dtype=object).reshape(len(monos), len(support))
+    fits = config.n * max(map(abs, table.flat), default=0) <= 2**63 - 1
+    matrix = table.T.astype(np.int64 if fits else object)
+    dens = [config.n * scale for _, scale in powers]
+    rows = max(1, BLOCK_CELLS // len(support))
+
+    estimates, errors, covered = [], [], 0
+    for start in range(0, config.replicates, rows):
+        block = [np.random.default_rng((config.seed, r)).multinomial(config.n, probs)
+                 for r in range(start, min(start + rows, config.replicates))]
+        for sums in np.matmul(block, matrix).tolist():
+            estimate_f, se = estimand.sampled(dict(zip(monos, zip(sums, dens))), config.n)
+            estimates.append(estimate_f)
+            errors.append(sqrt_n * (estimate_f - truth_f))
+            covered += abs(estimate_f - truth_f) <= z * se
 
     empirical_variance = statistics.variance(errors) if len(errors) > 1 else 0.0
     digest = {

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from eicalg.expr import E, _Operand, inv, var
-from eicalg.mc import McConfig, resolve_sampler, run_mc
+from eicalg.mc import BLOCK_CELLS, McConfig, resolve_sampler, run_mc
 
 X = var("X")
 MEAN = E(X)
@@ -203,13 +203,13 @@ FAMILY_PARAMS = {
 class TestMomentTableAgainstPointwise:
     ESTIMANDS = [MEAN, VARIANCE, E((X - E(X)) ** 3) * inv(E(X**2))]
 
-    def _compare(self, family, estimand):
+    def _compare(self, family, estimand, params=None, n=25, replicates=40):
         config = McConfig(
             family=family,
-            params=FAMILY_PARAMS[family],
+            params=params or FAMILY_PARAMS[family],
             estimand=estimand,
-            n=25,
-            replicates=40,
+            n=n,
+            replicates=replicates,
             seed=9,
         )
         report = run_mc(config)
@@ -225,20 +225,44 @@ class TestMomentTableAgainstPointwise:
     def test_every_other_sampler_family(self, estimand, family):
         self._compare(family, estimand)
 
+    # a replicate's sums are int64 only when n times every |x^a| the study
+    # reads is at most 2^63 - 1.  On the support {-2, 2} the sum of X^4 is
+    # 16n for every draw, so a Var(X) study is int64 at n = 2^59 - 1 and
+    # needs Python ints from 2^59 on, where the int64 sum would wrap.
+    PLUS_MINUS_TWO = {"support": ["-2", "2"], "weights": ["0.5", "0.5"]}
+
+    @pytest.mark.parametrize(
+        "family, params, n",
+        [
+            ("gaussian-grid", FAMILY_PARAMS["gaussian-grid"], 2**62),
+            ("discrete", PLUS_MINUS_TWO, 2**59 - 1),
+            ("discrete", PLUS_MINUS_TWO, 2**59),
+        ],
+        ids=["gaussian-grid-above", "below", "above"],
+    )
+    def test_each_side_of_the_int64_bound(self, family, params, n):
+        self._compare(family, VARIANCE, params, n=n, replicates=10)
+
+    def test_blocks_of_replicates(self):
+        """Two full blocks and a last, partial one."""
+        params = {"low": "0", "high": "1", "points": 10_000}
+        rows = BLOCK_CELLS // params["points"]
+        self._compare("uniform-grid", VARIANCE, params, replicates=2 * rows + 1)
+
 
 def _outcome(study):
-    """The study's fields, or the type of its error."""
+    """The study's fields, or the type and text of its error."""
     try:
         return study()
     except ValueError as exc:  # every package error is a ValueError
-        return type(exc)
+        return type(exc), str(exc)
 
 
 class TestCompiledRouteOnDegenerateReplicates:
     """Small samples from a lopsided law: some replicates have a single
     distinct value, so Var(X) = 0 there and the reciprocal fails.  The
     compiled route and the pointwise recomputation agree on each study,
-    on its report or on the error type."""
+    on its report or on the type and text of the error it raises first."""
 
     FIELDS = (
         "truth_exact", "bound_exact", "empirical_variance", "coverage",
@@ -264,7 +288,7 @@ class TestCompiledRouteOnDegenerateReplicates:
                 lambda: {key: getattr(run_mc(config), key) for key in self.FIELDS}
             )
             assert got == expected, seed
-            outcomes.append(isinstance(expected, type))
+            outcomes.append(isinstance(expected, tuple))
         assert any(outcomes) and not all(outcomes)
 
 
@@ -307,22 +331,16 @@ class TestCompiledOnce:
         assert few == many
         assert few["canonicalize_rv"] > 0 and few["canonicalize_func"] > 0
 
-    def test_four_moment_passes_per_law_for_a_variance(self, monkeypatch):
-        """A Var(X) study values E[X], E[X^2], E[X^3] and E[X^4] once per
-        law, the true law and each replicate, and expands its estimand and
-        gradient a number of times that does not grow with the replicates."""
+    def test_four_moment_passes_on_the_true_law_and_one_product_per_block(self, monkeypatch):
+        """A Var(X) study values E[X], E[X^2], E[X^3] and E[X^4] once on the
+        true law and makes no moment pass for a replicate: each block of
+        replicates takes its sums from one product of its counts with the
+        power columns.  It expands its estimand and gradient a number of
+        times that does not grow with the replicates."""
+        import numpy as np
+
+        from eicalg import mc
         from eicalg.estimate import Dataset
-
-        laws, moments = [], []
-        original_init, original_moment = Dataset.__init__, Dataset.moment
-
-        def init(self, *args):
-            laws.append(self)
-            original_init(self, *args)
-
-        def moment(self, mono):
-            moments.append((laws.index(self), mono))
-            return original_moment(self, mono)
 
         config = McConfig(
             family="gaussian-grid",
@@ -335,10 +353,22 @@ class TestCompiledOnce:
         few = self._canonicalizations(monkeypatch, config)
         many = self._canonicalizations(monkeypatch, replace(config, replicates=50))
         assert few == many and few["canonicalize_rv"] > 0
+        laws, moments, products = [], [], []
+        original_init, original_moment, matmul = Dataset.__init__, Dataset.moment, np.matmul
+
+        def init(self, *args):
+            laws.append(self)
+            original_init(self, *args)
+
+        def moment(self, mono):
+            moments.append(mono)
+            return original_moment(self, mono)
+
         monkeypatch.setattr(Dataset, "__init__", init)
         monkeypatch.setattr(Dataset, "moment", moment)
+        monkeypatch.setattr(np, "matmul", lambda *args: products.append(args) or matmul(*args))
+        monkeypatch.setattr(mc, "BLOCK_CELLS", 2 * 41)  # two replicates of 41 points a block
         run_mc(config)
-        assert len(laws) == 1 + config.replicates
-        per_law = [sorted(mono for law, mono in moments if law == i) for i in range(len(laws))]
-        powers = [(("X", k),) for k in range(1, 5)]
-        assert per_law == [powers] * len(laws)
+        assert len(laws) == 1
+        assert sorted(moments) == [(("X", k),) for k in range(1, 5)]
+        assert [np.shape(block) for block, _ in products] == [(2, 41), (2, 41), (1, 41)]

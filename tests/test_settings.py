@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from eicalg import cli, errors
+from eicalg import cli, errors, numerals
 from eicalg.cli import main
 from eicalg.errors import EicalgError, ParseError, UsageError
 from eicalg.mc import FAMILIES
 from eicalg.numerals import MAX_POINTS, SETTINGS, setting
 from eicalg.verify import run_suite
+from test_cli import _capped
 
 STUDY = {"estimand": "E[X]", "n": "20", "replicates": "2", "seed": "1"}
 
@@ -37,6 +38,15 @@ def by_config(capsys, tmp_path, family, params, **study):
     config = tmp_path / "study.json"
     config.write_text(json.dumps({**STUDY, **study, "family": family, "params": params}))
     return run_cli(capsys, "--output", "structured", "simulate", "--config", str(config))
+
+
+def study_work(monkeypatch) -> tuple:
+    """The replicate generators (``numpy.random.default_rng``) and
+    the count products (``numpy.matmul``) made from now on, each capped at
+    none, so a run that starts a study stops at its first."""
+    import numpy as np
+
+    return _capped(monkeypatch, np.random, "default_rng", 0), _capped(monkeypatch, np, "matmul", 0)
 
 
 class TestOneReader:
@@ -113,14 +123,17 @@ class TestWrittenExponent:
     limit is refused before that, naming the setting (each input below ran
     past a 5 s timeout before)."""
 
-    def test_split_and_sampler_flags(self, capsys, tmp_path):
+    @staticmethod
+    def _runs(tmp_path) -> dict:
         data = tmp_path / "two.csv"
         data.write_text("X\n1\n2\n")
-        runs = {
+        return {
             "'--split'": ["estimate", "E[X]", "--data", str(data), "--split", "1e-999999999"],
             "'p'": ["simulate", "--family", "bernoulli", "--p", "1e999999999", "--estimand", "E[X]"],
         }
-        for named, argv in runs.items():
+
+    def test_split_and_sampler_flags(self, capsys, tmp_path):
+        for named, argv in self._runs(tmp_path).items():
             start = time.perf_counter()
             code, out, err = run_cli(capsys, *argv)
             assert time.perf_counter() - start < 1
@@ -132,6 +145,25 @@ class TestWrittenExponent:
         code, out, err = by_config(capsys, tmp_path, "bernoulli", {"p": "1e999999999"})
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
+        assert "'p'" in err and "4300 digits" in err
+
+    # the count twins of the two bounds above: the refused text is never
+    # given to ``Fraction``, which would compute its power of ten, and no
+    # study starts; a cap of none stops a run that does either at once
+
+    def test_split_and_sampler_flags_compute_nothing(self, capsys, monkeypatch, tmp_path):
+        powers = _capped(monkeypatch, numerals, "Fraction", 0)
+        work = study_work(monkeypatch)
+        for named, argv in self._runs(tmp_path).items():
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, powers, work) == (2, "", [], ([], []))
+            assert err == f"error: {named}: its power of ten exceeds the limit of 4300 digits\n"
+
+    def test_config_value_computes_nothing(self, capsys, monkeypatch, tmp_path):
+        powers = _capped(monkeypatch, numerals, "Fraction", 0)
+        work = study_work(monkeypatch)
+        code, out, err = by_config(capsys, tmp_path, "bernoulli", {"p": "1e999999999"})
+        assert (code, out, powers, work) == (2, "", [], ([], []))
         assert "'p'" in err and "4300 digits" in err
 
     @pytest.mark.parametrize("text", ["1e4300", "1E-4300", "2e+04300", "1e" + "9" * 5000])
@@ -185,6 +217,23 @@ class TestGridPoints:
         )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
+        assert "'points'" in err
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("uniform-grid", ["--low", "0", "--high", "1"]),
+            ("gaussian-grid", ["--mean", "0", "--sd", "1"]),
+        ],
+    )
+    def test_points_above_the_bound_start_no_study(self, capsys, monkeypatch, family, params):
+        """The count twin of the bound above."""
+        work = study_work(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "simulate", "--family", family, *params, "--points", str(MAX_POINTS + 1),
+            "--estimand", "E[X]", "--n", "20", "--replicates", "2",
+        )
+        assert (code, out, work) == (2, "", ([], []))
         assert "'points'" in err
 
     def test_points_at_the_bound_runs(self, capsys):
